@@ -33,6 +33,7 @@ from .graphs import FamilySpec, build_family, graph_from_json
 from .homology import RATIONALS, GF2, Field, parse_field
 from .resolution import (
     betti_hochster,
+    check_hochster_guard,
     eagon_reiner_check,
     hilbert_from_fvector,
     is_cm_ab,
@@ -141,6 +142,7 @@ def _betti_cached(c, field, args):
 def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
     if c.is_void:
         raise VoidComplexError("void complex has no ring invariants")
+    check_hochster_guard(c, args.max_ground, args.override_guards)  # before any exponential work
     fv = f_vector(c, override=args.override_guards)
     t = _betti_cached(c, field, args)
     reisner = is_cm_reisner(c, field, override=args.override_guards)
@@ -157,7 +159,7 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
         "cmAuslanderBuchsbaum": is_cm_ab(c, field, table=t),
         "gorenstein": is_gorenstein(c, field, table=t),
     }
-    er = eagon_reiner_check(c, field, max_ground=args.max_ground, override=args.override_guards)
+    er = eagon_reiner_check(c, field, table=t)
     report["eagonReiner"] = {
         "linearDegree": er.linear_degree,
         "dualCm": er.dual_cm,
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
     except GuardExceeded as e:
         print(f"guard: {e}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, KeyError, VoidComplexError, FileNotFoundError) as e:
+    except (ValueError, KeyError, VoidComplexError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

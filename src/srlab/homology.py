@@ -11,10 +11,14 @@ a complex whose facets can be added one at a time so that each new simplex
 meets the union of its predecessors in a single face deformation-retracts
 to a point per component (homology concentrated in degree 0).
 
-For coefficients in Q there is one more exact filter: over any prime field
-the homology dimensions bound the rational ones from above (universal
-coefficients), so rational ranks are only computed in the dimensions where
-the GF(2) profile is nonzero.
+For coefficients in Q the GF(2) profile comes first and closes most cases
+exactly. By universal coefficients dim H~_i(K; Q) <= dim H~_i(K; GF(2)) in
+every degree, and the reduced Euler characteristic sum (-1)^i dim H~_i is
+the same over every field. So when the GF(2) profile is nonzero in at most
+one degree, the rational profile equals it and no rational rank is computed.
+Only a profile with two or more nonzero degrees (torsion, as in RP^2) falls
+back to exact rational ranks, and only in those degrees. Over an odd prime
+field only the GF(p) ranks are computed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import vertices_of
-from .complexes import SimplicialComplex, faces_of_card, induced_subcomplex  # noqa: F401
+from .complexes import SimplicialComplex, faces_of_card
 from .errors import VoidComplexError
 
 # ---------------------------------------------------------------------------
@@ -381,50 +385,31 @@ def homology_dims_from_facets(facets, field: Field) -> tuple[int, ...]:
 
 
 def _dims_by_elimination(facets, field: Field) -> tuple[int, ...]:
-    by = _faces_by_card(facets)
+    by = _faces_by_card(facets)  # every cardinality 0..top is present
     top = max(by)
-    counts = {c: len(by[c]) for c in by}
 
-    def gf2_rank_of(card: int) -> int:
-        if card <= 0 or card > top or card - 1 not in by:
-            return 0
-        return rank_gf2(_boundary_cols_gf2(by[card - 1], by[card]))
+    def dims_from(rank_of) -> list[int]:
+        """H~_i = f_i - rank d_i - rank d_{i+1}, with d_c mapping c-faces down."""
+        ranks = {c: rank_of(c) for c in range(1, top + 1)}
+        return [len(by[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0) for c in range(top + 1)]
 
-    gf2_ranks = {c: gf2_rank_of(c) for c in range(1, top + 1)}
-    gf2_dims = [
-        counts.get(i + 1, 0) - gf2_ranks.get(i + 1, 0) - gf2_ranks.get(i + 2, 0)
-        for i in range(-1, top)
-    ]
-    if field.p == 2:
-        return tuple(gf2_dims)
-    if field.is_rationals:
-        if not any(gf2_dims):
-            return tuple(gf2_dims)
-        exact: dict[int, int] = {}
-
-        def q_rank_of(card: int) -> int:
-            if card not in exact:
-                if card <= 0 or card > top or card - 1 not in by:
-                    exact[card] = 0
-                else:
-                    exact[card] = rank_int_exact(_boundary_cols_signed(by[card - 1], by[card]))
-            return exact[card]
-
-        dims = []
-        for i in range(-1, top):
-            if gf2_dims[i + 1] == 0:
-                dims.append(0)  # GF(2) dimension bounds the rational one
-            else:
-                dims.append(counts.get(i + 1, 0) - q_rank_of(i + 1) - q_rank_of(i + 2))
+    if field.p is not None and field.p != 2:
+        return tuple(dims_from(lambda c: rank_gfp(_boundary_cols_signed(by[c - 1], by[c]), field.p)))
+    dims = dims_from(lambda c: rank_gf2(_boundary_cols_gf2(by[c - 1], by[c])))
+    if field.p == 2 or sum(1 for d in dims if d) <= 1:
+        # Over Q each dimension is at most the GF(2) one and the Euler
+        # characteristic is the same, so a single nonzero degree carries over.
         return tuple(dims)
-    p = field.p
-    ranks = {}
-    for c in range(1, top + 1):
-        if c - 1 in by and c in by:
-            ranks[c] = rank_gfp(_boundary_cols_signed(by[c - 1], by[c]), p)
-    return tuple(
-        counts.get(i + 1, 0) - ranks.get(i + 1, 0) - ranks.get(i + 2, 0) for i in range(-1, top)
-    )
+    exact: dict[int, int] = {}
+
+    def q_rank(c: int) -> int:
+        if not 0 < c <= top:
+            return 0
+        if c not in exact:
+            exact[c] = rank_int_exact(_boundary_cols_signed(by[c - 1], by[c]))
+        return exact[c]
+
+    return tuple(len(by[c]) - q_rank(c) - q_rank(c + 1) if d else 0 for c, d in enumerate(dims))
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,17 @@ def _hochster_dual(dual: SimplicialComplex, field: Field, override: bool) -> dic
     return entries
 
 
+def check_hochster_guard(
+    c: SimplicialComplex, max_ground: int = DEFAULT_HOCHSTER_GUARD, override: bool = False
+) -> None:
+    """Raise GuardExceeded when c's ground set is too large for the Hochster sum."""
+    if c.n > max_ground and not override:
+        raise GuardExceeded(
+            f"ground set {c.n} exceeds Hochster guard {max_ground}; "
+            "pass override=True (CLI: --override-guards)"
+        )
+
+
 def _worker_block(args):
     facets, n, field_p, masks = args
     field = Field(field_p)
@@ -214,11 +225,7 @@ def betti_hochster(
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
-    if c.n > max_ground and not override:
-        raise GuardExceeded(
-            f"ground set {c.n} exceeds Hochster guard {max_ground}; "
-            "pass override=True (CLI: --override-guards)"
-        )
+    check_hochster_guard(c, max_ground, override)
     n = c.n
     if strategy not in ("auto", "direct", "dual"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -429,7 +436,13 @@ class EagonReinerReport:
     consistent: bool
 
 
-def eagon_reiner_check(c: SimplicialComplex, field: Field = RATIONALS, **hochster_kwargs) -> EagonReinerReport:
+def eagon_reiner_check(
+    c: SimplicialComplex,
+    field: Field = RATIONALS,
+    *,
+    table: GradedBettiTable | None = None,
+    **hochster_kwargs,
+) -> EagonReinerReport:
     """Linearity of k[c] against Cohen-Macaulayness of the dual face ring.
 
     The two verdicts must agree; a full simplex (whose dual is void) is
@@ -437,7 +450,8 @@ def eagon_reiner_check(c: SimplicialComplex, field: Field = RATIONALS, **hochste
     """
     if c.is_void:
         raise VoidComplexError("void complex")
-    table = betti_hochster(c, field, **hochster_kwargs)
+    if table is None:
+        table = betti_hochster(c, field, **hochster_kwargs)
     s = linear_resolution_degree(table)
     dual = alexander_dual(c)
     if dual.is_void:

@@ -41,6 +41,12 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["scan", "--conjecture", "Qn"]) == 1
 
 
+def test_unreadable_input_exits_1(capsys, tmp_path):
+    assert cli.main(["invariants", "--input", str(tmp_path)]) == 1  # a directory
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_guard_exit_2(capsys):
     assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2"]) == 2
 

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from srlab import homology
 from srlab.bitsets import mask_of
 from srlab.complexes import (
     clique_complex,
     cover_complex,
     f_vector,
+    induced_subcomplex,
     irrelevant_complex,
     join,
     make_complex,
@@ -15,21 +17,24 @@ from srlab.complexes import (
     void_complex,
 )
 from srlab.errors import VoidComplexError
-from srlab.graphs import cycle_square, path, points
+from srlab.graphs import cycle, cycle_square, path, points
 from srlab.homology import (
     GF2,
     RATIONALS,
     Field,
+    _boundary_cols_signed,
+    _dims_by_elimination,
+    _faces_by_card,
     bareiss_rank,
     boundary_matrix,
     homology_dims_from_facets,
-    induced_subcomplex,
     parse_field,
     rank_gf2,
     rank_gfp,
     rank_int_exact,
     reduced_homology_dims,
 )
+from srlab.resolution import is_cm_reisner
 
 
 def C(n, facets):
@@ -194,6 +199,59 @@ def test_rank_nullity_accounting():
             r = rank_int_exact([dict(col) for col in cols])
             assert r <= len(cols) and r <= len(by[i])
             assert len(cols) == fv[i + 1]
+
+
+def _q_dims_all_ranks(facets):
+    """Rational dims from an exact rank of every boundary map, with no shortcut."""
+    by = _faces_by_card(facets)
+    top = max(by)
+    ranks = {c: rank_int_exact(_boundary_cols_signed(by[c - 1], by[c])) for c in range(1, top + 1)}
+    return tuple(len(by[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0) for c in range(top + 1))
+
+
+def test_rational_dims_match_full_exact_elimination(random_complexes, corpus):
+    covers = [b for b in corpus if b.name.startswith(("cover(", "dual(cover("))]
+    assert covers
+    for b in random_complexes + covers:
+        facets = list(b.c.facets)
+        want = _q_dims_all_ranks(facets)
+        assert homology_dims_from_facets(facets, RATIONALS) == want, b.name
+        assert _dims_by_elimination(facets, RATIONALS) == want, b.name
+        for v in range(1, b.c.n + 1):  # vertex links, as in the Reisner check
+            bit = 1 << (v - 1)
+            link = [f ^ bit for f in facets if f & bit]
+            if link:
+                assert _dims_by_elimination(link, RATIONALS) == _q_dims_all_ranks(link), (b.name, v)
+
+
+RP2_PLUS_POINT = [*RP2.facets, mask_of((7,))]
+
+
+def test_torsion_in_several_degrees_falls_back_to_exact_ranks():
+    # GF(2) sees H~_0, H~_1 and H~_2; over Q only the extra component survives
+    assert homology_dims_from_facets(RP2_PLUS_POINT, GF2) == (0, 1, 1, 1)
+    assert homology_dims_from_facets(RP2_PLUS_POINT, RATIONALS) == (0, 1, 0, 0)
+    assert _q_dims_all_ranks(RP2_PLUS_POINT) == (0, 1, 0, 0)
+
+
+def _unreachable(*args):
+    raise AssertionError("this rank engine must not run")
+
+
+def test_one_degree_gf2_profile_settles_q_without_exact_ranks(monkeypatch):
+    c6k2 = cover_complex(cycle(6), 2)
+    cm = is_cm_reisner(c6k2, RATIONALS).cm
+    monkeypatch.setattr(homology, "rank_int_exact", _unreachable)
+    assert reduced_homology_dims(OCTA, RATIONALS).dims == (0, 0, 0, 1)
+    assert is_cm_reisner(c6k2, RATIONALS).cm == cm
+    with pytest.raises(AssertionError):  # torsion still needs exact ranks
+        reduced_homology_dims(RP2, RATIONALS)
+
+
+def test_odd_prime_uses_gfp_ranks_only(monkeypatch):
+    monkeypatch.setattr(homology, "rank_gf2", _unreachable)
+    assert reduced_homology_dims(RP2, Field(3)).dims == (0, 0, 0, 0)
+    assert homology_dims_from_facets(RP2_PLUS_POINT, Field(3)) == (0, 1, 0, 0)
 
 
 def test_induced_subcomplex_degenerates():
