@@ -73,6 +73,23 @@ def minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
+def single_maximal_overlap(f: int, placed: Iterable[int]) -> int | None:
+    """Overlap of f with the union of placed simplices, if it is a single face.
+
+    Returns the glue mask (0 when f is disjoint from everything placed), or
+    None when the pairwise overlaps have no single maximal element."""
+    u = 0
+    hits = []
+    for p in placed:
+        x = f & p
+        if x:
+            hits.append(x)
+            u |= x
+    if not hits:
+        return 0
+    return u if u in hits else None
+
+
 def sort_canonical(masks: Iterable[int]) -> tuple[int, ...]:
     """Sort masks lexicographically by their ascending vertex tuples."""
     return tuple(sorted(masks, key=vertices_of))

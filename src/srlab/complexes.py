@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -108,11 +109,14 @@ def _check_ground_guard(c: SimplicialComplex, override: bool) -> None:
         )
 
 
-def all_faces(c: SimplicialComplex, override: bool = False) -> dict[int, list[int]]:
-    """Faces bucketed by cardinality; deduplicated union of facet power sets."""
-    _check_ground_guard(c, override)
+def _faces_by_card(facets) -> dict[int, list[int]]:
+    """Faces of a facet list bucketed by cardinality, each bucket in mask order.
+
+    The faces are the deduplicated union of the facet power sets; facet bit
+    positions need not be contiguous.
+    """
     seen: set[int] = set()
-    for f in c.facets:
+    for f in facets:
         s = f
         while True:
             seen.add(s)
@@ -122,6 +126,15 @@ def all_faces(c: SimplicialComplex, override: bool = False) -> dict[int, list[in
     by: dict[int, list[int]] = {}
     for m in seen:
         by.setdefault(m.bit_count(), []).append(m)
+    for bucket in by.values():
+        bucket.sort()
+    return by
+
+
+def all_faces(c: SimplicialComplex, override: bool = False) -> dict[int, list[int]]:
+    """Faces bucketed by cardinality, each bucket canonically ordered."""
+    _check_ground_guard(c, override)
+    by = _faces_by_card(c.facets)
     for bucket in by.values():
         bucket.sort(key=vertices_of)
     return by
@@ -143,9 +156,9 @@ def f_vector(c: SimplicialComplex, override: bool = False) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_d); the void complex yields the empty tuple."""
     if c.is_void:
         return ()
-    by = all_faces(c, override=override)
-    top = max(by)
-    return tuple(len(by.get(i, ())) for i in range(top + 1))
+    _check_ground_guard(c, override)
+    by = _faces_by_card(c.facets)
+    return tuple(len(by[i]) for i in range(max(by) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +236,18 @@ def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
     return sort_canonical(out)
 
 
-def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
+@lru_cache(maxsize=16)
+def alexander_dual(c: SimplicialComplex, *, limit: int | None = None) -> SimplicialComplex:
     """Sets whose ground-set complements are nonfaces of c.
 
     Facets of the dual are complements of the minimal nonfaces. The dual of
     the void complex is the full simplex and vice versa; the operation is an
-    involution.
+    involution. limit is passed to minimal_nonfaces (GuardExceeded when hit).
+    Results are memoized: a Betti table per field asks for the same dual.
     """
     if c.is_void:
         return simplex_complex(c.n)
-    mnf = minimal_nonfaces(c)
+    mnf = minimal_nonfaces(c, limit=limit)
     if not mnf:
         return void_complex(c.n)
     full = full_mask(c.n)

@@ -1,9 +1,11 @@
 """Exact reduced simplicial homology dimensions over Q and GF(p).
 
 No floating point is used anywhere. Ranks over GF(2) ride on bitmask XOR
-elimination; ranks over Q use integer-preserving sparse elimination on unit
-pivots with a fraction-free (Bareiss) dense core for whatever remains, so
-every reported dimension is exact.
+elimination. Ranks over Q and over an odd prime field share one sparse
+elimination core, parameterized by the field: it pivots on unit entries
+(every nonzero entry mod p, only +-1 over Q), and over Q whatever has no
+unit entry left goes through a fraction-free (Bareiss) dense core, so every
+reported dimension is exact.
 
 Two exact shortcuts avoid building boundary matrices in the common cases:
 a complex whose facets share a vertex is a cone (no reduced homology), and
@@ -25,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import vertices_of
-from .complexes import SimplicialComplex, faces_of_card
+from .bitsets import single_maximal_overlap, vertices_of
+from .complexes import SimplicialComplex, _faces_by_card, faces_of_card
 from .errors import VoidComplexError
 
 # ---------------------------------------------------------------------------
@@ -145,148 +147,77 @@ def bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank_int_exact(cols: list[dict[int, int]]) -> int:
-    """Exact rank over Q of a sparse integer matrix (column dicts row->value).
+def _rank_sparse(cols: list[dict[int, int]], p: int | None) -> int:
+    """Rank over GF(p), or over Q when p is None, of sparse integer columns.
 
-    Eliminates on +-1 pivots chosen to limit fill; whatever survives without
-    a unit entry goes through dense Bareiss elimination.
+    Columns are eliminated in index order, each on a unit entry in its
+    shortest row: over GF(p) every nonzero entry is a unit, over Q only +-1
+    is, and a Q column without one is skipped. Each pivot is a row operation,
+    so the rank is the pivot count plus the rank of the rows left over, which
+    over Q go through dense Bareiss elimination.
     """
     rows: dict[int, dict[int, int]] = {}
-    colsup: dict[int, set[int]] = {}
+    colsup: list[set[int]] = [set() for _ in cols]
     for j, col in enumerate(cols):
-        if not col:
-            continue
-        colsup[j] = set()
         for i, v in col.items():
+            if p is not None:
+                v %= p
             if v:
                 rows.setdefault(i, {})[j] = v
                 colsup[j].add(i)
     rank = 0
-    while True:
-        best = None
-        best_score = None
-        for j, sup in colsup.items():
-            if not sup:
-                continue
-            clen = len(sup)
-            for i in sup:
-                v = rows[i][j]
-                if v == 1 or v == -1:
-                    score = (clen - 1) * (len(rows[i]) - 1)
-                    if best_score is None or score < best_score:
-                        best, best_score = (i, j, v), score
-                        if score == 0:
-                            break
-            if best_score == 0:
-                break
-        if best is None:
-            break
-        i0, j0, v0 = best
+    for j0, sup in enumerate(colsup):
+        units = [i for i in sup if p is not None or rows[i][j0] in (1, -1)]
+        if not units:
+            continue
+        i0 = min(units, key=lambda i: len(rows[i]))
         prow = rows.pop(i0)
         for jj in prow:
             colsup[jj].discard(i0)
-        targets = list(colsup[j0])
-        for i in targets:
+        v0 = prow.pop(j0)
+        inv = v0 if p is None else pow(v0, -1, p)  # +-1 is its own inverse
+        for i in sup:
             row = rows[i]
-            f = row[j0] * v0  # pivot is +-1, so this is the exact multiplier
+            f = row.pop(j0) * inv
             for jj, pv in prow.items():
-                if jj == j0:
-                    continue
                 nv = row.get(jj, 0) - f * pv
+                if p is not None:
+                    nv %= p
                 if nv:
                     if jj not in row:
                         colsup[jj].add(i)
                     row[jj] = nv
-                else:
-                    if jj in row:
-                        del row[jj]
-                        colsup[jj].discard(i)
-            del row[j0]
-            colsup[j0].discard(i)
+                elif jj in row:
+                    del row[jj]
+                    colsup[jj].discard(i)
             if not row:
                 del rows[i]
-        del colsup[j0]
         rank += 1
-    # dense core
-    live_rows = [i for i, r in rows.items() if r]
-    if live_rows:
-        live_cols = sorted({j for i in live_rows for j in rows[i]})
+    if rows:
+        live_cols = sorted({j for row in rows.values() for j in row})
         jidx = {j: a for a, j in enumerate(live_cols)}
         dense = []
-        for i in live_rows:
+        for row in rows.values():
             line = [0] * len(live_cols)
-            for j, v in rows[i].items():
+            for j, v in row.items():
                 line[jidx[j]] = v
             dense.append(line)
         rank += bareiss_rank(dense)
     return rank
 
 
+def rank_int_exact(cols: list[dict[int, int]]) -> int:
+    """Exact rank over Q of a sparse integer matrix (column dicts row->value)."""
+    return _rank_sparse(cols, None)
+
+
 def rank_gfp(cols: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) by sparse elimination with modular inverses."""
-    rows: dict[int, dict[int, int]] = {}
-    colsup: dict[int, set[int]] = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            vv = v % p
-            if vv:
-                rows.setdefault(i, {})[j] = vv
-                colsup.setdefault(j, set()).add(i)
-    rank = 0
-    while colsup:
-        j0 = min(colsup, key=lambda j: (len(colsup[j]), j))
-        sup = colsup[j0]
-        if not sup:
-            del colsup[j0]
-            continue
-        i0 = min(sup, key=lambda i: (len(rows[i]), i))
-        prow = rows.pop(i0)
-        for jj in prow:
-            colsup[jj].discard(i0)
-        inv = pow(prow[j0], -1, p)
-        for i in list(colsup[j0]):
-            row = rows[i]
-            f = row[j0] * inv % p
-            for jj, pv in prow.items():
-                if jj == j0:
-                    continue
-                nv = (row.get(jj, 0) - f * pv) % p
-                if nv:
-                    if jj not in row:
-                        colsup.setdefault(jj, set()).add(i)
-                    row[jj] = nv
-                else:
-                    if jj in row:
-                        del row[jj]
-                        colsup[jj].discard(i)
-            del row[j0]
-            colsup[j0].discard(i)
-            if not row:
-                del rows[i]
-        del colsup[j0]
-        rank += 1
-    return rank
+    """Rank over GF(p) of a sparse integer matrix (column dicts row->value)."""
+    return _rank_sparse(cols, p)
 
 
 # ---------------------------------------------------------------------------
 # Chain complexes on facet lists (labels are arbitrary bit positions)
-
-
-def _faces_by_card(facets) -> dict[int, list[int]]:
-    seen: set[int] = set()
-    for f in facets:
-        s = f
-        while True:
-            seen.add(s)
-            if s == 0:
-                break
-            s = (s - 1) & f
-    by: dict[int, list[int]] = {}
-    for m in seen:
-        by.setdefault(m.bit_count(), []).append(m)
-    for v in by.values():
-        v.sort()
-    return by
 
 
 def _boundary_cols_gf2(lower: list[int], upper: list[int]) -> list[int]:
@@ -334,24 +265,19 @@ def _try_contractible_pieces(facets) -> int | None:
         progress = False
         rest = []
         for f in pending:
-            nz = [f & p for p in placed if f & p]
-            if not nz:
-                placed.append(f)
-                comp_masks.append(f)
-                progress = True
-                continue
-            u = 0
-            for x in nz:
-                u |= x
-            if u in nz:
-                placed.append(f)
-                for ci, cm in enumerate(comp_masks):
-                    if cm & u:
-                        comp_masks[ci] |= f
-                        break
-                progress = True
-            else:
+            u = single_maximal_overlap(f, placed)
+            if u is None:
                 rest.append(f)
+                continue
+            placed.append(f)
+            progress = True
+            if u == 0:
+                comp_masks.append(f)
+                continue
+            for ci, cm in enumerate(comp_masks):
+                if cm & u:
+                    comp_masks[ci] |= f
+                    break
         pending = rest
         if not progress:
             return None

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .bitsets import mask_of, maximal_masks, vertices_of
-from .complexes import SimplicialComplex, alexander_dual, all_faces, minimal_nonfaces
+from .complexes import SimplicialComplex, alexander_dual, all_faces
 from .errors import GuardExceeded, VoidComplexError
 from .homology import Field, RATIONALS, homology_dims_from_facets
 
@@ -238,15 +238,11 @@ def betti_hochster(
         maxcard = max(f.bit_count() for f in c.facets)
         if maxcard > n // 2 and len(c.facets) <= 2000:
             try:
-                mnf = minimal_nonfaces(c, limit=200_000)
+                dual = alexander_dual(c, limit=200_000)
             except GuardExceeded:
-                mnf = None
-            if mnf:
-                from .bitsets import full_mask, sort_canonical
-
-                dual = SimplicialComplex(n, sort_canonical(full_mask(n) ^ m for m in mnf))
-                dual_max = max(f.bit_count() for f in dual.facets)
-                use_dual = dual_max < maxcard
+                pass
+            else:
+                use_dual = not dual.is_void and max(f.bit_count() for f in dual.facets) < maxcard
     if use_dual:
         assert dual is not None
         entries = _hochster_dual(dual, field, override)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .bitsets import maximal_masks, vertices_of
+from .bitsets import maximal_masks, single_maximal_overlap, vertices_of
 from .complexes import SimplicialComplex, clique_complex, is_pure
 from .errors import GuardExceeded
 from .graphs import Graph, is_chordal
@@ -39,23 +39,6 @@ class StructureVerdict:
 
 # ---------------------------------------------------------------------------
 # Fat forests
-
-
-def _single_maximal_overlap(f: int, placed: list[int]) -> int | None:
-    """Overlap of f with the union of placed simplices, if it is a single face.
-
-    Returns the glue mask (0 when f is disjoint from everything placed), or
-    None when the pairwise overlaps have no single maximal element."""
-    u = 0
-    hits = []
-    for p in placed:
-        x = f & p
-        if x:
-            hits.append(x)
-            u |= x
-    if not hits:
-        return 0
-    return u if u in hits else None
 
 
 def is_fat_forest(
@@ -91,7 +74,7 @@ def is_fat_forest(
         for idx in range(k):
             if used_bits >> idx & 1:
                 continue
-            if _single_maximal_overlap(facets[idx], placed) is None:
+            if single_maximal_overlap(facets[idx], placed) is None:
                 continue
             res = dfs(used_bits | (1 << idx), order + [idx])
             if res is not None:
@@ -115,7 +98,7 @@ def verify_fat_forest_order(c: SimplicialComplex, order: list[int]) -> FatForest
     dims = [order[0].bit_count() - 1]
     overlaps = []
     for j in range(1, len(order)):
-        u = _single_maximal_overlap(order[j], order[:j])
+        u = single_maximal_overlap(order[j], order[:j])
         if u is None:
             return None
         dims.append(order[j].bit_count() - 1)

@@ -6,6 +6,7 @@ import pytest
 from srlab import homology
 from srlab.bitsets import mask_of
 from srlab.complexes import (
+    _faces_by_card,
     clique_complex,
     cover_complex,
     f_vector,
@@ -24,7 +25,6 @@ from srlab.homology import (
     Field,
     _boundary_cols_signed,
     _dims_by_elimination,
-    _faces_by_card,
     bareiss_rank,
     boundary_matrix,
     homology_dims_from_facets,
@@ -111,32 +111,72 @@ def _rank_fraction_oracle(rows):
     return rank
 
 
-def test_rank_engines_against_fraction_oracle():
+def _sparse_cols(rows):
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+
+
+def test_rank_engines_against_fraction_oracle(monkeypatch):
     rng = random.Random(1234)
     for trial in range(60):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
         want = _rank_fraction_oracle(rows)
         assert bareiss_rank(rows) == want, rows
-        cols = [{i: rows[i][j] for i in range(nr) if rows[i][j]} for j in range(nc)]
+        cols = _sparse_cols(rows)
         assert rank_int_exact(cols) == want, rows
         # GF(p) rank is at most the rational rank
         assert rank_gfp(cols, 5) <= want
         gf2cols = [sum(1 << i for i in range(nr) if rows[i][j] % 2) for j in range(nc)]
-        assert rank_gf2(gf2cols) == _rank_mod2_oracle(rows), rows
+        assert rank_gf2(gf2cols) == _rank_modp_oracle(rows, 2), rows
+    for p in (3, 5, 7):
+        for trial in range(40):  # factors with entries up to +-p give entries that are multiples of p
+            rows = _low_rank_product(rng, range(-p, p + 1), range(-p, p + 1))
+            assert rank_gfp(_sparse_cols(rows), p) == _rank_modp_oracle(rows, p), (p, rows)
+    # all entries even, so no +-1 anywhere: the dense core does all the work
+    dense_calls = []
+    monkeypatch.setattr(homology, "bareiss_rank", lambda rows: dense_calls.append(rows) or bareiss_rank(rows))
+    for trial in range(30):
+        rows = _low_rank_product(rng, (0, 2, -2), (0, 1, -1, 3, -3))
+        assert rank_int_exact(_sparse_cols(rows)) == _rank_fraction_oracle(rows), rows
+    assert dense_calls
 
 
-def _rank_mod2_oracle(rows):
-    m = [[x % 2 for x in row] for row in rows]
+def _low_rank_product(rng, left, right):
+    """A random product of an nr x k and a k x nc matrix, so its rank is at most k."""
+    nr, nc, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 5)
+    a = [[rng.choice(left) for _ in range(k)] for _ in range(nr)]
+    b = [[rng.choice(right) for _ in range(nc)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_rank_engines_against_sympy_on_boundary_maps():
+    sympy_matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF, QQ, ZZ
+
+    c = cover_complex(cycle(10), 3)
+    for i in range(int(c.dim()) + 1):
+        rows = boundary_matrix(c, i)
+        dm = sympy_matrices.DomainMatrix.from_list(rows, ZZ)
+        cols = _sparse_cols(rows)
+        assert rank_int_exact(cols) == dm.convert_to(QQ).rank(), i
+        for p in (3, 5):
+            assert rank_gfp(cols, p) == dm.convert_to(GF(p)).rank(), (i, p)
+
+
+def _rank_modp_oracle(rows, p):
+    m = [[x % p for x in row] for row in rows]
     rank, r = 0, 0
     for c in range(len(m[0])):
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
-                m[i] = [(a + b) % 2 for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         rank += 1
         r += 1
         if r == len(m):
@@ -191,8 +231,6 @@ def test_rank_nullity_accounting():
     for c in (C4, OCTA, RP2):
         fv = f_vector(c)
         top = int(c.dim())
-        from srlab.homology import _boundary_cols_signed, _faces_by_card  # internal cross-check
-
         by = _faces_by_card(c.facets)
         for i in range(0, top + 1):
             cols = _boundary_cols_signed(by[i], by[i + 1])

@@ -1,5 +1,6 @@
 import pytest
 
+from srlab import complexes
 from srlab.bitsets import mask_of
 from srlab.complexes import (
     alexander_dual,
@@ -95,6 +96,18 @@ def test_hochster_strategies_and_workers_agree():
     t2 = betti_hochster(cases[0], workers=2)
     assert t1.entries == t2.entries
     assert t1.to_json() == t2.to_json()
+
+
+def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
+    c = cover_complex(path(12), 3)  # n > 9 with large facets: the auto route walks the dual
+    calls = []
+    real = complexes.minimal_nonfaces
+    monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    alexander_dual.cache_clear()
+    tq = betti_hochster(c, RATIONALS)
+    t2 = betti_hochster(c, GF2)
+    assert len(calls) == 1
+    assert tq.entries == t2.entries == betti_hochster(c, strategy="dual").entries
 
 
 def test_hochster_guard_and_void():
