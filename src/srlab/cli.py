@@ -32,6 +32,7 @@ from .errors import GuardExceeded, VoidComplexError
 from .graphs import FamilySpec, build_family, graph_from_json
 from .homology import RATIONALS, GF2, Field, parse_field
 from .resolution import (
+    GradedBettiTable,
     betti_hochster,
     check_hochster_guard,
     eagon_reiner_check,
@@ -39,6 +40,7 @@ from .resolution import (
     is_cm_ab,
     is_cm_reisner,
     is_gorenstein,
+    kpolynomial,
     linear_resolution_degree,
 )
 from .structure import is_fat_forest, is_pure_shellable, is_vertex_decomposable
@@ -123,19 +125,36 @@ def _cache_dir(args) -> Path | None:
     return p
 
 
-def _betti_cached(c, field, args):
+def _read_cached(key: Path, c: SimplicialComplex, field: Field, fv) -> GradedBettiTable | None:
+    """The cached table, or None when it is missing, unreadable or fails the checks.
+
+    A served table must be for this field and ground set, start with
+    beta_{0,0} = 1, and have the Hilbert numerator of fv as its K-polynomial.
+    """
+    try:
+        t = GradedBettiTable.from_json(json.loads(key.read_text()))
+        ok = t.field == field and t.n == c.n and t.entries.get((0, 0)) == 1
+        if ok and kpolynomial(t) == hilbert_from_fvector(fv, c.n).numerator:
+            return t
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+        pass  # missing, truncated or malformed: the caller recomputes and rewrites it
+    return None
+
+
+def _betti_cached(c, field, args, fv):
     cache = _cache_dir(args)
     key = None
     if cache is not None:
         digest = hashlib.sha256(f"{canonical_json(c)}|{field}|betti.v1".encode()).hexdigest()
         key = cache / f"{digest}.json"
-        if key.exists():
-            from .resolution import GradedBettiTable
-
-            return GradedBettiTable.from_json(json.loads(key.read_text()))
+        t = _read_cached(key, c, field, fv)
+        if t is not None:
+            return t
     t = betti_hochster(c, field, max_ground=args.max_ground, override=args.override_guards, workers=args.workers)
     if key is not None:
-        key.write_text(json.dumps(t.to_json(), sort_keys=True))
+        tmp = key.with_name(f"{key.stem}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(t.to_json(), sort_keys=True))
+        os.replace(tmp, key)  # readers see the old file or the whole new one
     return t
 
 
@@ -144,7 +163,7 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
         raise VoidComplexError("void complex has no ring invariants")
     check_hochster_guard(c, args.max_ground, args.override_guards)  # before any exponential work
     fv = f_vector(c, override=args.override_guards)
-    t = _betti_cached(c, field, args)
+    t = _betti_cached(c, field, args, fv)
     reisner = is_cm_reisner(c, field, override=args.override_guards)
     report = {
         "complex": complex_to_json(c),

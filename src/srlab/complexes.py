@@ -189,13 +189,15 @@ def clique_complex(g: Graph) -> SimplicialComplex:
 # Stanley-Reisner combinatorics
 
 
-def minimal_nonfaces(c: SimplicialComplex, *, limit: int | None = None) -> tuple[int, ...]:
+def minimal_nonfaces(c: SimplicialComplex) -> tuple[int, ...]:
     """Inclusion-minimal subsets of the ground set that are not faces.
 
     These support the minimal generators of the face ideal. Computed as the
     minimal transversals of the facet complements, processed edge by edge.
-    An optional limit bounds the intermediate antichain size (GuardExceeded
-    when hit); internal callers use it to bail out of hopeless duals.
+    In each step the transversals that hit the edge e are kept; one that
+    misses e grows by each v in e. Such a t|v can only be non-minimal by
+    containing a kept set that holds v, and two grown sets are never nested
+    unless equal, so no general antichain reduction is needed.
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no face ideal here")
@@ -205,19 +207,20 @@ def minimal_nonfaces(c: SimplicialComplex, *, limit: int | None = None) -> tuple
         return ()  # full simplex: no nonfaces
     trans: list[int] = [1 << (v - 1) for v in vertices_of(hyperedges[0])]
     for e in hyperedges[1:]:
-        nxt = []
+        kept = [t for t in trans if t & e]
+        if len(kept) == len(trans):
+            continue  # every transversal already hits e
+        bits = [1 << (v - 1) for v in vertices_of(e)]
+        holding = {b: [s for s in kept if s & b] for b in bits}
+        grown: set[int] = set()
         for t in trans:
             if t & e:
-                nxt.append(t)
-            else:
-                b = e
-                while b:
-                    low = b & -b
-                    nxt.append(t | low)
-                    b ^= low
-        if limit is not None and len(nxt) > limit:
-            raise GuardExceeded(f"minimal nonface search exceeded {limit} intermediates")
-        trans = minimal_masks(nxt)
+                continue
+            for b in bits:
+                x = t | b
+                if not any(s & ~x == 0 for s in holding[b]):
+                    grown.add(x)
+        trans = kept + list(grown)
     return sort_canonical(trans)
 
 
@@ -237,17 +240,17 @@ def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def alexander_dual(c: SimplicialComplex, *, limit: int | None = None) -> SimplicialComplex:
+def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     """Sets whose ground-set complements are nonfaces of c.
 
     Facets of the dual are complements of the minimal nonfaces. The dual of
     the void complex is the full simplex and vice versa; the operation is an
-    involution. limit is passed to minimal_nonfaces (GuardExceeded when hit).
-    Results are memoized: a Betti table per field asks for the same dual.
+    involution. Results are memoized: a Betti table per field asks for the
+    same dual.
     """
     if c.is_void:
         return simplex_complex(c.n)
-    mnf = minimal_nonfaces(c, limit=limit)
+    mnf = minimal_nonfaces(c)
     if not mnf:
         return void_complex(c.n)
     full = full_mask(c.n)

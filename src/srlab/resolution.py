@@ -1,28 +1,30 @@
 """Hilbert series, graded Betti tables, and Cohen-Macaulay / linearity verdicts.
 
-Betti numbers come from one oracle: for a complex S on 1..n and a field k,
+Betti numbers come from Hochster's formula: for a complex S on 1..n and a
+field k,
 
     beta_{i,j} = sum over j-subsets W of dim_k H~_{j-i-1}(S restricted to W).
 
 Closed-form expectations elsewhere in the package are always checked against
-this oracle, never trusted on their own. When the facets of S are large but
-its Alexander dual has small facets, the same table is assembled from links
-of the dual: restricting a dual to W is, up to Alexander duality inside W,
-the link of the complementary face, which gives
+this sum, never trusted on their own. A W that is not a union of minimal
+nonfaces restricts to a cone (a vertex of W lies in no minimal nonface inside
+W), so the sum runs over the LCM lattice: the empty set and every union of
+minimal nonfaces. For W in it other than the empty set, U = [n] minus W is a
+face of the Alexander dual, and Alexander duality inside W gives
 
-    beta_{i,j}(k[S]) = sum over faces U of the dual with |U| = n-j
-                       of dim_k H~_{i-2}(link of U in the dual).
+    H~_{j-i-1}(S restricted to W) = H~_{i-2}(link of U in the dual).
 
-Both routes are exact and agree; the cheaper one is picked automatically.
+Each W is read from whichever of the two complexes has the smaller top facet.
+Two oracles stay for tests: "direct" restricts S to all 2^n subsets, and
+"dual" sums the links of every face of the dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .bitsets import mask_of, maximal_masks, vertices_of
+from .bitsets import maximal_masks, vertices_of
 from .complexes import SimplicialComplex, alexander_dual, all_faces
 from .errors import GuardExceeded, VoidComplexError
 from .homology import Field, RATIONALS, homology_dims_from_facets
@@ -148,35 +150,55 @@ def _restrict_facets(facets, w: int) -> list[int]:
     return maximal_masks(f & w for f in facets)
 
 
-def _hochster_direct(facets, n: int, field: Field, masks) -> dict[tuple[int, int], int]:
+def _dims(memo: dict, sub: list[int], field: Field) -> tuple[int, ...]:
+    """Reduced homology of a facet list, memoized; a cone is skipped as ()."""
+    key = tuple(sub)
+    dims = memo.get(key)
+    if dims is None:
+        acc = sub[0]
+        for f in sub[1:]:
+            acc &= f
+        dims = () if acc else homology_dims_from_facets(sub, field)
+        memo[key] = dims
+    return dims
+
+
+def _hochster_sum(facets, dual_facets, n: int, field: Field, masks) -> dict[tuple[int, int], int]:
+    """Hochster's sum over the subsets in masks.
+
+    Without dual_facets every W is restricted. With them, a nonempty W is
+    read from the link of its complement in the dual when that link's top
+    facet is smaller than min(|W|, largest facet), the bound on the top facet
+    of the restriction; otherwise it is restricted.
+    """
     entries: dict[tuple[int, int], int] = {}
-    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+    restricted: dict[tuple[int, ...], tuple[int, ...]] = {}
+    linked: dict[tuple[int, ...], tuple[int, ...]] = {}
+    top = max(f.bit_count() for f in facets)
+    full = (1 << n) - 1
     for w in masks:
-        sub = _restrict_facets(facets, w)
-        key = tuple(sub)
-        dims = cache.get(key)
-        if dims is None:
-            acc = sub[0]
-            for f in sub[1:]:
-                acc &= f
-            if acc:
-                dims = ()  # cone: no reduced homology
-            else:
-                dims = homology_dims_from_facets(sub, field)
-            cache[key] = dims
-        if not dims:
-            continue
         j = w.bit_count()
-        for idx, val in enumerate(dims):
+        linkf = None
+        if dual_facets is not None and w:
+            u = full ^ w
+            linkf = [f ^ u for f in dual_facets if f & u == u]
+            if max(f.bit_count() for f in linkf) >= min(j, top):
+                linkf = None
+        if linkf is None:
+            dims = _dims(restricted, _restrict_facets(facets, w), field)
+            degrees = [(j - idx, val) for idx, val in enumerate(dims)]
+        else:
+            degrees = [(idx + 1, val) for idx, val in enumerate(_dims(linked, linkf, field))]
+        for i, val in degrees:
             if val:
-                key2 = (j - idx, j)
-                entries[key2] = entries.get(key2, 0) + val
+                entries[(i, j)] = entries.get((i, j), 0) + val
     return entries
 
 
 def _hochster_dual(dual: SimplicialComplex, field: Field, override: bool) -> dict[tuple[int, int], int]:
+    """The sum over every nonempty W, as the links of all faces of the dual."""
     n = dual.n
-    entries: dict[tuple[int, int], int] = {(0, 0): 1}
+    entries: dict[tuple[int, int], int] = {}
     by = all_faces(dual, override=override)
     for card in sorted(by):
         j = n - card
@@ -201,12 +223,6 @@ def check_hochster_guard(
         )
 
 
-def _worker_block(args):
-    facets, n, field_p, masks = args
-    field = Field(field_p)
-    return _hochster_direct(facets, n, field, masks)
-
-
 def betti_hochster(
     c: SimplicialComplex,
     field: Field = RATIONALS,
@@ -218,10 +234,13 @@ def betti_hochster(
 ) -> GradedBettiTable:
     """Exact graded Betti table of the face ring of c over the given field.
 
-    strategy picks the summation route: "direct" restricts c to every vertex
-    subset, "dual" walks links of the Alexander dual, "auto" chooses by facet
-    size. Subsets may be distributed over worker processes; the reduction is
-    a plain integer sum, so results do not depend on scheduling.
+    The "auto" strategy sums over the LCM lattice of the minimal nonfaces
+    (the complements of the facets of the memoized Alexander dual) and reads
+    each subset from the smaller of its restriction and the dual's link.
+    The oracles "direct" (restrict to all 2^n subsets) and "dual" (links of
+    every face of the dual) give the same table. Subsets may be distributed
+    over worker processes for "auto" and "direct"; the reduction is a plain
+    integer sum, so results do not depend on scheduling.
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
@@ -229,40 +248,32 @@ def betti_hochster(
     n = c.n
     if strategy not in ("auto", "direct", "dual"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    use_dual = False
-    dual = None
     if strategy == "dual":
-        dual = alexander_dual(c)
-        use_dual = True
-    elif strategy == "auto" and n > 9:
-        maxcard = max(f.bit_count() for f in c.facets)
-        if maxcard > n // 2 and len(c.facets) <= 2000:
-            try:
-                dual = alexander_dual(c, limit=200_000)
-            except GuardExceeded:
-                pass
-            else:
-                use_dual = not dual.is_void and max(f.bit_count() for f in dual.facets) < maxcard
-    if use_dual:
-        assert dual is not None
-        entries = _hochster_dual(dual, field, override)
+        entries = _hochster_sum(c.facets, None, n, field, [0])  # beta_{0,0} from the empty restriction
+        for k, v in _hochster_dual(alexander_dual(c), field, override).items():
+            entries[k] = entries.get(k, 0) + v
     else:
-        all_masks = [
-            mask_of(combo) for j in range(n + 1) for combo in combinations(range(1, n + 1), j)
-        ]
+        if strategy == "auto":
+            dual_facets = alexander_dual(c).facets
+            masks = {0}  # the LCM lattice: the empty set and every union of minimal nonfaces
+            for m in dual_facets:
+                m ^= (1 << n) - 1
+                masks |= {w | m for w in masks}
+            masks = sorted(masks)
+        else:
+            dual_facets, masks = None, range(1 << n)
         if workers > 1:
             import multiprocessing as mp
 
-            chunk = max(64, len(all_masks) // (workers * 8) + 1)
-            blocks = [all_masks[i : i + chunk] for i in range(0, len(all_masks), chunk)]
-            args = [(c.facets, n, field.p, blk) for blk in blocks]
+            chunk = max(64, len(masks) // (workers * 8) + 1)
+            args = [(c.facets, dual_facets, n, field, masks[i : i + chunk]) for i in range(0, len(masks), chunk)]
             entries = {}
             with mp.get_context("fork").Pool(workers) as pool:
-                for part in pool.imap_unordered(_worker_block, args):
+                for part in pool.starmap(_hochster_sum, args):
                     for k, v in part.items():
                         entries[k] = entries.get(k, 0) + v
         else:
-            entries = _hochster_direct(c.facets, n, field, all_masks)
+            entries = _hochster_sum(c.facets, dual_facets, n, field, masks)
     entries = {k: v for k, v in entries.items() if v}
     assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
     return GradedBettiTable(entries, field, n)

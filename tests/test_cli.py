@@ -85,6 +85,37 @@ def test_invariants_cache_bytes_identical(capsys, tmp_path):
     assert code3 == 0 and out3 == out1
 
 
+def _cold_report_and_cache_file(capsys, tmp_path):
+    args = ["invariants", "--family", "C", "--n", "6", "--k", "2", "--cache-dir", str(tmp_path / "cache")]
+    assert cli.main(args) == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    return args, capsys.readouterr().out, entry
+
+
+def test_truncated_cache_file_is_recomputed(capsys, tmp_path):
+    args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
+    entry.write_text(entry.read_text()[:25])
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == cold
+    assert json.loads(entry.read_text())["entries"][0] == [0, 0, 1]  # rewritten whole
+    assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+
+
+def test_wrong_cached_table_is_not_served(capsys, tmp_path, monkeypatch):
+    args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
+    table = json.loads(entry.read_text())
+    table["entries"][1][2] += 1
+    entry.write_text(json.dumps(table, sort_keys=True))
+    computed = []
+    real = cli.betti_hochster
+    monkeypatch.setattr(cli, "betti_hochster", lambda *a, **kw: computed.append(a) or real(*a, **kw))
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == cold
+    assert len(computed) == 1
+    assert cli.main(args) == 0  # the rewritten file is served again
+    assert capsys.readouterr().out == cold and len(computed) == 1
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SRLAB_CACHE_DIR", str(tmp_path / "envcache"))
     assert cli.main(["invariants", "--family", "C", "--n", "5", "--k", "2"]) == 0

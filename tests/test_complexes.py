@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -145,6 +146,20 @@ def test_minimal_nonfaces_examples():
 def test_minimal_nonfaces_against_bruteforce():
     for b in random_complex_sample(60, 7, seed=4):
         assert minimal_nonfaces(b.c) == minimal_nonfaces_bruteforce(b.c), b.name
+
+
+def test_minimal_nonfaces_against_bruteforce_with_many_facets():
+    rng = random.Random(31337)
+    for idx in range(300):
+        n = rng.randint(1, 10)
+        count = rng.randint(1, 6) if idx % 2 else rng.randint(10, 60)
+        c = make_complex(n, [rng.randrange(1 << n) for _ in range(count)])
+        assert minimal_nonfaces(c) == minimal_nonfaces_bruteforce(c), (idx, c)
+
+
+def test_alexander_dual_involution_on_large_covers():
+    for c in (cover_complex(path(16), 4), cover_complex(path(18), 3)):
+        assert alexander_dual(alexander_dual(c)) == c
 
 
 def test_alexander_dual_examples_and_involution():

@@ -96,10 +96,49 @@ def test_hochster_strategies_and_workers_agree():
     t2 = betti_hochster(cases[0], workers=2)
     assert t1.entries == t2.entries
     assert t1.to_json() == t2.to_json()
+    # n = 10 covers with large facets, and their duals with small ones
+    large = [cover_complex(path(10), 3), cover_complex(cycle(10), 3)]
+    for c in large + [alexander_dual(c) for c in large]:
+        for f in (RATIONALS, GF2, Field(3)):
+            ta = betti_hochster(c, f)
+            assert ta.entries == betti_hochster(c, f, strategy="direct").entries, (c, f)
+            assert ta.entries == betti_hochster(c, f, strategy="dual").entries, (c, f)
+        assert betti_hochster(c, workers=2).to_json() == betti_hochster(c, workers=1).to_json(), c
+
+
+def _unions_of_minimal_nonfaces(c) -> set[int]:
+    """Brute force: W qualifies when the minimal nonfaces inside W cover it."""
+    mnf = complexes.minimal_nonfaces_bruteforce(c)
+    out = set()
+    for w in range(1 << c.n):
+        u = 0
+        for m in mnf:
+            if m & w == m:
+                u |= m
+        if u == w:
+            out.add(w)
+    return out
+
+
+def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
+    from srlab import resolution
+
+    read = []
+    real = resolution._hochster_sum
+    monkeypatch.setattr(resolution, "_hochster_sum", lambda *a: read.extend(a[4]) or real(*a))
+    for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3), alexander_dual(cover_complex(path(9), 3))):
+        oracle = [betti_hochster(c, f, strategy="dual").entries for f in (RATIONALS, GF2)]
+        read.clear()
+        assert [betti_hochster(c, f).entries for f in (RATIONALS, GF2)] == oracle, c
+        expect = _unions_of_minimal_nonfaces(c)
+        assert len(read) == 2 * len(expect) and set(read) == expect, c
+    read.clear()
+    assert betti_hochster(simplex_complex(23), override=True).entries == {(0, 0): 1}
+    assert read == [0]
 
 
 def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
-    c = cover_complex(path(12), 3)  # n > 9 with large facets: the auto route walks the dual
+    c = cover_complex(path(12), 3)  # the auto route reads the dual's facets for each field
     calls = []
     real = complexes.minimal_nonfaces
     monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
