@@ -25,6 +25,7 @@ from .complexes import (
     complex_to_json,
     cover_complex,
     dimension,
+    dual_fvector,
     f_vector,
     is_pure,
 )
@@ -162,7 +163,11 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
     if c.is_void:
         raise VoidComplexError("void complex has no ring invariants")
     check_hochster_guard(c, args.max_ground, args.override_guards)  # before any exponential work
-    fv = f_vector(c, override=args.override_guards)
+    dual = alexander_dual(c)
+    if dual.dim() < c.dim():  # count the faces of the side with the smaller top facet
+        fv = dual_fvector(f_vector(dual, override=args.override_guards), c.n)
+    else:
+        fv = f_vector(c, override=args.override_guards)
     t = _betti_cached(c, field, args, fv)
     reisner = is_cm_reisner(c, field, override=args.override_guards)
     report = {

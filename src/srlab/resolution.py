@@ -9,14 +9,22 @@ Closed-form expectations elsewhere in the package are always checked against
 this sum, never trusted on their own. A W that is not a union of minimal
 nonfaces restricts to a cone (a vertex of W lies in no minimal nonface inside
 W), so the sum runs over the LCM lattice: the empty set and every union of
-minimal nonfaces. For W in it other than the empty set, U = [n] minus W is a
-face of the Alexander dual, and Alexander duality inside W gives
+minimal nonfaces.
 
-    H~_{j-i-1}(S restricted to W) = H~_{i-2}(link of U in the dual).
+Both the Hochster sum and Reisner's criterion read homology through one
+helper, the homology of A restricted to W for a pair (A, B = A^dual). When
+U = [n] minus W is a face of B, the link of U in B is the Alexander dual of
+A restricted to W inside W, so
 
-Each W is read from whichever of the two complexes has the smaller top facet.
-Two oracles stay for tests: "direct" restricts S to all 2^n subsets, and
-"dual" sums the links of every face of the dual.
+    H~_d(A restricted to W) = H~_{|W|-d-3}(link of U in B),
+
+and the side with the smaller top facet is read. Within one sum or sweep,
+homology is memoized on the facet list relabelled order-preserving onto its
+own support, so translated copies of one complex share an entry. The Hochster sum passes
+(S, S^dual); Reisner's sweep over the faces of S passes (S^dual, S), so the
+link of a face sigma is read either directly or from S^dual restricted to
+[n] minus sigma. Two oracles stay for tests: "direct" restricts S to all 2^n
+subsets, and "dual" sums the links of every face of the dual.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bitsets import maximal_masks, vertices_of
-from .complexes import SimplicialComplex, alexander_dual, all_faces
+from .complexes import SimplicialComplex, _check_ground_guard, alexander_dual, all_faces
 from .errors import GuardExceeded, VoidComplexError
 from .homology import Field, RATIONALS, homology_dims_from_facets
 
@@ -143,55 +151,88 @@ def betti_product(a: GradedBettiTable, b: GradedBettiTable) -> GradedBettiTable:
 
 
 # ---------------------------------------------------------------------------
-# The Hochster oracle
+# Homology of restrictions, read from either side of Alexander duality
 
 
-def _restrict_facets(facets, w: int) -> list[int]:
-    return maximal_masks(f & w for f in facets)
+def _squeezed(facets) -> tuple[int, ...]:
+    """The facets relabelled order-preserving onto bits 0..s-1 of their s-vertex
+    support, sorted; the support is moved run by run of consecutive bits."""
+    support = 0
+    for f in facets:
+        support |= f
+    runs = []  # (source shift, run mask, destination shift)
+    moved = 0
+    while support:
+        low = (support & -support).bit_length() - 1
+        t = support >> low
+        run = (1 << ((t ^ (t + 1)).bit_length() - 1)) - 1
+        runs.append((low, run, moved))
+        moved += run.bit_length()
+        support ^= run << low
+    out = []
+    for f in facets:
+        x = 0
+        for low, run, dest in runs:
+            x |= ((f >> low) & run) << dest
+        out.append(x)
+    return tuple(sorted(out))
 
 
-def _dims(memo: dict, sub: list[int], field: Field) -> tuple[int, ...]:
-    """Reduced homology of a facet list, memoized; a cone is skipped as ()."""
-    key = tuple(sub)
+def _homology(facets, field: Field, memo: dict) -> tuple[int, ...]:
+    """Reduced homology of a facet list, from -1 up; () for a cone, which has none.
+
+    memo maps each facet list, relabelled onto its own support, to its
+    homology, so translated copies of one complex share an entry.
+    """
+    acc = facets[0]
+    for f in facets[1:]:
+        acc &= f
+    if acc:
+        return ()
+    key = _squeezed(facets)
     dims = memo.get(key)
     if dims is None:
-        acc = sub[0]
-        for f in sub[1:]:
-            acc &= f
-        dims = () if acc else homology_dims_from_facets(sub, field)
-        memo[key] = dims
+        dims = memo[key] = homology_dims_from_facets(key, field)
     return dims
 
 
-def _hochster_sum(facets, dual_facets, n: int, field: Field, masks) -> dict[tuple[int, int], int]:
-    """Hochster's sum over the subsets in masks.
+def _restriction_dims(a_facets, b_facets, n: int, w: int, field: Field, memo: dict) -> list[tuple[int, int]]:
+    """Nonzero (degree d, dim H~_d) of A restricted to w, for a nonvoid A on 1..n.
 
-    Without dual_facets every W is restricted. With them, a nonempty W is
-    read from the link of its complement in the dual when that link's top
-    facet is smaller than min(|W|, largest facet), the bound on the top facet
-    of the restriction; otherwise it is restricted.
+    b_facets are the facets of B = A^dual, or None to always restrict. When
+    u = [n] minus w is a face of B and lk_B(u) has a top facet no larger than
+    that of A restricted to w, the link is read instead, through
+    H~_d(A restricted to w) = H~_{|w|-d-3}(lk_B u). The link needs no
+    maximality pass, so it also wins a tie.
+    """
+    if b_facets is not None:
+        u = ((1 << n) - 1) ^ w
+        linkf = [f ^ u for f in b_facets if f & u == u]
+        if linkf:
+            top = max(f.bit_count() for f in linkf)
+            if any((f & w).bit_count() >= top for f in a_facets):
+                j = w.bit_count()
+                return [(j - 2 - idx, val) for idx, val in enumerate(_homology(linkf, field, memo)) if val]
+    dims = _homology(maximal_masks(f & w for f in a_facets), field, memo)
+    return [(idx - 1, val) for idx, val in enumerate(dims) if val]
+
+
+# ---------------------------------------------------------------------------
+# The Hochster sum
+
+
+def _hochster_sum(facets, dual_facets, n: int, field: Field, masks) -> dict[tuple[int, int], int]:
+    """Hochster's sum over the subsets in masks, each read by _restriction_dims.
+
+    Without dual_facets every W is restricted.
     """
     entries: dict[tuple[int, int], int] = {}
-    restricted: dict[tuple[int, ...], tuple[int, ...]] = {}
-    linked: dict[tuple[int, ...], tuple[int, ...]] = {}
-    top = max(f.bit_count() for f in facets)
-    full = (1 << n) - 1
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in masks:
         j = w.bit_count()
-        linkf = None
-        if dual_facets is not None and w:
-            u = full ^ w
-            linkf = [f ^ u for f in dual_facets if f & u == u]
-            if max(f.bit_count() for f in linkf) >= min(j, top):
-                linkf = None
-        if linkf is None:
-            dims = _dims(restricted, _restrict_facets(facets, w), field)
-            degrees = [(j - idx, val) for idx, val in enumerate(dims)]
-        else:
-            degrees = [(idx + 1, val) for idx, val in enumerate(_dims(linked, linkf, field))]
-        for i, val in degrees:
-            if val:
-                entries[(i, j)] = entries.get((i, j), 0) + val
+        for d, val in _restriction_dims(facets, dual_facets, n, w, field, memo):
+            key = (j - d - 1, j)
+            entries[key] = entries.get(key, 0) + val
     return entries
 
 
@@ -348,20 +389,42 @@ class ReisnerVerdict:
 def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: bool = False) -> ReisnerVerdict:
     """Cohen-Macaulayness by vanishing of link homology below link dimension.
 
-    Checks every face sigma (including the empty one): all reduced homology
-    of its link must vanish strictly below the link's dimension. A failure
-    reports the offending face and homological degree.
+    All reduced homology of the link of every face sigma (including the empty
+    one) must vanish strictly below the link's dimension. A face that is not
+    an intersection of facets has a cone as its link, so only the empty face
+    and the intersections of facets are visited, in (cardinality, canonical)
+    order; the first failure reports the offending face and homological
+    degree. Each link is read through _restriction_dims with (c^dual, c):
+    from the link itself or from c^dual restricted to U = [n] minus sigma,
+    using H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
     """
     if c.is_void:
         raise VoidComplexError("void complex")
-    by = all_faces(c, override=override)
-    for card in sorted(by):
-        for sigma in by[card]:
-            linkf = [f ^ sigma for f in c.facets if f & sigma == sigma]
-            dims = homology_dims_from_facets(linkf, field)
-            for idx in range(len(dims) - 1):  # below top dimension only
-                if dims[idx]:
-                    return ReisnerVerdict(False, field, (vertices_of(sigma), idx - 1))
+    _check_ground_guard(c, override)
+    dual_facets = alexander_dual(c).facets
+    if not dual_facets:  # the full simplex: every link is a simplex
+        return ReisnerVerdict(True, field)
+    full = (1 << c.n) - 1
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def faces():
+        yield 0  # first, and before the lattice is built: it is often the witness
+        meets: set[int] = set()
+        for f in c.facets:
+            meets |= {x & f for x in meets}
+            meets.add(f)
+        meets.discard(0)
+        yield from sorted(meets, key=lambda m: (m.bit_count(), vertices_of(m)))
+
+    for sigma in faces():
+        u = full ^ sigma
+        read = _restriction_dims(dual_facets, c.facets, c.n, u, field, memo)
+        degrees = [u.bit_count() - d - 3 for d, _ in read]  # H~_d(dual|u) is H~_{|u|-d-3}(lk sigma)
+        if degrees:
+            top = max(f.bit_count() for f in c.facets if f & sigma == sigma)
+            low = [i for i in degrees if i < top - sigma.bit_count() - 1]  # below dim lk sigma
+            if low:
+                return ReisnerVerdict(False, field, (vertices_of(sigma), min(low)))
     return ReisnerVerdict(True, field)
 
 

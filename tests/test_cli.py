@@ -1,8 +1,26 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from srlab import cli
 from srlab.claims import CLAIMS, ClaimRecord
-from srlab.complexes import complex_from_json, cover_complex
+from srlab.complexes import alexander_dual, complex_from_json, cover_complex, f_vector
+from srlab.graphs import path
+
+DATA = Path(__file__).parent / "data"
+
+# `invariants --no-cache` reports written before Reisner's sweep moved to facet
+# intersections and Alexander duality; every later change must reproduce them.
+GOLDEN = {
+    "invariants_C_12_k3_Q.json": ["--family", "C", "--n", "12", "--k", "3", "--field", "Q"],
+    "invariants_C_12_k3_GF2.json": ["--family", "C", "--n", "12", "--k", "3", "--field", "GF(2)"],
+    "invariants_L_12_k4_Q.json": ["--family", "L", "--n", "12", "--k", "4", "--field", "Q"],
+    "invariants_L2_11_k3_Q.json": ["--family", "L2", "--n", "11", "--k", "3", "--field", "Q"],
+    "invariants_Grid_4x3_k2_dual_GF3.json": [
+        "--family", "Grid", "--n", "4", "--m", "3", "--k", "2", "--dual", "--field", "GF(3)",
+    ],
+}
 
 
 def run(capsys, *argv):
@@ -67,6 +85,26 @@ def test_invariants_report(capsys, tmp_path):
     assert rep["betti"]["entries"] == [[0, 0, 1], [1, 3, 8], [2, 4, 12], [3, 5, 6], [4, 6, 1]]
     assert rep["eagonReiner"]["consistent"] is True
     assert rep["hilbert"]["denomPower"] == 6
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_invariants_reports_match_golden_files(capsys, name):
+    code, out = run(capsys, "invariants", "--no-cache", *GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (DATA / name).read_bytes()
+
+
+def test_fvector_from_the_side_with_the_smaller_top_facet(capsys, tmp_path):
+    c = cover_complex(path(10), 3)  # top facet 7; its dual's is smaller
+    assert alexander_dual(c).dim() < c.dim()
+    for extra in ([], ["--dual"]):
+        code, out = run(capsys, "invariants", "--no-cache", "--family", "L", "--n", "10", "--k", "3", *extra)
+        assert code == 0
+        assert json.loads(out)["fVector"] == list(f_vector(alexander_dual(c) if extra else c))
+    simplex = tmp_path / "simplex.json"  # its dual is void
+    simplex.write_text(json.dumps({"n": 4, "facets": [[1, 2, 3, 4]], "void": False}))
+    code, out = run(capsys, "invariants", "--no-cache", "--input", str(simplex))
+    assert code == 0 and json.loads(out)["fVector"] == [1, 4, 6, 4, 1]
 
 
 def test_invariants_cache_bytes_identical(capsys, tmp_path):

@@ -149,6 +149,26 @@ def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     assert tq.entries == t2.entries == betti_hochster(c, strategy="dual").entries
 
 
+def test_relabelled_memo_cuts_homology_calls(monkeypatch):
+    from srlab import resolution
+
+    c = alexander_dual(cover_complex(path(12), 3))
+    calls = []
+    real = resolution.homology_dims_from_facets
+    monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
+    t = betti_hochster(c, RATIONALS)
+    assert len(calls) <= 400  # 3198 without the relabelled memo
+    assert t.entries == betti_hochster(c, strategy="direct").entries == betti_hochster(c, strategy="dual").entries
+
+
+def test_squeezed_facets_relabel_onto_the_support():
+    from srlab.resolution import _squeezed
+
+    assert _squeezed([0b1011000, 0b0110000]) == (0b0110, 0b1011)  # one run, moved down by 3
+    assert _squeezed([mask_of((3, 5)), mask_of((5, 9))]) == (0b011, 0b110)  # three runs
+    assert _squeezed([0]) == (0,)
+
+
 def test_hochster_guard_and_void():
     with pytest.raises(VoidComplexError):
         betti_hochster(void_complex(3))
