@@ -1093,10 +1093,9 @@ class ScanReport:
         }
 
 
-def _scan(conjecture, graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, workers):
+def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, workers):
     t0 = time.time()
     cells: list[ScanCell] = []
-    notes: list[str] = []
     kmin, kmax = k_range
     nmin, nmax = n_range
     for k in range(kmin, kmax + 1):
@@ -1116,7 +1115,7 @@ def _scan(conjecture, graph_builder, n_min_of_k, both_sides, k_range, n_range, f
                 else:
                     cells.append(ScanCell(k, n, str(f), lin, cm))
     counterexamples = [c for c in cells if not c.holds(both_sides)]
-    return cells, counterexamples, notes, time.time() - t0
+    return cells, counterexamples, time.time() - t0
 
 
 def scan_conjecture_Ln(
@@ -1128,9 +1127,8 @@ def scan_conjecture_Ln(
     workers: int = 1,
 ) -> ScanReport:
     """Scan: path cover rings are CM with linear resolutions for n >= 2k-1."""
-    cells, cex, notes, secs = _scan(
-        "Ln", path, lambda k: 2 * k - 1, False, k_range, n_range, fields, max_ground, workers
-    )
+    cells, cex, secs = _scan(path, lambda k: 2 * k - 1, False, k_range, n_range, fields, max_ground, workers)
+    notes = []
     for c in cells:
         if c.k == 3 and c.n == 6 and c.field == "Q":
             notes.append(
@@ -1149,10 +1147,8 @@ def scan_conjecture_L2n(
     workers: int = 1,
 ) -> ScanReport:
     """Scan: squared-path cover rings and their duals are CM with linear resolutions."""
-    cells, cex, notes, secs = _scan(
-        "L2n", path_square, lambda k: 3 * k - 2, True, k_range, n_range, fields, max_ground, workers
-    )
-    return ScanReport("L2n", cells, cex, notes, secs)
+    cells, cex, secs = _scan(path_square, lambda k: 3 * k - 2, True, k_range, n_range, fields, max_ground, workers)
+    return ScanReport("L2n", cells, cex, [], secs)
 
 
 @_claim(

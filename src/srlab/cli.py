@@ -183,23 +183,23 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
         "cmAuslanderBuchsbaum": is_cm_ab(c, field, table=t),
         "gorenstein": is_gorenstein(c, field, table=t),
     }
-    er = eagon_reiner_check(c, field, table=t)
+    er = eagon_reiner_check(c, field, table=t, override=args.override_guards)
     report["eagonReiner"] = {
         "linearDegree": er.linear_degree,
         "dualCm": er.dual_cm,
         "dualVoid": er.dual_void,
         "consistent": er.consistent,
     }
-    for name, fn, kwargs in (
-        ("fatForest", is_fat_forest, {}),
-        ("vertexDecomposable", is_vertex_decomposable, {}),
-        ("shellable", is_pure_shellable, {}),
+    for name, fn in (
+        ("fatForest", is_fat_forest),
+        ("vertexDecomposable", is_vertex_decomposable),
+        ("shellable", is_pure_shellable),
     ):
         try:
             if name in ("vertexDecomposable", "shellable") and not is_pure(c):
                 report[name] = {"verdict": None, "note": "only defined for pure complexes"}
                 continue
-            v = fn(c, **kwargs)
+            v = fn(c, override=args.override_guards)
             entry = {"verdict": v.holds}
             if name == "shellable" and v.holds:
                 entry["order"] = v.witness

@@ -224,21 +224,6 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[int, ...]:
     return sort_canonical(trans)
 
 
-def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
-    """Levelwise scan over all subsets; independent oracle for small n."""
-    if c.is_void:
-        raise VoidComplexError("void complex")
-    out = []
-    for card in range(1, c.n + 1):
-        for combo in combinations(range(1, c.n + 1), card):
-            m = mask_of(combo)
-            if c.is_face(m):
-                continue
-            if all(c.is_face(m ^ (1 << (v - 1))) for v in combo):
-                out.append(m)
-    return sort_canonical(out)
-
-
 @lru_cache(maxsize=16)
 def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     """Sets whose ground-set complements are nonfaces of c.

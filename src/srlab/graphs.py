@@ -397,37 +397,3 @@ def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> tuple[int, ...
                 prev[y] = x
                 queue.append(y)
     return None
-
-
-def find_chordless_cycle_bruteforce(g: Graph) -> tuple[int, ...] | None:
-    """Exhaustive induced-cycle search; test oracle for is_chordal."""
-    for size in range(4, g.n + 1):
-        for combo in combinations(range(1, g.n + 1), size):
-            cyc = _as_induced_cycle(g, combo)
-            if cyc is not None:
-                return cyc
-    return None
-
-
-def _as_induced_cycle(g: Graph, verts: tuple[int, ...]) -> tuple[int, ...] | None:
-    mask = mask_of(verts)
-    for v in verts:
-        if (g.adj[v - 1] & mask).bit_count() != 2:
-            return None
-    # trace it; connectivity check comes free
-    start = verts[0]
-    cyc = [start]
-    prev, cur = 0, start
-    for _ in range(len(verts) - 1):
-        nxt = None
-        for u in iter_vertices(g.adj[cur - 1] & mask):
-            if u != prev:
-                nxt = u
-                break
-        if nxt is None or nxt == start:
-            return None
-        cyc.append(nxt)
-        prev, cur = cur, nxt
-    if not g.has_edge(cyc[-1], start) or len(cyc) != len(verts):
-        return None
-    return tuple(cyc)

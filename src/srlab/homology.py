@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import single_maximal_overlap, vertices_of
-from .complexes import SimplicialComplex, _faces_by_card, faces_of_card
+from .bitsets import single_maximal_overlap
+from .complexes import SimplicialComplex, _faces_by_card
 from .errors import VoidComplexError
 
 # ---------------------------------------------------------------------------
@@ -352,31 +352,6 @@ class HomologyProfile:
     def dim_at(self, i: int) -> int:
         idx = i + 1
         return self.dims[idx] if 0 <= idx < len(self.dims) else 0
-
-
-def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
-    """Dense signed boundary matrix from i-faces to (i-1)-faces.
-
-    Rows are indexed by (i-1)-faces and columns by i-faces, both in canonical
-    order; signs follow the alternating convention on ascending vertex lists.
-    For i = 0 this is the all-ones augmentation row; for i = -1 the matrix
-    has no rows.
-    """
-    if c.is_void:
-        raise VoidComplexError("void complex has no chain complex")
-    d = c.dim()
-    if not -1 <= i <= d:
-        raise ValueError(f"need -1 <= i <= dim = {d}, got {i}")
-    if i == -1:
-        return []
-    lower = faces_of_card(c, i)
-    upper = faces_of_card(c, i + 1)
-    idx = {m: r for r, m in enumerate(lower)}
-    mat = [[0] * len(upper) for _ in lower]
-    for col, m in enumerate(upper):
-        for pos, v in enumerate(vertices_of(m)):
-            mat[idx[m ^ (1 << (v - 1))]][col] = 1 if pos % 2 == 0 else -1
-    return mat
 
 
 def reduced_homology_dims(c: SimplicialComplex, field: Field = RATIONALS) -> HomologyProfile:

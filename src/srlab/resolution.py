@@ -23,8 +23,10 @@ homology is memoized on the facet list relabelled order-preserving onto its
 own support, so translated copies of one complex share an entry. The Hochster sum passes
 (S, S^dual); Reisner's sweep over the faces of S passes (S^dual, S), so the
 link of a face sigma is read either directly or from S^dual restricted to
-[n] minus sigma. Two oracles stay for tests: "direct" restricts S to all 2^n
-subsets, and "dual" sums the links of every face of the dual.
+[n] minus sigma. Both take their subsets from _lcm_lattice: the Hochster sum
+from S^dual's facets, Reisner's sweep from S's own, whose lattice members
+other than the empty set and [n] are the complements of the nonempty
+intersections of facets.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bitsets import maximal_masks, vertices_of
-from .complexes import SimplicialComplex, _check_ground_guard, alexander_dual, all_faces
+from .complexes import SimplicialComplex, _check_ground_guard, alexander_dual
 from .errors import GuardExceeded, VoidComplexError
 from .homology import Field, RATIONALS, homology_dims_from_facets
 
@@ -199,20 +201,19 @@ def _homology(facets, field: Field, memo: dict) -> tuple[int, ...]:
 def _restriction_dims(a_facets, b_facets, n: int, w: int, field: Field, memo: dict) -> list[tuple[int, int]]:
     """Nonzero (degree d, dim H~_d) of A restricted to w, for a nonvoid A on 1..n.
 
-    b_facets are the facets of B = A^dual, or None to always restrict. When
-    u = [n] minus w is a face of B and lk_B(u) has a top facet no larger than
-    that of A restricted to w, the link is read instead, through
-    H~_d(A restricted to w) = H~_{|w|-d-3}(lk_B u). The link needs no
-    maximality pass, so it also wins a tie.
+    b_facets are the facets of B = A^dual. When u = [n] minus w is a face of
+    B and lk_B(u) has a top facet no larger than that of A restricted to w,
+    the link is read instead, through H~_d(A restricted to w) =
+    H~_{|w|-d-3}(lk_B u). The link needs no maximality pass, so it also wins
+    a tie. B never has the full facet (A is nonvoid), so w = 0 is restricted.
     """
-    if b_facets is not None:
-        u = ((1 << n) - 1) ^ w
-        linkf = [f ^ u for f in b_facets if f & u == u]
-        if linkf:
-            top = max(f.bit_count() for f in linkf)
-            if any((f & w).bit_count() >= top for f in a_facets):
-                j = w.bit_count()
-                return [(j - 2 - idx, val) for idx, val in enumerate(_homology(linkf, field, memo)) if val]
+    u = ((1 << n) - 1) ^ w
+    linkf = [f ^ u for f in b_facets if f & u == u]
+    if linkf:
+        top = max(f.bit_count() for f in linkf)
+        if any((f & w).bit_count() >= top for f in a_facets):
+            j = w.bit_count()
+            return [(j - 2 - idx, val) for idx, val in enumerate(_homology(linkf, field, memo)) if val]
     dims = _homology(maximal_masks(f & w for f in a_facets), field, memo)
     return [(idx - 1, val) for idx, val in enumerate(dims) if val]
 
@@ -221,11 +222,21 @@ def _restriction_dims(a_facets, b_facets, n: int, w: int, field: Field, memo: di
 # The Hochster sum
 
 
-def _hochster_sum(facets, dual_facets, n: int, field: Field, masks) -> dict[tuple[int, int], int]:
-    """Hochster's sum over the subsets in masks, each read by _restriction_dims.
+def _lcm_lattice(facets, n: int) -> list[int]:
+    """The empty set and every union of the complements of facets, sorted.
 
-    Without dual_facets every W is restricted.
+    On the facets of S^dual these are the unions of minimal nonfaces of S.
     """
+    full = (1 << n) - 1
+    masks = {0}
+    for f in facets:
+        m = full ^ f
+        masks |= {w | m for w in masks}
+    return sorted(masks)
+
+
+def _hochster_sum(facets, dual_facets, n: int, field: Field, masks) -> dict[tuple[int, int], int]:
+    """Hochster's sum over the subsets in masks, each read by _restriction_dims."""
     entries: dict[tuple[int, int], int] = {}
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}
     for w in masks:
@@ -233,23 +244,6 @@ def _hochster_sum(facets, dual_facets, n: int, field: Field, masks) -> dict[tupl
         for d, val in _restriction_dims(facets, dual_facets, n, w, field, memo):
             key = (j - d - 1, j)
             entries[key] = entries.get(key, 0) + val
-    return entries
-
-
-def _hochster_dual(dual: SimplicialComplex, field: Field, override: bool) -> dict[tuple[int, int], int]:
-    """The sum over every nonempty W, as the links of all faces of the dual."""
-    n = dual.n
-    entries: dict[tuple[int, int], int] = {}
-    by = all_faces(dual, override=override)
-    for card in sorted(by):
-        j = n - card
-        for u in by[card]:
-            linkf = [f ^ u for f in dual.facets if f & u == u]
-            dims = homology_dims_from_facets(linkf, field)
-            for idx, val in enumerate(dims):
-                if val:
-                    key = (idx + 1, j)
-                    entries[key] = entries.get(key, 0) + val
     return entries
 
 
@@ -271,50 +265,33 @@ def betti_hochster(
     max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,
     workers: int = 1,
-    strategy: str = "auto",
 ) -> GradedBettiTable:
     """Exact graded Betti table of the face ring of c over the given field.
 
-    The "auto" strategy sums over the LCM lattice of the minimal nonfaces
-    (the complements of the facets of the memoized Alexander dual) and reads
-    each subset from the smaller of its restriction and the dual's link.
-    The oracles "direct" (restrict to all 2^n subsets) and "dual" (links of
-    every face of the dual) give the same table. Subsets may be distributed
-    over worker processes for "auto" and "direct"; the reduction is a plain
+    Hochster's sum runs over the LCM lattice of the minimal nonfaces (the
+    complements of the facets of the memoized Alexander dual) and reads each
+    subset from the smaller of its restriction and the dual's link. Subsets
+    may be distributed over worker processes; the reduction is a plain
     integer sum, so results do not depend on scheduling.
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
     check_hochster_guard(c, max_ground, override)
     n = c.n
-    if strategy not in ("auto", "direct", "dual"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "dual":
-        entries = _hochster_sum(c.facets, None, n, field, [0])  # beta_{0,0} from the empty restriction
-        for k, v in _hochster_dual(alexander_dual(c), field, override).items():
-            entries[k] = entries.get(k, 0) + v
-    else:
-        if strategy == "auto":
-            dual_facets = alexander_dual(c).facets
-            masks = {0}  # the LCM lattice: the empty set and every union of minimal nonfaces
-            for m in dual_facets:
-                m ^= (1 << n) - 1
-                masks |= {w | m for w in masks}
-            masks = sorted(masks)
-        else:
-            dual_facets, masks = None, range(1 << n)
-        if workers > 1:
-            import multiprocessing as mp
+    dual_facets = alexander_dual(c).facets
+    masks = _lcm_lattice(dual_facets, n)
+    if workers > 1:
+        import multiprocessing as mp
 
-            chunk = max(64, len(masks) // (workers * 8) + 1)
-            args = [(c.facets, dual_facets, n, field, masks[i : i + chunk]) for i in range(0, len(masks), chunk)]
-            entries = {}
-            with mp.get_context("fork").Pool(workers) as pool:
-                for part in pool.starmap(_hochster_sum, args):
-                    for k, v in part.items():
-                        entries[k] = entries.get(k, 0) + v
-        else:
-            entries = _hochster_sum(c.facets, dual_facets, n, field, masks)
+        chunk = max(64, len(masks) // (workers * 8) + 1)
+        args = [(c.facets, dual_facets, n, field, masks[i : i + chunk]) for i in range(0, len(masks), chunk)]
+        entries = {}
+        with mp.get_context("fork").Pool(workers) as pool:
+            for part in pool.starmap(_hochster_sum, args):
+                for k, v in part.items():
+                    entries[k] = entries.get(k, 0) + v
+    else:
+        entries = _hochster_sum(c.facets, dual_facets, n, field, masks)
     entries = {k: v for k, v in entries.items() if v}
     assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
     return GradedBettiTable(entries, field, n)
@@ -393,8 +370,9 @@ def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: b
     one) must vanish strictly below the link's dimension. A face that is not
     an intersection of facets has a cone as its link, so only the empty face
     and the intersections of facets are visited, in (cardinality, canonical)
-    order; the first failure reports the offending face and homological
-    degree. Each link is read through _restriction_dims with (c^dual, c):
+    order. They are the complements of the members of the LCM lattice of
+    c's own facets other than the empty set and [n]. The first failure
+    reports the offending face and homological degree. Each link is read through _restriction_dims with (c^dual, c):
     from the link itself or from c^dual restricted to U = [n] minus sigma,
     using H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
     """
@@ -409,11 +387,7 @@ def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: b
 
     def faces():
         yield 0  # first, and before the lattice is built: it is often the witness
-        meets: set[int] = set()
-        for f in c.facets:
-            meets |= {x & f for x in meets}
-            meets.add(f)
-        meets.discard(0)
+        meets = [full ^ u for u in _lcm_lattice(c.facets, c.n) if u and u != full]
         yield from sorted(meets, key=lambda m: (m.bit_count(), vertices_of(m)))
 
     for sigma in faces():
@@ -433,12 +407,11 @@ def is_cm_ab(
     field: Field = RATIONALS,
     *,
     table: GradedBettiTable | None = None,
-    **hochster_kwargs,
 ) -> bool:
     """Cohen-Macaulayness from the Betti table: the resolution length must
     equal ground size minus Krull dimension (Auslander-Buchsbaum)."""
     if table is None:
-        table = betti_hochster(c, field, **hochster_kwargs)
+        table = betti_hochster(c, field)
     pd = table.projective_dimension()
     return c.n - pd == int(c.dim()) + 1
 
@@ -448,11 +421,10 @@ def is_gorenstein(
     field: Field = RATIONALS,
     *,
     table: GradedBettiTable | None = None,
-    **hochster_kwargs,
 ) -> bool:
     """Cohen-Macaulay of type 1: the last total Betti number equals 1."""
     if table is None:
-        table = betti_hochster(c, field, **hochster_kwargs)
+        table = betti_hochster(c, field)
     return is_cm_ab(c, field, table=table) and table.total(table.projective_dimension()) == 1
 
 
@@ -511,21 +483,22 @@ def eagon_reiner_check(
     field: Field = RATIONALS,
     *,
     table: GradedBettiTable | None = None,
-    **hochster_kwargs,
+    override: bool = False,
 ) -> EagonReinerReport:
     """Linearity of k[c] against Cohen-Macaulayness of the dual face ring.
 
     The two verdicts must agree; a full simplex (whose dual is void) is
-    vacuously consistent.
+    vacuously consistent. override lifts the face-enumeration guard of the
+    dual's Reisner sweep.
     """
     if c.is_void:
         raise VoidComplexError("void complex")
     if table is None:
-        table = betti_hochster(c, field, **hochster_kwargs)
+        table = betti_hochster(c, field)
     s = linear_resolution_degree(table)
     dual = alexander_dual(c)
     if dual.is_void:
         return EagonReinerReport(field, s, None, True, True)
-    verdict = is_cm_reisner(dual, field)
+    verdict = is_cm_reisner(dual, field, override=override)
     consistent = (s is not None) == verdict.cm
     return EagonReinerReport(field, s, verdict.cm, False, consistent)

@@ -120,7 +120,7 @@ class FrobergReport:
     betti: GradedBettiTable
 
 
-def froberg_check(g: Graph, field: Field = RATIONALS, **guards) -> FrobergReport:
+def froberg_check(g: Graph, field: Field = RATIONALS) -> FrobergReport:
     """Three equivalent readings of 2-linearity for the clique complex of g:
     chordality of g, a 2-linear Betti table, and the fat-forest property.
 
@@ -128,7 +128,7 @@ def froberg_check(g: Graph, field: Field = RATIONALS, **guards) -> FrobergReport
     """
     cc = clique_complex(g)
     cert = is_chordal(g)
-    table = betti_hochster(cc, field, **guards)
+    table = betti_hochster(cc, field)
     s = linear_resolution_degree(table)
     two_linear = s is not None and s in (0, 2)
     ff = is_fat_forest(cc, override=True)

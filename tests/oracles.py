@@ -1,0 +1,118 @@
+"""Brute-force oracles that only the tests call.
+
+Each recomputes a fast path of the package the slow, obvious way, so a test
+can compare the two. The Betti oracles take none of the Hochster sum's
+shortcuts: no LCM lattice, no memo, no choice of side.
+"""
+
+from itertools import combinations
+
+from srlab.bitsets import iter_vertices, mask_of, maximal_masks, sort_canonical, vertices_of
+from srlab.complexes import SimplicialComplex, alexander_dual, all_faces, faces_of_card
+from srlab.errors import VoidComplexError
+from srlab.graphs import Graph
+from srlab.homology import Field, homology_dims_from_facets
+
+
+def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
+    """Levelwise scan over all subsets."""
+    if c.is_void:
+        raise VoidComplexError("void complex")
+    out = []
+    for card in range(1, c.n + 1):
+        for combo in combinations(range(1, c.n + 1), card):
+            m = mask_of(combo)
+            if c.is_face(m):
+                continue
+            if all(c.is_face(m ^ (1 << (v - 1))) for v in combo):
+                out.append(m)
+    return sort_canonical(out)
+
+
+def find_chordless_cycle_bruteforce(g: Graph) -> tuple[int, ...] | None:
+    """Exhaustive induced-cycle search, for is_chordal."""
+    for size in range(4, g.n + 1):
+        for combo in combinations(range(1, g.n + 1), size):
+            cyc = _as_induced_cycle(g, combo)
+            if cyc is not None:
+                return cyc
+    return None
+
+
+def _as_induced_cycle(g: Graph, verts: tuple[int, ...]) -> tuple[int, ...] | None:
+    mask = mask_of(verts)
+    for v in verts:
+        if (g.adj[v - 1] & mask).bit_count() != 2:
+            return None
+    # trace it; connectivity check comes free
+    start = verts[0]
+    cyc = [start]
+    prev, cur = 0, start
+    for _ in range(len(verts) - 1):
+        nxt = None
+        for u in iter_vertices(g.adj[cur - 1] & mask):
+            if u != prev:
+                nxt = u
+                break
+        if nxt is None or nxt == start:
+            return None
+        cyc.append(nxt)
+        prev, cur = cur, nxt
+    if not g.has_edge(cyc[-1], start) or len(cyc) != len(verts):
+        return None
+    return tuple(cyc)
+
+
+def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
+    """Dense signed boundary matrix from i-faces to (i-1)-faces.
+
+    Rows are indexed by (i-1)-faces and columns by i-faces, both in canonical
+    order; signs follow the alternating convention on ascending vertex lists.
+    For i = 0 this is the all-ones augmentation row; for i = -1 the matrix
+    has no rows.
+    """
+    if c.is_void:
+        raise VoidComplexError("void complex has no chain complex")
+    d = c.dim()
+    if not -1 <= i <= d:
+        raise ValueError(f"need -1 <= i <= dim = {d}, got {i}")
+    if i == -1:
+        return []
+    lower = faces_of_card(c, i)
+    upper = faces_of_card(c, i + 1)
+    idx = {m: r for r, m in enumerate(lower)}
+    mat = [[0] * len(upper) for _ in lower]
+    for col, m in enumerate(upper):
+        for pos, v in enumerate(vertices_of(m)):
+            mat[idx[m ^ (1 << (v - 1))]][col] = 1 if pos % 2 == 0 else -1
+    return mat
+
+
+def betti_direct(c: SimplicialComplex, field: Field) -> dict[tuple[int, int], int]:
+    """Hochster's formula read literally: c restricted to each of the 2^n subsets W,
+    beta_{i,j} = sum over |W| = j of dim H~_{j-i-1}(c restricted to W)."""
+    entries: dict[tuple[int, int], int] = {}
+    for w in range(1 << c.n):
+        j = w.bit_count()
+        dims = homology_dims_from_facets(maximal_masks(f & w for f in c.facets), field)
+        for idx, val in enumerate(dims):  # idx is the degree d plus one
+            if val:
+                key = (j - idx, j)
+                entries[key] = entries.get(key, 0) + val
+    return entries
+
+
+def betti_dual_links(c: SimplicialComplex, field: Field) -> dict[tuple[int, int], int]:
+    """Hochster's formula through Alexander duality: each face u of c^dual adds
+    dim H~_{i-1}(lk u) to beta_{i,n-|u|}; the empty W adds beta_{0,0} = 1."""
+    dual = alexander_dual(c)
+    entries = {(0, 0): 1}
+    by = all_faces(dual, override=True)
+    for card in sorted(by):
+        for u in by[card]:
+            linkf = [f ^ u for f in dual.facets if f & u == u]
+            for idx, val in enumerate(homology_dims_from_facets(linkf, field)):
+                if val:
+                    key = (idx + 1, c.n - card)
+                    entries[key] = entries.get(key, 0) + val
+    return entries

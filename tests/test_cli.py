@@ -5,7 +5,8 @@ import pytest
 
 from srlab import cli
 from srlab.claims import CLAIMS, ClaimRecord
-from srlab.complexes import alexander_dual, complex_from_json, cover_complex, f_vector
+from srlab.bitsets import mask_of
+from srlab.complexes import alexander_dual, complex_from_json, complex_to_json, cover_complex, f_vector, make_complex
 from srlab.graphs import path
 
 DATA = Path(__file__).parent / "data"
@@ -67,6 +68,18 @@ def test_unreadable_input_exits_1(capsys, tmp_path):
 
 def test_guard_exit_2(capsys):
     assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2"]) == 2
+
+
+def test_override_guards_reaches_every_guard(capsys, tmp_path):
+    c = alexander_dual(make_complex(25, [mask_of([1]), mask_of([2])]))  # its dual is two points
+    f = tmp_path / "complex.json"
+    f.write_text(json.dumps(complex_to_json(c)))
+    code, out = run(capsys, "invariants", "--input", str(f), "--override-guards", "--max-ground", "30", "--no-cache")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["eagonReiner"]["dualCm"] is True
+    assert rep["fatForest"] == {"verdict": False}  # 24 facets, past the fat-forest guard
+    assert "guard" not in out
 
 
 def test_invariants_void_exit_3(capsys):

@@ -27,7 +27,6 @@ from srlab.complexes import (
     link,
     make_complex,
     minimal_nonfaces,
-    minimal_nonfaces_bruteforce,
     simplex_complex,
     skeleton,
     void_complex,
@@ -35,6 +34,7 @@ from srlab.complexes import (
 from srlab.errors import GuardExceeded, VoidComplexError
 from srlab.graphs import complete_prism, cycle, cycle_square, path, points, star
 from conftest import random_complex_sample
+from oracles import minimal_nonfaces_bruteforce
 
 
 def C(n, facets):

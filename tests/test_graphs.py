@@ -9,7 +9,6 @@ from srlab.graphs import (
     complete_prism,
     cycle,
     cycle_square,
-    find_chordless_cycle_bruteforce,
     graph_from_edges,
     graph_from_json,
     graph_to_json,
@@ -28,6 +27,7 @@ from srlab.graphs import (
     wheel,
 )
 from conftest import random_graph_sample
+from oracles import find_chordless_cycle_bruteforce
 
 
 def edge_set(g):

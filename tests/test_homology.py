@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import boundary_matrix
 from srlab import homology
 from srlab.bitsets import mask_of
 from srlab.complexes import (
@@ -26,7 +27,6 @@ from srlab.homology import (
     _boundary_cols_signed,
     _dims_by_elimination,
     bareiss_rank,
-    boundary_matrix,
     homology_dims_from_facets,
     parse_field,
     rank_gf2,

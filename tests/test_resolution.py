@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import betti_direct, betti_dual_links, minimal_nonfaces_bruteforce
 from srlab import complexes
 from srlab.bitsets import mask_of
 from srlab.complexes import (
@@ -79,7 +80,7 @@ def test_hochster_beta1_equals_minimal_generators():
         assert {j: b for (i, j), b in t.entries.items() if i == 1} == by_degree, c
 
 
-def test_hochster_strategies_and_workers_agree():
+def test_hochster_oracles_and_workers_agree():
     cases = [
         cover_complex(cycle_square(6), 2),
         cover_complex(path(8), 3),
@@ -87,11 +88,9 @@ def test_hochster_strategies_and_workers_agree():
         cover_complex(complete_bipartite(3, 3), 2),
     ]
     for c in cases:
-        td = betti_hochster(c, strategy="direct")
-        tu = betti_hochster(c, strategy="dual")
-        assert td.entries == tu.entries, c
-        for f in (GF2, Field(3)):
-            assert betti_hochster(c, f, strategy="direct").entries == betti_hochster(c, f, strategy="dual").entries
+        for f in (RATIONALS, GF2, Field(3)):
+            t = betti_hochster(c, f).entries
+            assert t == betti_direct(c, f) == betti_dual_links(c, f), (c, f)
     t1 = betti_hochster(cases[0], workers=1)
     t2 = betti_hochster(cases[0], workers=2)
     assert t1.entries == t2.entries
@@ -101,14 +100,14 @@ def test_hochster_strategies_and_workers_agree():
     for c in large + [alexander_dual(c) for c in large]:
         for f in (RATIONALS, GF2, Field(3)):
             ta = betti_hochster(c, f)
-            assert ta.entries == betti_hochster(c, f, strategy="direct").entries, (c, f)
-            assert ta.entries == betti_hochster(c, f, strategy="dual").entries, (c, f)
+            assert ta.entries == betti_direct(c, f), (c, f)
+            assert ta.entries == betti_dual_links(c, f), (c, f)
         assert betti_hochster(c, workers=2).to_json() == betti_hochster(c, workers=1).to_json(), c
 
 
 def _unions_of_minimal_nonfaces(c) -> set[int]:
     """Brute force: W qualifies when the minimal nonfaces inside W cover it."""
-    mnf = complexes.minimal_nonfaces_bruteforce(c)
+    mnf = minimal_nonfaces_bruteforce(c)
     out = set()
     for w in range(1 << c.n):
         u = 0
@@ -127,7 +126,7 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
     real = resolution._hochster_sum
     monkeypatch.setattr(resolution, "_hochster_sum", lambda *a: read.extend(a[4]) or real(*a))
     for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3), alexander_dual(cover_complex(path(9), 3))):
-        oracle = [betti_hochster(c, f, strategy="dual").entries for f in (RATIONALS, GF2)]
+        oracle = [betti_dual_links(c, f) for f in (RATIONALS, GF2)]
         read.clear()
         assert [betti_hochster(c, f).entries for f in (RATIONALS, GF2)] == oracle, c
         expect = _unions_of_minimal_nonfaces(c)
@@ -146,7 +145,7 @@ def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     tq = betti_hochster(c, RATIONALS)
     t2 = betti_hochster(c, GF2)
     assert len(calls) == 1
-    assert tq.entries == t2.entries == betti_hochster(c, strategy="dual").entries
+    assert tq.entries == t2.entries == betti_dual_links(c, RATIONALS)
 
 
 def test_relabelled_memo_cuts_homology_calls(monkeypatch):
@@ -158,7 +157,7 @@ def test_relabelled_memo_cuts_homology_calls(monkeypatch):
     monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
     t = betti_hochster(c, RATIONALS)
     assert len(calls) <= 400  # 3198 without the relabelled memo
-    assert t.entries == betti_hochster(c, strategy="direct").entries == betti_hochster(c, strategy="dual").entries
+    assert t.entries == betti_direct(c, RATIONALS) == betti_dual_links(c, RATIONALS)
 
 
 def test_squeezed_facets_relabel_onto_the_support():
