@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import claims
+from . import __version__, claims
 from .complexes import (
     SimplicialComplex,
     alexander_dual,
@@ -146,7 +146,7 @@ def _betti_cached(c, field, args, fv):
     cache = _cache_dir(args)
     key = None
     if cache is not None:
-        digest = hashlib.sha256(f"{canonical_json(c)}|{field}|betti.v1".encode()).hexdigest()
+        digest = hashlib.sha256(f"{canonical_json(c)}|{field}|{__version__}".encode()).hexdigest()
         key = cache / f"{digest}.json"
         t = _read_cached(key, c, field, fv)
         if t is not None:

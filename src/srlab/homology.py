@@ -19,8 +19,9 @@ every degree, and the reduced Euler characteristic sum (-1)^i dim H~_i is
 the same over every field. So when the GF(2) profile is nonzero in at most
 one degree, the rational profile equals it and no rational rank is computed.
 Only a profile with two or more nonzero degrees (torsion, as in RP^2) falls
-back to exact rational ranks, and only in those degrees. Over an odd prime
-field only the GF(p) ranks are computed.
+back to exact rational ranks, and only in those degrees; rational_dims
+applies this rule to a GF(2) profile the caller already holds. Over an odd
+prime field only the GF(p) ranks are computed.
 """
 
 from __future__ import annotations
@@ -321,11 +322,21 @@ def _dims_by_elimination(facets, field: Field) -> tuple[int, ...]:
 
     if field.p is not None and field.p != 2:
         return tuple(dims_from(lambda c: rank_gfp(_boundary_cols_signed(by[c - 1], by[c]), field.p)))
-    dims = dims_from(lambda c: rank_gf2(_boundary_cols_gf2(by[c - 1], by[c])))
-    if field.p == 2 or sum(1 for d in dims if d) <= 1:
-        # Over Q each dimension is at most the GF(2) one and the Euler
-        # characteristic is the same, so a single nonzero degree carries over.
-        return tuple(dims)
+    dims = tuple(dims_from(lambda c: rank_gf2(_boundary_cols_gf2(by[c - 1], by[c]))))
+    return dims if field.p == 2 else rational_dims(facets, dims)
+
+
+def rational_dims(facets, gf2: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced homology over Q of a maximal facet list whose GF(2) profile is gf2.
+
+    Over Q each dimension is at most the GF(2) one and the Euler
+    characteristic is the same, so a profile nonzero in at most one degree
+    carries over; otherwise exact rational ranks settle its nonzero degrees.
+    """
+    if sum(1 for d in gf2 if d) <= 1:
+        return gf2
+    by = _faces_by_card(facets)
+    top = max(by)
     exact: dict[int, int] = {}
 
     def q_rank(c: int) -> int:
@@ -335,7 +346,7 @@ def _dims_by_elimination(facets, field: Field) -> tuple[int, ...]:
             exact[c] = rank_int_exact(_boundary_cols_signed(by[c - 1], by[c]))
         return exact[c]
 
-    return tuple(len(by[c]) - q_rank(c) - q_rank(c + 1) if d else 0 for c, d in enumerate(dims))
+    return tuple(len(by[c]) - q_rank(c) - q_rank(c + 1) if d else 0 for c, d in enumerate(gf2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,33 +11,36 @@ nonfaces restricts to a cone (a vertex of W lies in no minimal nonface inside
 W), so the sum runs over the LCM lattice: the empty set and every union of
 minimal nonfaces.
 
-Both the Hochster sum and Reisner's criterion read homology through one
-helper, the homology of A restricted to W for a pair (A, B = A^dual). When
-U = [n] minus W is a face of B, the link of U in B is the Alexander dual of
-A restricted to W inside W, so
+Both the Hochster sum and Reisner's criterion choose what to read for W by
+one side rule (_side) on a pair (A, B = A^dual). When U = [n] minus W is a
+face of B, the link of U in B is the Alexander dual of A restricted to W
+inside W, so
 
     H~_d(A restricted to W) = H~_{|W|-d-3}(link of U in B),
 
-and the side with the smaller top facet is read. Within one sum or sweep,
-homology is memoized on the facet list relabelled order-preserving onto its
-own support, so translated copies of one complex share an entry. The Hochster sum passes
-(S, S^dual); Reisner's sweep over the faces of S passes (S^dual, S), so the
-link of a face sigma is read either directly or from S^dual restricted to
-[n] minus sigma. Both take their subsets from _lcm_lattice: the Hochster sum
-from S^dual's facets, Reisner's sweep from S's own, whose lattice members
-other than the empty set and [n] are the complements of the nonempty
-intersections of facets.
+and the side with the smaller top facet is read. Homology is keyed on the
+facet list relabelled order-preserving onto its own support, so translated
+copies of one complex share an entry. The Hochster sum passes (S, S^dual)
+and keeps, per complex, a memoized plan: its subsets grouped by that key,
+and the homology of each key per field, which every later field of S reuses.
+Reisner's sweep over the faces of S passes (S^dual, S), so the link of a
+face sigma is read either directly or from S^dual restricted to [n] minus
+sigma; its memo lives for one sweep. Both take their subsets from
+_lcm_lattice: the Hochster sum from S^dual's facets, Reisner's sweep from
+S's own, whose lattice members other than the empty set and [n] are the
+complements of the nonempty intersections of facets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .bitsets import maximal_masks, vertices_of
 from .complexes import SimplicialComplex, _check_ground_guard, alexander_dual
 from .errors import GuardExceeded, VoidComplexError
-from .homology import Field, RATIONALS, homology_dims_from_facets
+from .homology import GF2, Field, RATIONALS, homology_dims_from_facets, rational_dims
 
 #: Hochster summation refuses larger ground sets unless overridden.
 DEFAULT_HOCHSTER_GUARD = 22
@@ -180,16 +183,21 @@ def _squeezed(facets) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _is_cone(facets) -> bool:
+    """Whether the facets share a vertex; a cone has no reduced homology."""
+    acc = facets[0]
+    for f in facets[1:]:
+        acc &= f
+    return acc != 0
+
+
 def _homology(facets, field: Field, memo: dict) -> tuple[int, ...]:
     """Reduced homology of a facet list, from -1 up; () for a cone, which has none.
 
     memo maps each facet list, relabelled onto its own support, to its
     homology, so translated copies of one complex share an entry.
     """
-    acc = facets[0]
-    for f in facets[1:]:
-        acc &= f
-    if acc:
+    if _is_cone(facets):
         return ()
     key = _squeezed(facets)
     dims = memo.get(key)
@@ -198,24 +206,29 @@ def _homology(facets, field: Field, memo: dict) -> tuple[int, ...]:
     return dims
 
 
-def _restriction_dims(a_facets, b_facets, n: int, w: int, field: Field, memo: dict) -> list[tuple[int, int]]:
-    """Nonzero (degree d, dim H~_d) of A restricted to w, for a nonvoid A on 1..n.
+def _side(a_facets, b_facets, n: int, w: int) -> tuple[list[int], bool]:
+    """The facet list to read for A restricted to w, and whether it is a link.
 
-    b_facets are the facets of B = A^dual. When u = [n] minus w is a face of
-    B and lk_B(u) has a top facet no larger than that of A restricted to w,
-    the link is read instead, through H~_d(A restricted to w) =
-    H~_{|w|-d-3}(lk_B u). The link needs no maximality pass, so it also wins
-    a tie. B never has the full facet (A is nonvoid), so w = 0 is restricted.
+    A is nonvoid on 1..n and b_facets are the facets of B = A^dual. When
+    u = [n] minus w is a face of B and lk_B(u) has a top facet no larger than
+    that of A restricted to w, the link is read instead, through
+    H~_d(A restricted to w) = H~_{|w|-d-3}(lk_B u). The link needs no
+    maximality pass, so it also wins a tie. B never has the full facet (A is
+    nonvoid), so w = 0 is restricted.
     """
     u = ((1 << n) - 1) ^ w
     linkf = [f ^ u for f in b_facets if f & u == u]
     if linkf:
         top = max(f.bit_count() for f in linkf)
         if any((f & w).bit_count() >= top for f in a_facets):
-            j = w.bit_count()
-            return [(j - 2 - idx, val) for idx, val in enumerate(_homology(linkf, field, memo)) if val]
-    dims = _homology(maximal_masks(f & w for f in a_facets), field, memo)
-    return [(idx - 1, val) for idx, val in enumerate(dims) if val]
+            return linkf, True
+    return maximal_masks(f & w for f in a_facets), False
+
+
+def _read(dims, j: int, link: bool) -> list[tuple[int, int]]:
+    """Nonzero (degree d, dim H~_d) of A restricted to a j-set W, from the
+    homology dims of the facet list that _side chose for W."""
+    return [(j - 2 - idx if link else idx - 1, val) for idx, val in enumerate(dims) if val]
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +248,62 @@ def _lcm_lattice(facets, n: int) -> list[int]:
     return sorted(masks)
 
 
-def _hochster_sum(facets, dual_facets, n: int, field: Field, masks) -> dict[tuple[int, int], int]:
-    """Hochster's sum over the subsets in masks, each read by _restriction_dims."""
-    entries: dict[tuple[int, int], int] = {}
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in masks:
-        j = w.bit_count()
-        for d, val in _restriction_dims(facets, dual_facets, n, w, field, memo):
-            key = (j - d - 1, j)
-            entries[key] = entries.get(key, 0) + val
-    return entries
+@dataclass
+class _HochsterPlan:
+    """The field-independent half of Hochster's sum for one complex.
+
+    uses counts the subsets W of the LCM lattice that are not cones by
+    (key, |W|, link): key packs the facet list that _side chose for W,
+    relabelled onto its own support, into width bytes per facet, and link
+    says whether it is the dual's link. dims holds, per field, the homology
+    of every key, filled in by the first table asked for over that field.
+    """
+
+    width: int
+    uses: dict[tuple[bytes, int, bool], int]
+    dims: dict[Field, dict[bytes, tuple[int, ...]]]
+
+
+@lru_cache(maxsize=16)
+def _hochster_plan(c: SimplicialComplex) -> _HochsterPlan:
+    """The plan of c's Hochster sum; memoized, so every field of c shares it."""
+    n = c.n
+    dual_facets = alexander_dual(c).facets
+    width = n // 8 + 1
+    uses: dict[tuple[bytes, int, bool], int] = {}
+    for w in _lcm_lattice(dual_facets, n):
+        facets, link = _side(c.facets, dual_facets, n, w)
+        if not _is_cone(facets):
+            use = (b"".join(f.to_bytes(width, "little") for f in _squeezed(facets)), w.bit_count(), link)
+            uses[use] = uses.get(use, 0) + 1
+    return _HochsterPlan(width, uses, {})
+
+
+def _key_dims(width: int, key: bytes, field: Field, gf2: tuple[int, ...] | None) -> tuple[int, ...]:
+    """Homology of a packed facet list over field; over Q, from its GF(2) profile gf2."""
+    facets = [int.from_bytes(key[i : i + width], "little") for i in range(0, len(key), width)]
+    return homology_dims_from_facets(facets, field) if gf2 is None else rational_dims(facets, gf2)
+
+
+def _plan_dims(plan: _HochsterPlan, field: Field, workers: int) -> dict[bytes, tuple[int, ...]]:
+    """The homology over field of every key of plan, computing only what the
+    plan does not hold yet. Over Q the GF(2) profiles come first and stay in
+    the plan, so Q and GF(2) share them in either order."""
+    known = plan.dims.setdefault(field, {})
+    todo = [key for key in dict.fromkeys(key for key, _, _ in plan.uses) if key not in known]
+    if not todo:
+        return known
+    gf2 = _plan_dims(plan, GF2, workers) if field.is_rationals else None
+    args = [(plan.width, key, field, None if gf2 is None else gf2[key]) for key in todo]
+    if workers > 1:
+        import multiprocessing as mp
+
+        with mp.get_context("fork").Pool(workers) as pool:
+            found = pool.starmap(_key_dims, args, chunksize=len(args) // (workers * 8) + 1)
+    else:
+        found = [_key_dims(*a) for a in args]
+    known.update(zip(todo, found))
+    return known
 
 
 def check_hochster_guard(
@@ -270,31 +329,26 @@ def betti_hochster(
 
     Hochster's sum runs over the LCM lattice of the minimal nonfaces (the
     complements of the facets of the memoized Alexander dual) and reads each
-    subset from the smaller of its restriction and the dual's link. Subsets
-    may be distributed over worker processes; the reduction is a plain
-    integer sum, so results do not depend on scheduling.
+    subset from the smaller of its restriction and the dual's link. The
+    field-independent half, the subsets grouped by the relabelled facet list
+    they read, is planned once per complex and memoized, so further fields of
+    c reuse it and its homology (GF(2) profiles serve Q and GF(2) alike).
+    The homology of the plan's facet lists not yet known over field may be
+    computed in worker processes; the reduction is a plain integer sum, so
+    results do not depend on scheduling.
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
     check_hochster_guard(c, max_ground, override)
-    n = c.n
-    dual_facets = alexander_dual(c).facets
-    masks = _lcm_lattice(dual_facets, n)
-    if workers > 1:
-        import multiprocessing as mp
-
-        chunk = max(64, len(masks) // (workers * 8) + 1)
-        args = [(c.facets, dual_facets, n, field, masks[i : i + chunk]) for i in range(0, len(masks), chunk)]
-        entries = {}
-        with mp.get_context("fork").Pool(workers) as pool:
-            for part in pool.starmap(_hochster_sum, args):
-                for k, v in part.items():
-                    entries[k] = entries.get(k, 0) + v
-    else:
-        entries = _hochster_sum(c.facets, dual_facets, n, field, masks)
-    entries = {k: v for k, v in entries.items() if v}
+    plan = _hochster_plan(c)
+    dims = _plan_dims(plan, field, workers)
+    entries: dict[tuple[int, int], int] = {}
+    for (key, j, link), mult in plan.uses.items():
+        for d, val in _read(dims[key], j, link):
+            ij = (j - d - 1, j)
+            entries[ij] = entries.get(ij, 0) + mult * val
     assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
-    return GradedBettiTable(entries, field, n)
+    return GradedBettiTable(entries, field, c.n)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +426,8 @@ def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: b
     and the intersections of facets are visited, in (cardinality, canonical)
     order. They are the complements of the members of the LCM lattice of
     c's own facets other than the empty set and [n]. The first failure
-    reports the offending face and homological degree. Each link is read through _restriction_dims with (c^dual, c):
-    from the link itself or from c^dual restricted to U = [n] minus sigma,
+    reports the offending face and homological degree. _side with
+    (c^dual, c) picks whether each link is read from the link itself or from c^dual restricted to U = [n] minus sigma,
     using H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
     """
     if c.is_void:
@@ -392,7 +446,8 @@ def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: b
 
     for sigma in faces():
         u = full ^ sigma
-        read = _restriction_dims(dual_facets, c.facets, c.n, u, field, memo)
+        facets, link = _side(dual_facets, c.facets, c.n, u)
+        read = _read(_homology(facets, field, memo), u.bit_count(), link)
         degrees = [u.bit_count() - d - 3 for d, _ in read]  # H~_d(dual|u) is H~_{|u|-d-3}(lk sigma)
         if degrees:
             top = max(f.bit_count() for f in c.facets if f & sigma == sigma)

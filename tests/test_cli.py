@@ -167,6 +167,17 @@ def test_wrong_cached_table_is_not_served(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == cold and len(computed) == 1
 
 
+def test_cache_is_keyed_on_the_package_version(capsys, tmp_path, monkeypatch):
+    args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
+    computed = []
+    real = cli.betti_hochster
+    monkeypatch.setattr(cli, "betti_hochster", lambda *a, **kw: computed.append(a) or real(*a, **kw))
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == cold and len(computed) == 1
+    assert entry.exists() and len(list(entry.parent.iterdir())) == 2  # a second entry, the first untouched
+
+
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SRLAB_CACHE_DIR", str(tmp_path / "envcache"))
     assert cli.main(["invariants", "--family", "C", "--n", "5", "--k", "2"]) == 0

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from oracles import betti_direct, betti_dual_links, minimal_nonfaces_bruteforce
-from srlab import complexes
+from srlab import complexes, homology, resolution
 from srlab.bitsets import mask_of
 from srlab.complexes import (
     alexander_dual,
@@ -16,7 +18,17 @@ from srlab.complexes import (
     void_complex,
 )
 from srlab.errors import GuardExceeded, VoidComplexError
-from srlab.graphs import complete_bipartite, cycle, cycle_square, path, path_square, points, star
+from srlab.graphs import (
+    FamilySpec,
+    build_family,
+    complete_bipartite,
+    cycle,
+    cycle_square,
+    path,
+    path_square,
+    points,
+    star,
+)
 from srlab.homology import GF2, RATIONALS, Field
 from srlab.resolution import (
     FatForestDecomposition,
@@ -41,6 +53,10 @@ def C(n, facets):
 
 
 C4 = C(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+RP2 = C(  # the 6-vertex real projective plane, as in test_homology.py
+    6,
+    [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)],
+)
 
 
 def test_hilbert_examples():
@@ -80,6 +96,12 @@ def test_hochster_beta1_equals_minimal_generators():
         assert {j: b for (i, j), b in t.entries.items() if i == 1} == by_degree, c
 
 
+def _fresh_table(c, field, workers):
+    """The table's JSON from a plan built for this call alone."""
+    resolution._hochster_plan.cache_clear()
+    return betti_hochster(c, field, workers=workers).to_json()
+
+
 def test_hochster_oracles_and_workers_agree():
     cases = [
         cover_complex(cycle_square(6), 2),
@@ -91,18 +113,17 @@ def test_hochster_oracles_and_workers_agree():
         for f in (RATIONALS, GF2, Field(3)):
             t = betti_hochster(c, f).entries
             assert t == betti_direct(c, f) == betti_dual_links(c, f), (c, f)
-    t1 = betti_hochster(cases[0], workers=1)
-    t2 = betti_hochster(cases[0], workers=2)
-    assert t1.entries == t2.entries
-    assert t1.to_json() == t2.to_json()
     # n = 10 covers with large facets, and their duals with small ones
     large = [cover_complex(path(10), 3), cover_complex(cycle(10), 3)]
-    for c in large + [alexander_dual(c) for c in large]:
+    large += [alexander_dual(c) for c in large]
+    for c in large:
         for f in (RATIONALS, GF2, Field(3)):
             ta = betti_hochster(c, f)
             assert ta.entries == betti_direct(c, f), (c, f)
             assert ta.entries == betti_dual_links(c, f), (c, f)
-        assert betti_hochster(c, workers=2).to_json() == betti_hochster(c, workers=1).to_json(), c
+    for c in cases[:1] + large:
+        for f in (RATIONALS, GF2, Field(3)):
+            assert _fresh_table(c, f, workers=2) == _fresh_table(c, f, workers=1), (c, f)
 
 
 def _unions_of_minimal_nonfaces(c) -> set[int]:
@@ -120,20 +141,50 @@ def _unions_of_minimal_nonfaces(c) -> set[int]:
 
 
 def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
-    from srlab import resolution
-
     read = []
-    real = resolution._hochster_sum
-    monkeypatch.setattr(resolution, "_hochster_sum", lambda *a: read.extend(a[4]) or real(*a))
+    real = resolution._side
+    monkeypatch.setattr(resolution, "_side", lambda *a: read.append(a[3]) or real(*a))
+    resolution._hochster_plan.cache_clear()
     for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3), alexander_dual(cover_complex(path(9), 3))):
         oracle = [betti_dual_links(c, f) for f in (RATIONALS, GF2)]
         read.clear()
         assert [betti_hochster(c, f).entries for f in (RATIONALS, GF2)] == oracle, c
         expect = _unions_of_minimal_nonfaces(c)
-        assert len(read) == 2 * len(expect) and set(read) == expect, c
+        assert len(read) == len(expect) and set(read) == expect, c  # once for both fields
     read.clear()
     assert betti_hochster(simplex_complex(23), override=True).entries == {(0, 0): 1}
     assert read == [0]
+
+
+def test_second_field_reuses_the_plan(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.update([name]) or real(*a))
+
+    count(resolution, "_lcm_lattice")
+    count(resolution, "maximal_masks")
+    count(homology, "rank_gf2")
+    resolution._hochster_plan.cache_clear()
+    c = alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))
+    betti_hochster(c, RATIONALS)
+    assert calls["_lcm_lattice"] == 1 and calls["maximal_masks"] > 0 and calls["rank_gf2"] > 0
+    calls.clear()
+    betti_hochster(c, GF2)
+    betti_hochster(c, Field(3))
+    assert calls == Counter()
+
+
+def test_field_order_with_torsion_matches_direct_sum():
+    # RP^2's tables differ over Q and GF(2); 128 of the 1775 keys of Grid 4x3 k3's
+    # dual have GF(2) profiles with several nonzero degrees, which Q settles by exact ranks
+    for c in (RP2, alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))):
+        want = {f: betti_direct(c, f) for f in (RATIONALS, GF2, Field(3))}
+        for order in ((RATIONALS, GF2, Field(3)), (GF2, RATIONALS)):
+            resolution._hochster_plan.cache_clear()
+            for f in order:
+                assert betti_hochster(c, f).entries == want[f], (c, order, f)
 
 
 def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
@@ -142,6 +193,7 @@ def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     real = complexes.minimal_nonfaces
     monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     alexander_dual.cache_clear()
+    resolution._hochster_plan.cache_clear()
     tq = betti_hochster(c, RATIONALS)
     t2 = betti_hochster(c, GF2)
     assert len(calls) == 1
@@ -149,12 +201,11 @@ def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
 
 
 def test_relabelled_memo_cuts_homology_calls(monkeypatch):
-    from srlab import resolution
-
     c = alexander_dual(cover_complex(path(12), 3))
     calls = []
     real = resolution.homology_dims_from_facets
     monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
+    resolution._hochster_plan.cache_clear()
     t = betti_hochster(c, RATIONALS)
     assert len(calls) <= 400  # 3198 without the relabelled memo
     assert t.entries == betti_direct(c, RATIONALS) == betti_dual_links(c, RATIONALS)
@@ -280,12 +331,8 @@ def test_table_json_roundtrip():
 
 def test_field_specific_tables():
     # Betti numbers can grow in positive characteristic (triangulated RP^2)
-    rp2 = C(
-        6,
-        [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)],
-    )
-    tq = betti_hochster(rp2, RATIONALS)
-    t2 = betti_hochster(rp2, GF2)
+    tq = betti_hochster(RP2, RATIONALS)
+    t2 = betti_hochster(RP2, GF2)
     assert tq.entries != t2.entries
     assert all(t2.entries.get(k, 0) >= v for k, v in tq.entries.items())
-    assert betti_hochster(rp2, Field(3)).entries == tq.entries
+    assert betti_hochster(RP2, Field(3)).entries == tq.entries
