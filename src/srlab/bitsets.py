@@ -33,16 +33,6 @@ def iter_vertices(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def ksubsets(mask: int, k: int) -> Iterator[int]:
     """Size-k submasks, in lexicographic order of their vertex tuples."""
     for combo in combinations(vertices_of(mask), k):

@@ -19,7 +19,6 @@ from typing import Callable
 
 from .bitsets import vertices_of
 from .complexes import (
-    SimplicialComplex,
     alexander_dual,
     clique_complex,
     cover_complex,
@@ -125,18 +124,6 @@ def _claim(claim_id: str, family: str, description: str, expect_confirmed: bool 
 # ---------------------------------------------------------------------------
 # Shared helpers
 
-_TABLE_CACHE: dict[tuple[SimplicialComplex, Field], GradedBettiTable] = {}
-
-
-def _table(c: SimplicialComplex, field: Field) -> GradedBettiTable:
-    key = (c, field)
-    t = _TABLE_CACHE.get(key)
-    if t is None:
-        t = betti_hochster(c, field)
-        _TABLE_CACHE[key] = t
-    return t
-
-
 def _fmt_table(t: GradedBettiTable) -> str:
     return " ".join(f"b[{i},{j}]={b}" for i, j, b in t.sorted_items())
 
@@ -180,13 +167,13 @@ def _k1(params, field):
     for n in ns:
         for g in (cycle(n), star(n)):
             c = cover_complex(g, 1)
-            t = _table(c, field)
+            t = betti_hochster(c, field)
             if t.entries != {(0, 0): 1, (1, n): 1}:
                 return False, f"n={n}: b[1,{n}]=1 only", _fmt_table(t), [], None
             d = alexander_dual(c)
             if not d.is_irrelevant:
                 return False, f"n={n}: dual is the irrelevant complex", "other", [], None
-            td = _table(d, field)
+            td = betti_hochster(d, field)
             exp = {(i, i): comb(n, i) for i in range(n + 1)}
             if td.entries != exp:
                 return False, f"n={n}: dual b[i,i]=C(n,i)", _fmt_table(td), [], None
@@ -211,7 +198,7 @@ def _skel(params, field):
             sk = skeleton(S, i)
             if alexander_dual(sk) != skeleton(S, m - i - 3):
                 return False, f"m={m},i={i}: dual is the (m-i-3)-skeleton", "mismatch", [], None
-            t = _table(sk, field)
+            t = betti_hochster(sk, field)
             gens = {j for (a, j) in t.entries if a == 1}
             if i < m - 2 and gens != {i + 2}:
                 return False, f"m={m},i={i}: generators in degree i+2", str(sorted(gens)), [], None
@@ -285,7 +272,7 @@ def _pn_thm(params, field):
             c = cover_complex(points(n), k)
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
-                t = _table(cx, field)
+                t = betti_hochster(cx, field)
                 if linear_resolution_degree(t) is None or not is_cm_ab(cx, field, table=t):
                     return False, f"n={n},k={k} {label} CM+linear", "fails", [], None
     return True, "both sides CM with linear resolutions", "confirmed", [], None
@@ -303,8 +290,8 @@ def _pn_ex(params, field):
         d = alexander_dual(c)
         ok, exp, got = _match_tables(
             [
-                (f"n={n} primal", _table(c, field), {(1, n - 1): n, (2, n): n - 1}),
-                (f"n={n} dual", _table(d, field), {(i, i + 1): n * comb(n - 1, i) - comb(n, i + 1) for i in range(1, n)}),
+                (f"n={n} primal", betti_hochster(c, field), {(1, n - 1): n, (2, n): n - 1}),
+                (f"n={n} dual", betti_hochster(d, field), {(i, i + 1): n * comb(n - 1, i) - comb(n, i + 1) for i in range(1, n)}),
             ]
         )
         if not ok:
@@ -366,7 +353,7 @@ def _tree_thm(params, field):
         for tgraph in _tree_samples(n):
             tc = clique_complex(tgraph)
             cc = cover_complex(tgraph, 2)
-            tt, tv = _table(tc, field), _table(cc, field)
+            tt, tv = betti_hochster(tc, field), betti_hochster(cc, field)
             if not (is_cm_ab(tc, field, table=tt) and is_cm_ab(cc, field, table=tv)):
                 return False, f"n={n}: both CM", "not CM", [], None
             if linear_resolution_degree(tt) is None or linear_resolution_degree(tv) is None:
@@ -393,7 +380,7 @@ def _tree_dual_proof_formula(n: int) -> dict:
 )
 def _tree_dual_proof(params, field):
     for n in params.get("ns", (4, 5, 6, 7)):
-        t = _table(clique_complex(path(n)), field)
+        t = betti_hochster(clique_complex(path(n)), field)
         ok, exp, got = _match_tables([(f"n={n}", t, _tree_dual_proof_formula(n))])
         if not ok:
             return False, exp, got, [], None
@@ -409,7 +396,7 @@ def _tree_dual_proof(params, field):
 )
 def _tree_dual_stated(params, field):
     n = params.get("n", 5)
-    t = _table(clique_complex(path(n)), field)
+    t = betti_hochster(clique_complex(path(n)), field)
     stated = _clean({(i, i + 1): (n - 1) * comb(n - 2, i + 1) for i in range(1, n)})
     disc = [
         Discrepancy(
@@ -440,7 +427,7 @@ def _star_thm(params, field):
                 continue
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
-                t = _table(cx, field)
+                t = betti_hochster(cx, field)
                 if linear_resolution_degree(t) is None or not is_cm_ab(cx, field, table=t):
                     return False, f"n={n},k={k} {label} CM+linear", "fails", [], None
     return True, "both sides CM with linear resolutions", "confirmed", [], None
@@ -456,7 +443,7 @@ def _s6_k3(params, field):
     c = cover_complex(star(6), 3)
     d = alexander_dual(c)
     exp = {(1, 3): 10, (2, 4): 15, (3, 5): 6}
-    ok, e, g = _match_tables([("primal", _table(c, field), exp), ("dual", _table(d, field), exp)])
+    ok, e, g = _match_tables([("primal", betti_hochster(c, field), exp), ("dual", betti_hochster(d, field), exp)])
     return ok, e, g, [], None
 
 
@@ -469,7 +456,7 @@ def _s6_k3(params, field):
 )
 def _s6_k2(params, field):
     c = cover_complex(star(6), 2)
-    t = _table(c, field)
+    t = betti_hochster(c, field)
     exp = _clean({(1, 3): 10, (2, 4): 15, (3, 5): 6})
     disc = [
         Discrepancy(
@@ -493,7 +480,7 @@ def _s6_k2(params, field):
 def _l6_stated(params, field):
     c = cover_complex(path(6), 3)
     d = alexander_dual(c)
-    t, td = _table(c, field), _table(d, field)
+    t, td = betti_hochster(c, field), betti_hochster(d, field)
     cm = is_cm_ab(c, field, table=t)
     stated_primal = _clean({(1, 2): 9, (2, 3): 18, (3, 4): 15, (4, 5): 6, (5, 6): 1})
     stated_dual = _clean({(1, 3): 2, (2, 6): 1})
@@ -536,8 +523,8 @@ def _prism(params, field):
     d = alexander_dual(c)
     ok, e, g = _match_tables(
         [
-            ("2x2 primal", _table(c, field), {(1, 2): 4, (2, 3): 4, (3, 4): 1}),
-            ("2x2 dual", _table(d, field), {(1, 2): 2, (2, 4): 1}),
+            ("2x2 primal", betti_hochster(c, field), {(1, 2): 4, (2, 3): 4, (3, 4): 1}),
+            ("2x2 dual", betti_hochster(d, field), {(1, 2): 2, (2, 4): 1}),
         ]
     )
     if not ok:
@@ -548,7 +535,7 @@ def _prism(params, field):
         c = cover_complex(complete_prism(n), 2)
         d = alexander_dual(c)
         for label, cx in (("primal", c), ("dual", d)):
-            t = _table(cx, field)
+            t = betti_hochster(cx, field)
             if linear_resolution_degree(t) is not None or is_cm_ab(cx, field, table=t):
                 return False, f"n={n} {label} neither CM nor linear", "is CM or linear", [], None
     return True, "2x2 tables and negative verdicts beyond", "confirmed", [], None
@@ -575,12 +562,12 @@ def _join_lemma(params, field):
     ]
     for a, b in pairs:
         j = join(a, b)
-        tj = _table(j, field)
-        prod = betti_product(_table(a, field), _table(b, field))
+        tj = betti_hochster(j, field)
+        prod = betti_product(betti_hochster(a, field), betti_hochster(b, field))
         if tj.entries != prod.entries:
             return False, "join table equals product", f"{_fmt_table(tj)} vs {_fmt_entries(prod.entries)}", [], None
-        sa = linear_resolution_degree(_table(a, field))
-        sb = linear_resolution_degree(_table(b, field))
+        sa = linear_resolution_degree(betti_hochster(a, field))
+        sb = linear_resolution_degree(betti_hochster(b, field))
         if sa and sb and sa > 1 and sb > 1 and linear_resolution_degree(tj) is not None:
             return False, "join of a-linear factors (a>1) not linear", "is linear", [], None
     return True, "product rule and non-linearity of joins", "confirmed", [], None
@@ -596,7 +583,7 @@ def _kmn_adj(params, field):
     cases = params.get("cases", ((2, 2, 2), (2, 3, 2), (2, 3, 3), (2, 4, 3), (3, 3, 2), (3, 3, 3), (3, 4, 3)))
     for m, n, k in cases:
         d = alexander_dual(cover_complex(complete_bipartite(m, n), k))
-        t = _table(d, field)
+        t = betti_hochster(d, field)
         lin = linear_resolution_degree(t) is not None
         if not is_cm_ab(d, field, table=t):
             return False, f"K({m},{n}) k={k}: dual CM", "not CM", [], None
@@ -615,7 +602,7 @@ def _kmn_adj(params, field):
 def _kmn_stated(params, field):
     m = n = k = params.get("size", 2)
     d = alexander_dual(cover_complex(complete_bipartite(m, n), k))
-    t = _table(d, field)
+    t = betti_hochster(d, field)
     lin = linear_resolution_degree(t) is not None
     disc = [
         Discrepancy(
@@ -636,7 +623,7 @@ def _kmn_stated(params, field):
 )
 def _k44(params, field):
     c = cover_complex(complete_bipartite(4, 4), 3)
-    t = _table(c, field)
+    t = betti_hochster(c, field)
     exp = {(1, 4): 36, (2, 5): 96, (3, 6): 100, (4, 7): 48, (5, 8): 9}
     ok, e, g = _match_tables([("primal", t, exp)])
     if not ok:
@@ -644,8 +631,8 @@ def _k44(params, field):
     if linear_resolution_degree(t) != 4:
         return False, "4-linear", f"linear degree {linear_resolution_degree(t)}", [], None
     d = alexander_dual(c)
-    td = _table(d, field)
-    factor = _table(skeleton(simplex_complex(4), 1), field)
+    td = betti_hochster(d, field)
+    factor = betti_hochster(skeleton(simplex_complex(4), 1), field)
     if td.entries != betti_product(factor, factor).entries:
         return False, "dual table is the square of the skeleton table", _fmt_table(td), [], None
     if linear_resolution_degree(td) is not None:
@@ -662,7 +649,7 @@ def _k44(params, field):
 def _kmn_k2(params, field):
     for m, n in params.get("cases", ((3, 3), (3, 4))):
         c = cover_complex(complete_bipartite(m, n), 2)
-        t = _table(c, field)
+        t = betti_hochster(c, field)
         exp = {(1, m + n - 2): m * n, (2, m + n - 1): 2 * m * n - m - n, (3, m + n): m * n - m - n + 1}
         ok, e, g = _match_tables([(f"K({m},{n})", t, exp)])
         if not ok:
@@ -689,7 +676,7 @@ def _l2k1(params, field):
         gens = [vertices_of(m) for m in dual_ideal_generators(c)]
         if gens != [tuple(range(1, n + 1, 2))]:
             return False, f"k={k}: single odd-position generator", str(gens), [], None
-        t = _table(c, field)
+        t = betti_hochster(c, field)
         if linear_resolution_degree(t) is None or not is_cm_ab(c, field, table=t):
             return False, f"k={k}: CM with linear resolution", "fails", [], None
     return True, "principal dual ideal; CM and linear", "confirmed", [], None
@@ -710,9 +697,9 @@ def _wheel(params, field):
     for n, k in cases:
         a = cover_complex(cycle(n), k)
         b = cover_complex(wheel(n), k)
-        if _table(a, field).entries != _table(b, field).entries:
+        if betti_hochster(a, field).entries != betti_hochster(b, field).entries:
             return False, f"C{n} vs hub graph, k={k}", "tables differ", [], None
-        if _table(alexander_dual(a), field).entries != _table(alexander_dual(b), field).entries:
+        if betti_hochster(alexander_dual(a), field).entries != betti_hochster(alexander_dual(b), field).entries:
             return False, f"C{n} vs hub graph duals, k={k}", "tables differ", [], None
     return True, "hub leaves Betti tables unchanged", "confirmed", [], None
 
@@ -732,14 +719,14 @@ def _cycle_binomial(n: int) -> dict:
 def _cycle_adj(params, field):
     for n in params.get("ns", (4, 5, 6, 7)):
         cy = clique_complex(cycle(n))
-        t = _table(cy, field)
+        t = betti_hochster(cy, field)
         ok, e, g = _match_tables([(f"C{n} ring", t, _cycle_binomial(n))])
         if not ok:
             return False, e, g, [], None
         if not is_gorenstein(cy, field, table=t):
             return False, f"C{n} Gorenstein", "not Gorenstein", [], None
         cv = cover_complex(cycle(n), 2)
-        tv = _table(cv, field)
+        tv = betti_hochster(cv, field)
         ok, e, g = _match_tables([(f"C{n} cover", tv, {(1, n - 2): n, (2, n - 1): n, (3, n): 1})])
         if not ok:
             return False, e, g, [], None
@@ -760,7 +747,7 @@ def _cycle_stated(params, field):
     n = params.get("n", 5)
     cy = clique_complex(cycle(n))
     cv = cover_complex(cycle(n), 2)
-    t, tv = _table(cy, field), _table(cv, field)
+    t, tv = betti_hochster(cy, field), betti_hochster(cv, field)
     stated_ring = _clean({(1, n - 2): n, (2, n - 1): n, (3, n): 1})
     stated_cover = _clean(_cycle_binomial(n))
     disc = [
@@ -789,8 +776,8 @@ def _c2k_adj(params, field):
         gens = [vertices_of(m) for m in minimal_nonfaces(d)]
         if gens != [tuple(range(1, n, 2)), tuple(range(2, n + 1, 2))]:
             return False, f"k={k}: alternating-product generators", str(gens), [], None
-        td = _table(d, field)
-        t = _table(c, field)
+        td = betti_hochster(d, field)
+        t = betti_hochster(c, field)
         if not (is_cm_ab(d, field, table=td) and linear_resolution_degree(td) is None):
             return False, f"k={k}: dual CM and not linear", "fails", [], None
         if not (linear_resolution_degree(t) is not None and not is_cm_ab(c, field, table=t)):
@@ -809,7 +796,7 @@ def _c2k_adj(params, field):
 def _c2k_stated(params, field):
     k = params.get("k", 3)
     d = alexander_dual(cover_complex(cycle(2 * k), k))
-    td = _table(d, field)
+    td = betti_hochster(d, field)
     lin = linear_resolution_degree(td) is not None
     cm = is_cm_ab(d, field, table=td)
     disc = [
@@ -830,7 +817,7 @@ def _c2k_stated(params, field):
     "degrees j = i+1",
 )
 def _c8(params, field):
-    t = _table(cover_complex(cycle(8), 4), field)
+    t = betti_hochster(cover_complex(cycle(8), 4), field)
     totals = (1, 16, 48, 68, 56, 28, 8, 1)
     exp = {(i, i + 1): totals[i] for i in range(1, 8)}
     ok, e, g = _match_tables([("cover", t, exp)])
@@ -850,19 +837,19 @@ def _c8(params, field):
 )
 def _c2n(params, field):
     c = cover_complex(cycle_square(6), 2)
-    t = _table(c, field)
+    t = betti_hochster(c, field)
     ok, e, g = _match_tables([("n=6 cover", t, {(1, 3): 8, (2, 4): 12, (3, 5): 6, (4, 6): 1})])
     if not ok:
         return False, e, g, [], None
     if linear_resolution_degree(t) != 3 or is_cm_ab(c, field, table=t):
         return False, "n=6: 3-linear and not CM", "fails", [], None
     octa = clique_complex(cycle_square(6))
-    to = _table(octa, field)
+    to = betti_hochster(octa, field)
     if not is_cm_ab(octa, field, table=to) or linear_resolution_degree(to) is not None:
         return False, "octahedron CM and not linear", "fails", [], None
     for n in params.get("ns", (7, 8)):
         c = cover_complex(cycle_square(n), 2)
-        t = _table(c, field)
+        t = betti_hochster(c, field)
         if linear_resolution_degree(t) is not None or is_cm_ab(c, field, table=t):
             return False, f"n={n}: neither linear nor CM", "fails", [], None
     return True, "six-vertex tables and negative verdicts beyond", "confirmed", [], None
@@ -878,13 +865,13 @@ def _c2n(params, field):
 def _l2n_adj(params, field):
     for n in params.get("ns", (5, 6, 7, 8)):
         cc = clique_complex(path_square(n))
-        tcc = _table(cc, field)
+        tcc = betti_hochster(cc, field)
         exp = {(i, i + 1): (n - 3) * comb(n - 3, i) - comb(n - 3, i + 1) for i in range(1, n)}
         ok, e, g = _match_tables([(f"n={n} clique", tcc, exp)])
         if not ok:
             return False, e, g, [], None
         cv = cover_complex(path_square(n), 2)
-        tcv = _table(cv, field)
+        tcv = betti_hochster(cv, field)
         ok, e, g = _match_tables([(f"n={n} cover", tcv, {(1, n - 3): n - 2, (2, n - 2): n - 3})])
         if not ok:
             return False, e, g, [], None
@@ -908,7 +895,7 @@ def _l2n_stated(params, field):
     n = params.get("n", 6)
     cc = clique_complex(path_square(n))
     cv = cover_complex(path_square(n), 2)
-    tcc, tcv = _table(cc, field), _table(cv, field)
+    tcc, tcv = betti_hochster(cc, field), betti_hochster(cv, field)
     stated_clique = _clean({(1, n - 2): n - 2, (2, n - 1): n - 3})
     disc = [
         Discrepancy(
@@ -934,8 +921,8 @@ def _l2_8(params, field):
     d = alexander_dual(c)
     ok, e, g = _match_tables(
         [
-            ("cover", _table(c, field), {(1, 2): 6, (2, 3): 8, (3, 4): 3}),
-            ("dual", _table(d, field), {(1, 3): 4, (2, 4): 3}),
+            ("cover", betti_hochster(c, field), {(1, 2): 6, (2, 3): 8, (3, 4): 3}),
+            ("dual", betti_hochster(d, field), {(1, 3): 4, (2, 4): 3}),
         ]
     )
     return ok, e, g, [], None
@@ -957,7 +944,7 @@ def _thirds(params, field):
         gens_b = [vertices_of(m) for m in minimal_nonfaces(alexander_dual(b))]
         if gens_b != [tuple(range(1, 3 * k - 1, 3))]:
             return False, f"k={k}: principal progression generator", str(gens_b), [], None
-        ta, tb = _table(a, field), _table(b, field)
+        ta, tb = betti_hochster(a, field), betti_hochster(b, field)
         if not (linear_resolution_degree(ta) is not None and not is_cm_ab(a, field, table=ta)):
             return False, f"k={k}: squared-cycle ring linear, not CM", "fails", [], None
         if not (linear_resolution_degree(tb) is not None and is_cm_ab(b, field, table=tb)):
@@ -971,7 +958,7 @@ def _thirds(params, field):
     "the squared 9-cycle at degree 3 has total Betti numbers (1,27,81,108,81,36,9,1)",
 )
 def _c2_9(params, field):
-    t = _table(cover_complex(cycle_square(9), 3), field)
+    t = betti_hochster(cover_complex(cycle_square(9), 3), field)
     got = t.totals()
     exp = (1, 27, 81, 108, 81, 36, 9, 1)
     return got == exp, str(exp), str(got), [], None
@@ -1005,7 +992,7 @@ def _grid_adj(params, field):
     for m, n in params.get("cases", ((2, 2), (2, 3), (3, 3))):
         g = grid(m, n)
         c = cover_complex(g, 2)
-        t = _table(c, field)
+        t = betti_hochster(c, field)
         exp = {(1, m * n - 2): 2 * m * n - m - n, (2, m * n - 1): 3 * m * n - 2 * m - 2 * n, (3, m * n): m * n - m - n + 1}
         ok, e, got = _match_tables([(f"{m}x{n} cover", t, exp)])
         if not ok:
@@ -1013,7 +1000,7 @@ def _grid_adj(params, field):
         if linear_resolution_degree(t) is None or is_cm_ab(c, field, table=t):
             return False, f"{m}x{n}: linear and not CM", "fails", [], None
         cc = clique_complex(g)
-        tcc = _table(cc, field)
+        tcc = betti_hochster(cc, field)
         if not is_cm_ab(cc, field, table=tcc) or linear_resolution_degree(tcc) is not None:
             return False, f"{m}x{n}: grid ring CM and not linear", "fails", [], None
     return True, "grid cover values with b3 = mn-m-n+1", "confirmed", [], None
@@ -1028,7 +1015,7 @@ def _grid_adj(params, field):
 )
 def _grid_stated(params, field):
     m, n = params.get("case", (2, 3))
-    t = _table(cover_complex(grid(m, n), 2), field)
+    t = betti_hochster(cover_complex(grid(m, n), 2), field)
     got = t.entries.get((3, m * n), 0)
     stated = m * n - m - n - 1
     disc = [
@@ -1093,7 +1080,7 @@ class ScanReport:
         }
 
 
-def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, workers):
+def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, override, workers):
     t0 = time.time()
     cells: list[ScanCell] = []
     kmin, kmax = k_range
@@ -1106,11 +1093,11 @@ def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_g
                 continue
             d = alexander_dual(c) if both_sides else None
             for f in fields:
-                t = betti_hochster(c, f, max_ground=max_ground, workers=workers)
+                t = betti_hochster(c, f, max_ground=max_ground, override=override, workers=workers)
                 lin = linear_resolution_degree(t)
                 cm = is_cm_ab(c, f, table=t)
                 if both_sides:
-                    td = betti_hochster(d, f, max_ground=max_ground, workers=workers)
+                    td = betti_hochster(d, f, max_ground=max_ground, override=override, workers=workers)
                     cells.append(ScanCell(k, n, str(f), lin, cm, linear_resolution_degree(td), is_cm_ab(d, f, table=td)))
                 else:
                     cells.append(ScanCell(k, n, str(f), lin, cm))
@@ -1124,10 +1111,14 @@ def scan_conjecture_Ln(
     fields=(RATIONALS, GF2),
     *,
     max_ground: int = 22,
+    override: bool = False,
     workers: int = 1,
 ) -> ScanReport:
-    """Scan: path cover rings are CM with linear resolutions for n >= 2k-1."""
-    cells, cex, secs = _scan(path, lambda k: 2 * k - 1, False, k_range, n_range, fields, max_ground, workers)
+    """Scan: path cover rings are CM with linear resolutions for n >= 2k-1.
+
+    max_ground, override and workers are passed to betti_hochster.
+    """
+    cells, cex, secs = _scan(path, lambda k: 2 * k - 1, False, k_range, n_range, fields, max_ground, override, workers)
     notes = []
     for c in cells:
         if c.k == 3 and c.n == 6 and c.field == "Q":
@@ -1144,10 +1135,14 @@ def scan_conjecture_L2n(
     fields=(RATIONALS, GF2),
     *,
     max_ground: int = 22,
+    override: bool = False,
     workers: int = 1,
 ) -> ScanReport:
-    """Scan: squared-path cover rings and their duals are CM with linear resolutions."""
-    cells, cex, secs = _scan(path_square, lambda k: 3 * k - 2, True, k_range, n_range, fields, max_ground, workers)
+    """Scan: squared-path cover rings and their duals are CM with linear resolutions.
+
+    max_ground, override and workers are passed to betti_hochster.
+    """
+    cells, cex, secs = _scan(path_square, lambda k: 3 * k - 2, True, k_range, n_range, fields, max_ground, override, workers)
     return ScanReport("L2n", cells, cex, [], secs)
 
 

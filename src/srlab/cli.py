@@ -29,13 +29,12 @@ from .complexes import (
     f_vector,
     is_pure,
 )
-from .errors import GuardExceeded, VoidComplexError
+from .errors import GuardExceeded, VoidComplexError, check_guard
 from .graphs import FamilySpec, build_family, graph_from_json
 from .homology import RATIONALS, GF2, Field, parse_field
 from .resolution import (
     GradedBettiTable,
     betti_hochster,
-    check_hochster_guard,
     eagon_reiner_check,
     hilbert_from_fvector,
     is_cm_ab,
@@ -68,17 +67,24 @@ def _add_input_args(p):
     p.add_argument("--clique", action="store_true", help="take the clique complex instead")
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
-    p.add_argument("--field", default="Q", help="Q, GF(2), GF(p), or 'both' where allowed")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-ground", type=int, default=22)
-    p.add_argument("--override-guards", action="store_true")
+def _add_output(p):
     p.add_argument("-o", "--output", help="write to file instead of stdout")
 
 
+def _add_report_args(p, formats):
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--field", default="Q", help="Q, GF(2), GF(p), or 'both' where allowed")
+    _add_output(p)
+
+
+def _add_guard_args(p):
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-ground", type=int, default=22)
+    p.add_argument("--override-guards", action="store_true")
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text + "\n")
     else:
         print(text)
@@ -116,9 +122,9 @@ def cmd_build(args) -> int:
 
 
 def _cache_dir(args) -> Path | None:
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    d = getattr(args, "cache_dir", None) or os.environ.get("SRLAB_CACHE_DIR")
+    d = args.cache_dir or os.environ.get("SRLAB_CACHE_DIR")
     if not d:
         return None
     p = Path(d)
@@ -162,7 +168,7 @@ def _betti_cached(c, field, args, fv):
 def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
     if c.is_void:
         raise VoidComplexError("void complex has no ring invariants")
-    check_hochster_guard(c, args.max_ground, args.override_guards)  # before any exponential work
+    check_guard("Hochster", c.n, args.max_ground, args.override_guards)  # before any exponential work
     dual = alexander_dual(c)
     if dual.dim() < c.dim():  # count the faces of the side with the smaller top facet
         fv = dual_fvector(f_vector(dual, override=args.override_guards), c.n)
@@ -279,14 +285,13 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     fields = _fields_arg(args.field)
-    scanner = {"Ln": claims.scan_conjecture_Ln, "L2n": claims.scan_conjecture_L2n}.get(args.conjecture)
-    if scanner is None:
-        raise ValueError("conjecture must be Ln or L2n")
+    scanner = {"Ln": claims.scan_conjecture_Ln, "L2n": claims.scan_conjecture_L2n}[args.conjecture]
     rep = scanner(
         (args.kmin, args.kmax),
         (args.nmin, args.nmax),
         fields,
         max_ground=args.max_ground,
+        override=args.override_guards,
         workers=args.workers,
     )
     if args.format == "json":
@@ -315,12 +320,13 @@ def make_parser() -> _Parser:
 
     b = sub.add_parser("build", help="construct a complex and print its JSON")
     _add_input_args(b)
-    _add_common(b)
+    _add_output(b)
     b.set_defaults(fn=cmd_build)
 
     i = sub.add_parser("invariants", help="full invariant report for one complex")
     _add_input_args(i)
-    _add_common(i)
+    _add_report_args(i, ("json", "pretty"))
+    _add_guard_args(i)
     i.add_argument("--cache-dir", help="Betti cache directory (or env SRLAB_CACHE_DIR)")
     i.add_argument("--no-cache", action="store_true")
     i.set_defaults(fn=cmd_invariants)
@@ -328,7 +334,7 @@ def make_parser() -> _Parser:
     v = sub.add_parser("verify", help="run claim records against the oracle")
     v.add_argument("--claim", help="claim id")
     v.add_argument("--all", action="store_true")
-    _add_common(v)
+    _add_report_args(v, ("json", "tsv", "pretty"))
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("scan", help="conjecture scan grids")
@@ -337,7 +343,8 @@ def make_parser() -> _Parser:
     s.add_argument("--kmax", type=int, default=4)
     s.add_argument("--nmin", type=int, default=3)
     s.add_argument("--nmax", type=int, default=12)
-    _add_common(s)
+    _add_report_args(s, ("json", "tsv", "pretty"))
+    _add_guard_args(s)
     s.set_defaults(fn=cmd_scan)
     return p
 

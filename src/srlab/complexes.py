@@ -26,7 +26,7 @@ from .bitsets import (
     sort_canonical,
     vertices_of,
 )
-from .errors import GuardExceeded, VoidComplexError
+from .errors import VoidComplexError, check_guard
 from .graphs import Graph, independent_sets, maximal_cliques
 
 NEG_INF = float("-inf")
@@ -101,14 +101,6 @@ def is_pure(c: SimplicialComplex) -> bool:
 # Face enumeration
 
 
-def _check_ground_guard(c: SimplicialComplex, override: bool) -> None:
-    if c.n > DEFAULT_GROUND_GUARD and not override:
-        raise GuardExceeded(
-            f"ground set {c.n} exceeds face-enumeration guard {DEFAULT_GROUND_GUARD}; "
-            "pass override=True (CLI: --override-guards)"
-        )
-
-
 def _faces_by_card(facets) -> dict[int, list[int]]:
     """Faces of a facet list bucketed by cardinality, each bucket in mask order.
 
@@ -133,7 +125,7 @@ def _faces_by_card(facets) -> dict[int, list[int]]:
 
 def all_faces(c: SimplicialComplex, override: bool = False) -> dict[int, list[int]]:
     """Faces bucketed by cardinality, each bucket canonically ordered."""
-    _check_ground_guard(c, override)
+    check_guard("face-enumeration", c.n, DEFAULT_GROUND_GUARD, override)
     by = _faces_by_card(c.facets)
     for bucket in by.values():
         bucket.sort(key=vertices_of)
@@ -142,7 +134,7 @@ def all_faces(c: SimplicialComplex, override: bool = False) -> dict[int, list[in
 
 def faces_of_card(c: SimplicialComplex, card: int, override: bool = False) -> list[int]:
     """All faces with exactly `card` vertices, canonically ordered."""
-    _check_ground_guard(c, override)
+    check_guard("face-enumeration", c.n, DEFAULT_GROUND_GUARD, override)
     seen: set[int] = set()
     for f in c.facets:
         if f.bit_count() < card:
@@ -156,7 +148,7 @@ def f_vector(c: SimplicialComplex, override: bool = False) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_d); the void complex yields the empty tuple."""
     if c.is_void:
         return ()
-    _check_ground_guard(c, override)
+    check_guard("face-enumeration", c.n, DEFAULT_GROUND_GUARD, override)
     by = _faces_by_card(c.facets)
     return tuple(len(by[i]) for i in range(max(by) + 1))
 

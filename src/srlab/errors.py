@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule behind every desk-scale guard."""
 
 
 class GuardExceeded(RuntimeError):
@@ -7,3 +7,14 @@ class GuardExceeded(RuntimeError):
 
 class VoidComplexError(ValueError):
     """Operation is undefined for the void complex (the one with no faces)."""
+
+
+def check_guard(guard: str, size: int, limit: int, override: bool, *, facets: bool = False) -> None:
+    """Raise GuardExceeded when size is above limit and override is off.
+
+    size counts the ground set, or the facets when facets is set; guard names
+    the guard in the message.
+    """
+    if size > limit and not override:
+        subject = f"{size} facets exceed" if facets else f"ground set {size} exceeds"
+        raise GuardExceeded(f"{subject} {guard} guard {limit}; pass override=True (CLI: --override-guards)")

@@ -285,6 +285,14 @@ def _try_contractible_pieces(facets) -> int | None:
     return len(comp_masks)
 
 
+def _is_cone(facets) -> bool:
+    """Whether the facets share a vertex; a cone has no reduced homology."""
+    acc = facets[0]
+    for f in facets[1:]:
+        acc &= f
+    return acc != 0
+
+
 def homology_dims_from_facets(facets, field: Field) -> tuple[int, ...]:
     """Reduced homology dimensions (H~_-1 .. H~_d) for a maximal facet list.
 
@@ -297,10 +305,7 @@ def homology_dims_from_facets(facets, field: Field) -> tuple[int, ...]:
         return (1,)
     top = max(f.bit_count() for f in facets)
     length = top + 1  # entries for dims -1..top-1
-    acc = facets[0]
-    for f in facets[1:]:
-        acc &= f
-    if acc:
+    if _is_cone(facets):
         return (0,) * length
     comps = _try_contractible_pieces(facets)
     if comps is not None:

@@ -38,9 +38,9 @@ from functools import lru_cache
 from math import comb
 
 from .bitsets import maximal_masks, vertices_of
-from .complexes import SimplicialComplex, _check_ground_guard, alexander_dual
-from .errors import GuardExceeded, VoidComplexError
-from .homology import GF2, Field, RATIONALS, homology_dims_from_facets, rational_dims
+from .complexes import DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual
+from .errors import VoidComplexError, check_guard
+from .homology import GF2, Field, RATIONALS, _is_cone, homology_dims_from_facets, rational_dims
 
 #: Hochster summation refuses larger ground sets unless overridden.
 DEFAULT_HOCHSTER_GUARD = 22
@@ -183,14 +183,6 @@ def _squeezed(facets) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _is_cone(facets) -> bool:
-    """Whether the facets share a vertex; a cone has no reduced homology."""
-    acc = facets[0]
-    for f in facets[1:]:
-        acc &= f
-    return acc != 0
-
-
 def _homology(facets, field: Field, memo: dict) -> tuple[int, ...]:
     """Reduced homology of a facet list, from -1 up; () for a cone, which has none.
 
@@ -264,7 +256,7 @@ class _HochsterPlan:
     dims: dict[Field, dict[bytes, tuple[int, ...]]]
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=256)
 def _hochster_plan(c: SimplicialComplex) -> _HochsterPlan:
     """The plan of c's Hochster sum; memoized, so every field of c shares it."""
     n = c.n
@@ -306,17 +298,6 @@ def _plan_dims(plan: _HochsterPlan, field: Field, workers: int) -> dict[bytes, t
     return known
 
 
-def check_hochster_guard(
-    c: SimplicialComplex, max_ground: int = DEFAULT_HOCHSTER_GUARD, override: bool = False
-) -> None:
-    """Raise GuardExceeded when c's ground set is too large for the Hochster sum."""
-    if c.n > max_ground and not override:
-        raise GuardExceeded(
-            f"ground set {c.n} exceeds Hochster guard {max_ground}; "
-            "pass override=True (CLI: --override-guards)"
-        )
-
-
 def betti_hochster(
     c: SimplicialComplex,
     field: Field = RATIONALS,
@@ -339,7 +320,7 @@ def betti_hochster(
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
-    check_hochster_guard(c, max_ground, override)
+    check_guard("Hochster", c.n, max_ground, override)
     plan = _hochster_plan(c)
     dims = _plan_dims(plan, field, workers)
     entries: dict[tuple[int, int], int] = {}
@@ -432,7 +413,7 @@ def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: b
     """
     if c.is_void:
         raise VoidComplexError("void complex")
-    _check_ground_guard(c, override)
+    check_guard("face-enumeration", c.n, DEFAULT_GROUND_GUARD, override)
     dual_facets = alexander_dual(c).facets
     if not dual_facets:  # the full simplex: every link is a simplex
         return ReisnerVerdict(True, field)

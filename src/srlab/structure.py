@@ -13,7 +13,7 @@ from typing import Any
 
 from .bitsets import maximal_masks, single_maximal_overlap, vertices_of
 from .complexes import SimplicialComplex, clique_complex, is_pure
-from .errors import GuardExceeded
+from .errors import check_guard
 from .graphs import Graph, is_chordal
 from .homology import Field, RATIONALS
 from .resolution import (
@@ -41,14 +41,13 @@ class StructureVerdict:
 # Fat forests
 
 
-def is_fat_forest(
-    c: SimplicialComplex, *, max_facets: int = FAT_FOREST_FACET_GUARD, override: bool = False
-) -> StructureVerdict:
+def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
     """Search for an ordering of the facets where each simplex meets the
     union of its predecessors in a single face (possibly empty).
 
     The witness is the facet order together with the (simplex dim, overlap
-    dim) data consumable by fat_forest_hilbert.
+    dim) data consumable by fat_forest_hilbert. More than
+    FAT_FOREST_FACET_GUARD facets raise GuardExceeded unless override is set.
     """
     name = "fat_forest"
     if c.is_void:
@@ -58,11 +57,7 @@ def is_fat_forest(
     if k == 1:
         dims = (facets[0].bit_count() - 1,)
         return StructureVerdict(name, True, (list(facets), FatForestDecomposition(dims, ())))
-    if k > max_facets and not override:
-        raise GuardExceeded(
-            f"{k} facets exceed fat-forest search guard {max_facets}; "
-            "pass override=True (CLI: --override-guards)"
-        )
+    check_guard("fat-forest search", k, FAT_FOREST_FACET_GUARD, override, facets=True)
     dead: set[int] = set()
 
     def dfs(used_bits: int, order: list[int]) -> list[int] | None:
@@ -140,9 +135,7 @@ def froberg_check(g: Graph, field: Field = RATIONALS) -> FrobergReport:
 # Vertex decomposability
 
 
-def is_vertex_decomposable(
-    c: SimplicialComplex, *, max_ground: int = VD_GROUND_GUARD, override: bool = False
-) -> StructureVerdict:
+def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
     """Recursive test for pure complexes: a simplex qualifies, otherwise some
     vertex must have a vertex-decomposable link and a vertex-decomposable
     deletion that stays pure of the same dimension.
@@ -150,18 +143,15 @@ def is_vertex_decomposable(
     The witness is a shedding tree of nested {"vertex", "link", "del"} nodes
     with {"simplex": facet} leaves. For pure complexes the link of a vertex
     is automatically pure of one lower dimension, so no separate bookkeeping
-    for the link is needed.
+    for the link is needed. A ground set above VD_GROUND_GUARD raises
+    GuardExceeded unless override is set.
     """
     name = "vertex_decomposable"
     if c.is_void:
         return StructureVerdict(name, False, note="void complex")
     if not is_pure(c):
         raise ValueError("vertex decomposability is only defined here for pure complexes")
-    if c.n > max_ground and not override:
-        raise GuardExceeded(
-            f"ground set {c.n} exceeds vertex-decomposability guard {max_ground}; "
-            "pass override=True (CLI: --override-guards)"
-        )
+    check_guard("vertex-decomposability", c.n, VD_GROUND_GUARD, override)
     # Memo entries are stored in canonical (dense, order-preserving) labels
     # and translated back, so isomorphic subcomplexes met under different
     # labelings share one verdict without leaking wrong vertex names.
@@ -269,11 +259,13 @@ def is_valid_shelling(c: SimplicialComplex, order: list[int]) -> bool:
     return True
 
 
-def is_pure_shellable(
-    c: SimplicialComplex, *, max_facets: int = SHELLING_FACET_GUARD, override: bool = False
-) -> StructureVerdict:
+def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
     """Backtracking over facet orderings with subset memoization; candidates
-    are tried by descending overlap with the already-placed prefix."""
+    are tried by descending overlap with the already-placed prefix.
+
+    More than SHELLING_FACET_GUARD facets raise GuardExceeded unless override
+    is set.
+    """
     name = "pure_shellable"
     if c.is_void:
         return StructureVerdict(name, False, note="void complex")
@@ -283,11 +275,7 @@ def is_pure_shellable(
     k = len(facets)
     if k == 1:
         return StructureVerdict(name, True, [0])
-    if k > max_facets and not override:
-        raise GuardExceeded(
-            f"{k} facets exceed shelling search guard {max_facets}; "
-            "pass override=True (CLI: --override-guards)"
-        )
+    check_guard("shelling search", k, SHELLING_FACET_GUARD, override, facets=True)
     want = facets[0].bit_count() - 1
     dead: set[int] = set()
 

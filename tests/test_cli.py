@@ -6,8 +6,19 @@ import pytest
 from srlab import cli
 from srlab.claims import CLAIMS, ClaimRecord
 from srlab.bitsets import mask_of
-from srlab.complexes import alexander_dual, complex_from_json, complex_to_json, cover_complex, f_vector, make_complex
+from srlab.complexes import (
+    alexander_dual,
+    complex_from_json,
+    complex_to_json,
+    cover_complex,
+    f_vector,
+    make_complex,
+    simplex_complex,
+)
+from srlab.errors import GuardExceeded
 from srlab.graphs import path
+from srlab.resolution import betti_hochster
+from srlab.structure import is_fat_forest, is_pure_shellable, is_vertex_decomposable
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,6 +69,12 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["verify"]) == 1
     assert cli.main(["nonsense"]) == 1
     assert cli.main(["scan", "--conjecture", "Qn"]) == 1
+    # flags a command does not read are not accepted
+    assert cli.main(["build", "--family", "C", "--n", "4", "--k", "2", "--field", "Q"]) == 1
+    assert cli.main(["build", "--family", "C", "--n", "4", "--k", "2", "--format", "json"]) == 1
+    assert cli.main(["verify", "--claim", "k44.example", "--workers", "2"]) == 1
+    assert cli.main(["verify", "--claim", "k44.example", "--override-guards"]) == 1
+    assert cli.main(["invariants", "--family", "C", "--n", "4", "--k", "2", "--format", "tsv"]) == 1
 
 
 def test_unreadable_input_exits_1(capsys, tmp_path):
@@ -68,6 +85,39 @@ def test_unreadable_input_exits_1(capsys, tmp_path):
 
 def test_guard_exit_2(capsys):
     assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2"]) == 2
+
+
+def _points(n, k):
+    return make_complex(n, [1 << i for i in range(k)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda o: f_vector(_points(25, 2), override=o), "ground set 25 exceeds face-enumeration guard 24"),
+        (lambda o: betti_hochster(simplex_complex(23), override=o), "ground set 23 exceeds Hochster guard 22"),
+        (lambda o: is_fat_forest(_points(16, 16), override=o), "16 facets exceed fat-forest search guard 15"),
+        (
+            lambda o: is_vertex_decomposable(simplex_complex(17), override=o),
+            "ground set 17 exceeds vertex-decomposability guard 16",
+        ),
+        (lambda o: is_pure_shellable(_points(13, 13), override=o), "13 facets exceed shelling search guard 12"),
+    ],
+)
+def test_guard_messages_and_override(call, message):
+    with pytest.raises(GuardExceeded) as e:
+        call(False)
+    assert str(e.value) == message + "; pass override=True (CLI: --override-guards)"
+    call(True)
+
+
+def test_scan_override_guards(capsys):
+    argv = ["scan", "--conjecture", "Ln", "--kmin", "2", "--kmax", "2", "--nmin", "6", "--nmax", "6"]
+    code, out = run(capsys, *argv, "--max-ground", "5", "--override-guards")
+    assert code == 0
+    code, stock = run(capsys, *argv, "--max-ground", "22")
+    assert code == 0
+    assert json.loads(out)["cells"] == json.loads(stock)["cells"] != []
 
 
 def test_override_guards_reaches_every_guard(capsys, tmp_path):
