@@ -216,14 +216,14 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[int, ...]:
     return sort_canonical(trans)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=256)
 def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     """Sets whose ground-set complements are nonfaces of c.
 
     Facets of the dual are complements of the minimal nonfaces. The dual of
     the void complex is the full simplex and vice versa; the operation is an
-    involution. Results are memoized: a Betti table per field asks for the
-    same dual.
+    involution. Results are memoized for as many complexes as the Hochster
+    plan holds: each field's table and Reisner's sweep ask for the same dual.
     """
     if c.is_void:
         return simplex_complex(c.n)

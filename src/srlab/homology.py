@@ -7,11 +7,13 @@ elimination core, parameterized by the field: it pivots on unit entries
 unit entry left goes through a fraction-free (Bareiss) dense core, so every
 reported dimension is exact.
 
-Two exact shortcuts avoid building boundary matrices in the common cases:
-a complex whose facets share a vertex is a cone (no reduced homology), and
-a complex whose facets can be added one at a time so that each new simplex
-meets the union of its predecessors in a single face deformation-retracts
-to a point per component (homology concentrated in degree 0).
+Two exact steps come before any boundary matrix is built. A complex whose
+facets share a vertex is a cone (no reduced homology). Any other complex is
+cut down to its strong-collapse core (_core): a vertex whose facets all
+contain some other vertex is deleted, round after round, which keeps the
+homotopy type and so the homology over every field. A core of k single
+vertices has H~_0 of dimension k - 1 and nothing else; any other core is
+eliminated, and its profile is padded to the length of the input's.
 
 For coefficients in Q the GF(2) profile comes first and closes most cases
 exactly. By universal coefficients dim H~_i(K; Q) <= dim H~_i(K; GF(2)) in
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import single_maximal_overlap
+from .bitsets import maximal_masks
 from .complexes import SimplicialComplex, _faces_by_card
 from .errors import VoidComplexError
 
@@ -251,40 +253,6 @@ def _boundary_cols_signed(lower: list[int], upper: list[int]) -> list[dict[int, 
     return cols
 
 
-def _try_contractible_pieces(facets) -> int | None:
-    """Component count when facets assemble one at a time along single faces.
-
-    Each placement glues a simplex to the union along a common face (possibly
-    empty), which preserves the homotopy type of the pieces; on success the
-    complex is a disjoint union of contractible pieces. Returns None when the
-    greedy placement gets stuck (no claim either way).
-    """
-    pending = list(facets)
-    placed: list[int] = []
-    comp_masks: list[int] = []
-    while pending:
-        progress = False
-        rest = []
-        for f in pending:
-            u = single_maximal_overlap(f, placed)
-            if u is None:
-                rest.append(f)
-                continue
-            placed.append(f)
-            progress = True
-            if u == 0:
-                comp_masks.append(f)
-                continue
-            for ci, cm in enumerate(comp_masks):
-                if cm & u:
-                    comp_masks[ci] |= f
-                    break
-        pending = rest
-        if not progress:
-            return None
-    return len(comp_masks)
-
-
 def _is_cone(facets) -> bool:
     """Whether the facets share a vertex; a cone has no reduced homology."""
     acc = facets[0]
@@ -293,11 +261,47 @@ def _is_cone(facets) -> bool:
     return acc != 0
 
 
+def _core(facets) -> list[int]:
+    """The facets left after repeated rounds of strong collapses, maximal.
+
+    A vertex v is dominated by w when every facet through v contains w;
+    deleting v then keeps the homotopy type (Barmak-Minian). A round ANDs
+    the facets through each vertex and, in vertex order, deletes every vertex
+    whose AND holds a vertex other than itself that the round has not deleted
+    yet. The dominators of a deleted vertex are dominators of the vertices it
+    dominates, so each deleted vertex keeps a dominator that survives the
+    round, and no edge loses both ends. Only the facets that lost a vertex
+    can stop being maximal. Rounds repeat until no vertex can go.
+    """
+    facets = list(facets)
+    while True:
+        support = 0
+        for f in facets:
+            support |= f
+        gone = 0
+        while support:
+            b = support & -support
+            support ^= b
+            meet = -1
+            for f in facets:
+                if f & b:
+                    meet &= f
+            if meet & ~(b | gone):
+                gone |= b
+        if not gone:
+            return facets
+        kept = [f for f in facets if not f & gone]
+        cut = maximal_masks(f & ~gone for f in facets if f & gone)
+        facets = kept + [g for g in cut if not any(g & ~k == 0 for k in kept)]
+
+
 def homology_dims_from_facets(facets, field: Field) -> tuple[int, ...]:
     """Reduced homology dimensions (H~_-1 .. H~_d) for a maximal facet list.
 
     Facet bit positions need not be contiguous. An empty facet list (void)
-    yields the empty tuple.
+    yields the empty tuple. A cone has no reduced homology; otherwise the
+    strong-collapse core is read, and a core of k single vertices has
+    H~_0 of dimension k - 1 and nothing else.
     """
     if not facets:
         return ()
@@ -307,13 +311,12 @@ def homology_dims_from_facets(facets, field: Field) -> tuple[int, ...]:
     length = top + 1  # entries for dims -1..top-1
     if _is_cone(facets):
         return (0,) * length
-    comps = _try_contractible_pieces(facets)
-    if comps is not None:
-        dims = [0] * length
-        if comps > 1:
-            dims[1] = comps - 1
-        return tuple(dims)
-    return _dims_by_elimination(facets, field)
+    core = _core(facets)
+    if all(f & (f - 1) == 0 for f in core):
+        dims = (0, len(core) - 1)
+    else:
+        dims = _dims_by_elimination(core, field)
+    return dims + (0,) * (length - len(dims))
 
 
 def _dims_by_elimination(facets, field: Field) -> tuple[int, ...]:

@@ -19,16 +19,19 @@ inside W, so
     H~_d(A restricted to W) = H~_{|W|-d-3}(link of U in B),
 
 and the side with the smaller top facet is read. Homology is keyed on the
-facet list relabelled order-preserving onto its own support, so translated
-copies of one complex share an entry. The Hochster sum passes (S, S^dual)
-and keeps, per complex, a memoized plan: its subsets grouped by that key,
-and the homology of each key per field, which every later field of S reuses.
-Reisner's sweep over the faces of S passes (S^dual, S), so the link of a
-face sigma is read either directly or from S^dual restricted to [n] minus
-sigma; its memo lives for one sweep. Both take their subsets from
-_lcm_lattice: the Hochster sum from S^dual's facets, Reisner's sweep from
-S's own, whose lattice members other than the empty set and [n] are the
-complements of the nonempty intersections of facets.
+squeezed core (_squeezed_core): the facet list is relabelled
+order-preserving onto its own support, cut down once per distinct list to
+its strong-collapse core, and the core is relabelled the same way. So
+translated copies of one complex, and lists with the same core, share an
+entry, and a list that collapses to a point needs none. The Hochster sum
+passes (S, S^dual) and keeps, per complex, a memoized plan: its subsets
+grouped by core, and the homology of each core per field, which every later
+field of S reuses. Reisner's sweep over the faces of S passes (S^dual, S),
+so the link of a face sigma is read either directly or from S^dual
+restricted to [n] minus sigma; its memos live for one sweep. Both take
+their subsets from _lcm_lattice: the Hochster sum from S^dual's facets,
+Reisner's sweep from S's own, whose lattice members other than the empty
+set and [n] are the complements of the nonempty intersections of facets.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from math import comb
 from .bitsets import maximal_masks, vertices_of
 from .complexes import DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual
 from .errors import VoidComplexError, check_guard
-from .homology import GF2, Field, RATIONALS, _is_cone, homology_dims_from_facets, rational_dims
+from .homology import GF2, Field, RATIONALS, _core, _is_cone, homology_dims_from_facets, rational_dims
 
 #: Hochster summation refuses larger ground sets unless overridden.
 DEFAULT_HOCHSTER_GUARD = 22
@@ -183,19 +186,20 @@ def _squeezed(facets) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _homology(facets, field: Field, memo: dict) -> tuple[int, ...]:
-    """Reduced homology of a facet list, from -1 up; () for a cone, which has none.
+def _squeezed_core(facets, cores: dict) -> tuple[int, ...] | None:
+    """The strong-collapse core of a facet list, relabelled onto its own support,
+    or None for a cone or a list that collapses to a point (no reduced homology).
 
-    memo maps each facet list, relabelled onto its own support, to its
-    homology, so translated copies of one complex share an entry.
+    cores maps each facet list, relabelled onto its own support, to its core,
+    so translated copies of one complex are collapsed once.
     """
     if _is_cone(facets):
-        return ()
+        return None
     key = _squeezed(facets)
-    dims = memo.get(key)
-    if dims is None:
-        dims = memo[key] = homology_dims_from_facets(key, field)
-    return dims
+    if key not in cores:
+        core = _squeezed(_core(key))
+        cores[key] = None if _is_cone(core) else core  # a core that is a cone is a point
+    return cores[key]
 
 
 def _side(a_facets, b_facets, n: int, w: int) -> tuple[list[int], bool]:
@@ -244,11 +248,12 @@ def _lcm_lattice(facets, n: int) -> list[int]:
 class _HochsterPlan:
     """The field-independent half of Hochster's sum for one complex.
 
-    uses counts the subsets W of the LCM lattice that are not cones by
-    (key, |W|, link): key packs the facet list that _side chose for W,
-    relabelled onto its own support, into width bytes per facet, and link
-    says whether it is the dual's link. dims holds, per field, the homology
-    of every key, filled in by the first table asked for over that field.
+    uses counts the subsets W of the LCM lattice by (core, |W|, link): core
+    packs the squeezed core (_squeezed_core) of the facet list that _side
+    chose for W into width bytes per facet, and link says whether that list
+    is the dual's link. A W whose list is a cone or collapses to a point adds
+    nothing and is left out. dims holds, per field, the homology of every
+    core, filled in by the first table asked for over that field.
     """
 
     width: int
@@ -263,37 +268,39 @@ def _hochster_plan(c: SimplicialComplex) -> _HochsterPlan:
     dual_facets = alexander_dual(c).facets
     width = n // 8 + 1
     uses: dict[tuple[bytes, int, bool], int] = {}
+    cores: dict = {}
     for w in _lcm_lattice(dual_facets, n):
         facets, link = _side(c.facets, dual_facets, n, w)
-        if not _is_cone(facets):
-            use = (b"".join(f.to_bytes(width, "little") for f in _squeezed(facets)), w.bit_count(), link)
+        core = _squeezed_core(facets, cores)
+        if core is not None:
+            use = (b"".join(f.to_bytes(width, "little") for f in core), w.bit_count(), link)
             uses[use] = uses.get(use, 0) + 1
     return _HochsterPlan(width, uses, {})
 
 
-def _key_dims(width: int, key: bytes, field: Field, gf2: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Homology of a packed facet list over field; over Q, from its GF(2) profile gf2."""
-    facets = [int.from_bytes(key[i : i + width], "little") for i in range(0, len(key), width)]
+def _core_dims(width: int, core: bytes, field: Field, gf2: tuple[int, ...] | None) -> tuple[int, ...]:
+    """Homology of a packed core over field; over Q, from its GF(2) profile gf2."""
+    facets = [int.from_bytes(core[i : i + width], "little") for i in range(0, len(core), width)]
     return homology_dims_from_facets(facets, field) if gf2 is None else rational_dims(facets, gf2)
 
 
 def _plan_dims(plan: _HochsterPlan, field: Field, workers: int) -> dict[bytes, tuple[int, ...]]:
-    """The homology over field of every key of plan, computing only what the
+    """The homology over field of every core of plan, computing only what the
     plan does not hold yet. Over Q the GF(2) profiles come first and stay in
     the plan, so Q and GF(2) share them in either order."""
     known = plan.dims.setdefault(field, {})
-    todo = [key for key in dict.fromkeys(key for key, _, _ in plan.uses) if key not in known]
+    todo = [core for core in dict.fromkeys(core for core, _, _ in plan.uses) if core not in known]
     if not todo:
         return known
     gf2 = _plan_dims(plan, GF2, workers) if field.is_rationals else None
-    args = [(plan.width, key, field, None if gf2 is None else gf2[key]) for key in todo]
+    args = [(plan.width, core, field, None if gf2 is None else gf2[core]) for core in todo]
     if workers > 1:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(workers) as pool:
-            found = pool.starmap(_key_dims, args, chunksize=len(args) // (workers * 8) + 1)
+            found = pool.starmap(_core_dims, args, chunksize=len(args) // (workers * 8) + 1)
     else:
-        found = [_key_dims(*a) for a in args]
+        found = [_core_dims(*a) for a in args]
     known.update(zip(todo, found))
     return known
 
@@ -324,8 +331,8 @@ def betti_hochster(
     plan = _hochster_plan(c)
     dims = _plan_dims(plan, field, workers)
     entries: dict[tuple[int, int], int] = {}
-    for (key, j, link), mult in plan.uses.items():
-        for d, val in _read(dims[key], j, link):
+    for (core, j, link), mult in plan.uses.items():
+        for d, val in _read(dims[core], j, link):
             ij = (j - d - 1, j)
             entries[ij] = entries.get(ij, 0) + mult * val
     assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
@@ -418,7 +425,8 @@ def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: b
     if not dual_facets:  # the full simplex: every link is a simplex
         return ReisnerVerdict(True, field)
     full = (1 << c.n) - 1
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cores: dict = {}
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # core -> homology
 
     def faces():
         yield 0  # first, and before the lattice is built: it is often the witness
@@ -428,7 +436,12 @@ def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: b
     for sigma in faces():
         u = full ^ sigma
         facets, link = _side(dual_facets, c.facets, c.n, u)
-        read = _read(_homology(facets, field, memo), u.bit_count(), link)
+        core = _squeezed_core(facets, cores)
+        if core is None:
+            continue
+        if core not in memo:
+            memo[core] = homology_dims_from_facets(core, field)
+        read = _read(memo[core], u.bit_count(), link)
         degrees = [u.bit_count() - d - 3 for d, _ in read]  # H~_d(dual|u) is H~_{|u|-d-3}(lk sigma)
         if degrees:
             top = max(f.bit_count() for f in c.facets if f & sigma == sigma)

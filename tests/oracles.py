@@ -2,16 +2,18 @@
 
 Each recomputes a fast path of the package the slow, obvious way, so a test
 can compare the two. The Betti oracles take none of the Hochster sum's
-shortcuts: no LCM lattice, no memo, no choice of side.
+shortcuts: no LCM lattice, no memo, no choice of side. Their homology,
+homology_all_ranks, takes none of the homology shortcuts either: no cone
+test, no strong-collapse core, no GF(2) closure for Q.
 """
 
 from itertools import combinations
 
 from srlab.bitsets import iter_vertices, mask_of, maximal_masks, sort_canonical, vertices_of
-from srlab.complexes import SimplicialComplex, alexander_dual, all_faces, faces_of_card
+from srlab.complexes import SimplicialComplex, _faces_by_card, alexander_dual, all_faces, faces_of_card
 from srlab.errors import VoidComplexError
 from srlab.graphs import Graph
-from srlab.homology import Field, homology_dims_from_facets
+from srlab.homology import Field, _boundary_cols_gf2, _boundary_cols_signed, rank_gf2, rank_gfp, rank_int_exact
 
 
 def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
@@ -88,13 +90,31 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> list[list[int]]:
     return mat
 
 
+def homology_all_ranks(facets, field: Field) -> tuple[int, ...]:
+    """Reduced homology dims (H~_-1 .. H~_d) of a facet list from a rank over
+    field of every boundary map: H~_i = f_i - rank d_i - rank d_{i+1}."""
+    if not facets:
+        return ()
+    by = _faces_by_card(facets)
+    top = max(by)
+
+    def rank(c: int) -> int:
+        if field.p == 2:
+            return rank_gf2(_boundary_cols_gf2(by[c - 1], by[c]))
+        cols = _boundary_cols_signed(by[c - 1], by[c])
+        return rank_int_exact(cols) if field.p is None else rank_gfp(cols, field.p)
+
+    ranks = {c: rank(c) for c in range(1, top + 1)}
+    return tuple(len(by[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0) for c in range(top + 1))
+
+
 def betti_direct(c: SimplicialComplex, field: Field) -> dict[tuple[int, int], int]:
     """Hochster's formula read literally: c restricted to each of the 2^n subsets W,
     beta_{i,j} = sum over |W| = j of dim H~_{j-i-1}(c restricted to W)."""
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << c.n):
         j = w.bit_count()
-        dims = homology_dims_from_facets(maximal_masks(f & w for f in c.facets), field)
+        dims = homology_all_ranks(maximal_masks(f & w for f in c.facets), field)
         for idx, val in enumerate(dims):  # idx is the degree d plus one
             if val:
                 key = (j - idx, j)
@@ -111,7 +131,7 @@ def betti_dual_links(c: SimplicialComplex, field: Field) -> dict[tuple[int, int]
     for card in sorted(by):
         for u in by[card]:
             linkf = [f ^ u for f in dual.facets if f & u == u]
-            for idx, val in enumerate(homology_dims_from_facets(linkf, field)):
+            for idx, val in enumerate(homology_all_ranks(linkf, field)):
                 if val:
                     key = (idx + 1, c.n - card)
                     entries[key] = entries.get(key, 0) + val

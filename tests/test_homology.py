@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import boundary_matrix
+from oracles import boundary_matrix, homology_all_ranks
 from srlab import homology
 from srlab.bitsets import mask_of
 from srlab.complexes import (
@@ -239,27 +239,39 @@ def test_rank_nullity_accounting():
             assert len(cols) == fv[i + 1]
 
 
-def _q_dims_all_ranks(facets):
-    """Rational dims from an exact rank of every boundary map, with no shortcut."""
-    by = _faces_by_card(facets)
-    top = max(by)
-    ranks = {c: rank_int_exact(_boundary_cols_signed(by[c - 1], by[c])) for c in range(1, top + 1)}
-    return tuple(len(by[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0) for c in range(top + 1))
+COLLAPSE_CASES = {
+    "one edge": [mask_of((1, 2))],
+    "two points": [mask_of((1,)), mask_of((2,))],
+    "two edges": [mask_of((1, 2)), mask_of((3, 4))],
+    "{empty}": [0],
+    "cone over C4": [f | mask_of((5,)) for f in C4.facets],
+    "RP2 with a whisker": [*RP2.facets, mask_of((1, 7))],
+    "RP2 with a coned triangle": [*RP2.facets, mask_of((1, 2, 7)), mask_of((1, 3, 7)), mask_of((2, 3, 7))],
+}
 
 
 def test_rational_dims_match_full_exact_elimination(random_complexes, corpus):
+    # every field against a rank of every boundary map; the collapse cases
+    # keep torsion through the core and pad the profile to dim + 2 entries
     covers = [b for b in corpus if b.name.startswith(("cover(", "dual(cover("))]
     assert covers
-    for b in random_complexes + covers:
-        facets = list(b.c.facets)
-        want = _q_dims_all_ranks(facets)
-        assert homology_dims_from_facets(facets, RATIONALS) == want, b.name
-        assert _dims_by_elimination(facets, RATIONALS) == want, b.name
-        for v in range(1, b.c.n + 1):  # vertex links, as in the Reisner check
-            bit = 1 << (v - 1)
-            link = [f ^ bit for f in facets if f & bit]
-            if link:
-                assert _dims_by_elimination(link, RATIONALS) == _q_dims_all_ranks(link), (b.name, v)
+    inputs = [(b.name, list(b.c.facets), b.c.n) for b in random_complexes + covers]
+    inputs += [(name, facets, 7) for name, facets in COLLAPSE_CASES.items()]
+    for field in (RATIONALS, GF2, Field(3)):
+        for name, facets, n in inputs:
+            want = homology_all_ranks(facets, field)
+            got = homology_dims_from_facets(facets, field)
+            assert got == _dims_by_elimination(facets, field) == want, (name, field)
+            assert len(got) == max(f.bit_count() for f in facets) + 1, (name, field)
+            for v in range(1, n + 1):  # vertex links, as in the Reisner check
+                bit = 1 << (v - 1)
+                link = [f ^ bit for f in facets if f & bit]
+                if link:
+                    want = homology_all_ranks(link, field)
+                    assert homology_dims_from_facets(link, field) == want, (name, v, field)
+                    assert _dims_by_elimination(link, field) == want, (name, v, field)
+    assert homology_dims_from_facets(COLLAPSE_CASES["RP2 with a coned triangle"], GF2) == (0, 0, 1, 2)
+    assert homology_dims_from_facets(COLLAPSE_CASES["RP2 with a coned triangle"], RATIONALS) == (0, 0, 0, 1)
 
 
 RP2_PLUS_POINT = [*RP2.facets, mask_of((7,))]
@@ -269,7 +281,7 @@ def test_torsion_in_several_degrees_falls_back_to_exact_ranks():
     # GF(2) sees H~_0, H~_1 and H~_2; over Q only the extra component survives
     assert homology_dims_from_facets(RP2_PLUS_POINT, GF2) == (0, 1, 1, 1)
     assert homology_dims_from_facets(RP2_PLUS_POINT, RATIONALS) == (0, 1, 0, 0)
-    assert _q_dims_all_ranks(RP2_PLUS_POINT) == (0, 1, 0, 0)
+    assert homology_all_ranks(RP2_PLUS_POINT, RATIONALS) == (0, 1, 0, 0)
 
 
 def _unreachable(*args):

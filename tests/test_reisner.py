@@ -5,11 +5,12 @@ import random
 import pytest
 
 from conftest import family_graphs
+from oracles import homology_all_ranks
 from srlab import complexes
 from srlab.bitsets import vertices_of
 from srlab.complexes import alexander_dual, all_faces, cover_complex, make_complex
 from srlab.errors import GuardExceeded
-from srlab.homology import GF2, RATIONALS, Field, homology_dims_from_facets
+from srlab.homology import GF2, RATIONALS, Field
 from srlab.resolution import ReisnerVerdict, is_cm_reisner
 
 FIELDS = (RATIONALS, GF2, Field(3))
@@ -18,14 +19,14 @@ FIELDS = (RATIONALS, GF2, Field(3))
 def reisner_every_link(c, field) -> ReisnerVerdict:
     """The link of every face, in (cardinality, canonical) order, each computed anew.
 
-    No lattice, no Alexander duality and no memo: the first face whose link
-    has homology below its top dimension is the witness.
+    No lattice, no Alexander duality, no memo and no homology shortcut: the
+    first face whose link has homology below its top dimension is the witness.
     """
     by = all_faces(c, override=True)
     for card in sorted(by):
         for sigma in by[card]:
             linkf = [f ^ sigma for f in c.facets if f & sigma == sigma]
-            dims = homology_dims_from_facets(linkf, field)
+            dims = homology_all_ranks(linkf, field)
             for idx in range(len(dims) - 1):  # below top dimension only
                 if dims[idx]:
                     return ReisnerVerdict(False, field, (vertices_of(sigma), idx - 1))
