@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -31,12 +30,6 @@ def iter_vertices(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length()
         mask ^= b
-
-
-def ksubsets(mask: int, k: int) -> Iterator[int]:
-    """Size-k submasks, in lexicographic order of their vertex tuples."""
-    for combo in combinations(vertices_of(mask), k):
-        yield mask_of(combo)
 
 
 def is_subset(a: int, b: int) -> bool:

@@ -8,6 +8,10 @@ variants of one statement, both variants are kept as separate records that
 point at each other; the oracle adjudicates and the loser feeds the
 discrepancy report. Records whose expected status is "refuted" never fail a
 verification run; they exist to document the discrepancy.
+
+A runner takes only the field. A check that fails raises through
+`_require` (or `_require_tables`), and a runner that gets to its end returns
+a `ClaimOutcome`; `verify_claim` turns either into the `ClaimResult`.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .graphs import (
 )
 from .homology import GF2, RATIONALS, Field
 from .resolution import (
+    DEFAULT_HOCHSTER_GUARD,
     FatForestDecomposition,
     GradedBettiTable,
     betti_hochster,
@@ -101,12 +106,37 @@ class ClaimResult:
 
 
 @dataclass(frozen=True)
+class ClaimOutcome:
+    """What a runner returns when it gets to its end.
+
+    ok is None for finite evidence only (PARTIAL); discrepancies are
+    (subject, reference, computed) triples, stamped with the claim id by
+    verify_claim.
+    """
+
+    ok: bool | None
+    expected: str
+    got: str
+    discrepancies: tuple[tuple[str, str, str], ...] = ()
+    note: str | None = None
+
+
+class _Refuted(Exception):
+    """A runner's check failed; args are (expected, got). Only verify_claim catches it."""
+
+
+def _require(ok: bool, expected: str, got: str) -> None:
+    if not ok:
+        raise _Refuted(expected, got)
+
+
+@dataclass(frozen=True)
 class ClaimRecord:
     claim_id: str
     family: str
     description: str
     expect_confirmed: bool
-    runner: Callable
+    runner: Callable[[Field], ClaimOutcome]
     counterpart: str | None = None
 
 
@@ -138,18 +168,20 @@ def _clean(entries: dict) -> dict:
     return out
 
 
-def _match_tables(pairs: list[tuple[str, GradedBettiTable, dict]]):
-    """pairs of (label, oracle table, expected entries); returns ok, expected, got."""
+def _require_tables(pairs: list[tuple[str, GradedBettiTable, dict]]) -> tuple[str, str]:
+    """pairs of (label, oracle table, expected entries); refutes with every
+    mismatched table, else returns (the labels, "all tables match")."""
     bad = []
     for label, t, exp in pairs:
         exp = _clean(exp)
         if t.entries != exp:
             bad.append((label, exp, t))
-    if not bad:
-        return True, "; ".join(l for l, _, _ in pairs), "all tables match"
-    exp_s = "; ".join(f"{l}: {_fmt_entries(e)}" for l, e, _ in bad)
-    got_s = "; ".join(f"{l}: {_fmt_table(t)}" for l, _, t in bad)
-    return False, exp_s, got_s
+    if bad:
+        raise _Refuted(
+            "; ".join(f"{l}: {_fmt_entries(e)}" for l, e, _ in bad),
+            "; ".join(f"{l}: {_fmt_table(t)}" for l, _, t in bad),
+        )
+    return "; ".join(l for l, _, _ in pairs), "all tables match"
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +194,21 @@ def _match_tables(pairs: list[tuple[str, GradedBettiTable, dict]]):
     "with one vertex removed per facet, the face ring has the single relation "
     "x_1...x_n and the dual face ring is the field, with binomial Betti numbers",
 )
-def _k1(params, field):
-    ns = params.get("ns", (3, 4, 5, 6, 7, 8))
-    for n in ns:
+def _k1(field):
+    for n in (3, 4, 5, 6, 7, 8):
         for g in (cycle(n), star(n)):
             c = cover_complex(g, 1)
             t = betti_hochster(c, field)
-            if t.entries != {(0, 0): 1, (1, n): 1}:
-                return False, f"n={n}: b[1,{n}]=1 only", _fmt_table(t), [], None
+            _require(t.entries == {(0, 0): 1, (1, n): 1}, f"n={n}: b[1,{n}]=1 only", _fmt_table(t))
             d = alexander_dual(c)
-            if not d.is_irrelevant:
-                return False, f"n={n}: dual is the irrelevant complex", "other", [], None
+            _require(d.is_irrelevant, f"n={n}: dual is the irrelevant complex", "other")
             td = betti_hochster(d, field)
             exp = {(i, i): comb(n, i) for i in range(n + 1)}
-            if td.entries != exp:
-                return False, f"n={n}: dual b[i,i]=C(n,i)", _fmt_table(td), [], None
-            if linear_resolution_degree(t) != n or linear_resolution_degree(td) != 1:
-                return False, f"n={n}: linear degrees n and 1", "other", [], None
-            if not (is_cm_ab(c, field, table=t) and is_cm_ab(d, field, table=td)):
-                return False, f"n={n}: both rings CM", "not CM", [], None
-    return True, "single-relation ring and field, binomial Betti", "confirmed", [], None
+            _require(td.entries == exp, f"n={n}: dual b[i,i]=C(n,i)", _fmt_table(td))
+            _require(linear_resolution_degree(t) == n and linear_resolution_degree(td) == 1,
+                     f"n={n}: linear degrees n and 1", "other")
+            _require(is_cm_ab(c, field, table=t) and is_cm_ab(d, field, table=td), f"n={n}: both rings CM", "not CM")
+    return ClaimOutcome(True, "single-relation ring and field, binomial Betti", "confirmed")
 
 
 @_claim(
@@ -190,21 +217,18 @@ def _k1(params, field):
     "the i-skeleton of a simplex on m vertices dualizes to the (m-i-3)-skeleton, "
     "is Cohen-Macaulay with a linear resolution, and its ideal is generated in degree i+2",
 )
-def _skel(params, field):
-    ms = params.get("ms", (3, 4, 5, 6, 7))
-    for m in ms:
+def _skel(field):
+    for m in (3, 4, 5, 6, 7):
         S = simplex_complex(m)
         for i in range(-1, m - 1):
             sk = skeleton(S, i)
-            if alexander_dual(sk) != skeleton(S, m - i - 3):
-                return False, f"m={m},i={i}: dual is the (m-i-3)-skeleton", "mismatch", [], None
+            _require(alexander_dual(sk) == skeleton(S, m - i - 3), f"m={m},i={i}: dual is the (m-i-3)-skeleton", "mismatch")
             t = betti_hochster(sk, field)
             gens = {j for (a, j) in t.entries if a == 1}
-            if i < m - 2 and gens != {i + 2}:
-                return False, f"m={m},i={i}: generators in degree i+2", str(sorted(gens)), [], None
-            if linear_resolution_degree(t) is None or not is_cm_ab(sk, field, table=t):
-                return False, f"m={m},i={i}: CM with linear resolution", "fails", [], None
-    return True, "skeleton duality, CM, linearity, generator degree", "confirmed", [], None
+            _require(i >= m - 2 or gens == {i + 2}, f"m={m},i={i}: generators in degree i+2", str(sorted(gens)))
+            _require(linear_resolution_degree(t) is not None and is_cm_ab(sk, field, table=t),
+                     f"m={m},i={i}: CM with linear resolution", "fails")
+    return ClaimOutcome(True, "skeleton duality, CM, linearity, generator degree", "confirmed")
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +240,12 @@ def _skel(params, field):
     "any triangle-free",
     "for triangle-free graphs the dual of the degree-2 cover complex is the graph itself",
 )
-def _tfree(params, field):
+def _tfree(field):
     graphs = [cycle(4), cycle(5), cycle(7), complete_bipartite(2, 3), complete_bipartite(3, 3), path(6), star(6), grid(2, 3)]
     for g in graphs:
-        c = cover_complex(g, 2)
-        if alexander_dual(c) != clique_complex(g):
-            return False, "dual equals clique complex equals graph", "mismatch", [], None
-    return True, "dual of degree-2 cover complex is the graph", "confirmed", [], None
+        _require(alexander_dual(cover_complex(g, 2)) == clique_complex(g),
+                 "dual equals clique complex equals graph", "mismatch")
+    return ClaimOutcome(True, "dual of degree-2 cover complex is the graph", "confirmed")
 
 
 @_claim(
@@ -231,13 +254,12 @@ def _tfree(params, field):
     "2-linear resolution of a clique complex, chordality, and the fat-forest "
     "property coincide",
 )
-def _frob(params, field):
+def _frob(field):
     graphs = [path(6), star(6), cycle(4), cycle(6), cycle_square(6), cycle_square(7), path_square(7), grid(2, 3), complete_bipartite(2, 3), complete_bipartite(3, 3), complete_prism(3)]
     for g in graphs:
         r = froberg_check(g, field)
-        if not r.consistent:
-            return False, "three-way agreement", f"chordal={r.chordal} 2lin={r.two_linear} fat={r.fat_forest}", [], None
-    return True, "chordal = 2-linear = fat forest on the sample", "confirmed", [], None
+        _require(r.consistent, "three-way agreement", f"chordal={r.chordal} 2lin={r.two_linear} fat={r.fat_forest}")
+    return ClaimOutcome(True, "chordal = 2-linear = fat forest on the sample", "confirmed")
 
 
 @_claim(
@@ -245,16 +267,15 @@ def _frob(params, field):
     "any",
     "the Hilbert series of a fat forest is the signed sum of simplex and overlap terms",
 )
-def _fat_hilb(params, field):
+def _fat_hilb(field):
     complexes = [clique_complex(path(6)), clique_complex(path_square(7)), clique_complex(star(5)), cover_complex(path(6), 3)]
     for c in complexes:
         v = is_fat_forest(c, override=True)
-        if not v.holds:
-            return False, "sample complexes are fat forests", "not a fat forest", [], None
+        _require(v.holds, "sample complexes are fat forests", "not a fat forest")
         _, decomp = v.witness
-        if fat_forest_hilbert(decomp, c.n) != hilbert_from_fvector(f_vector(c), c.n):
-            return False, "decomposition series equals f-vector series", "mismatch", [], None
-    return True, "fat-forest Hilbert formula", "confirmed", [], None
+        _require(fat_forest_hilbert(decomp, c.n) == hilbert_from_fvector(f_vector(c), c.n),
+                 "decomposition series equals f-vector series", "mismatch")
+    return ClaimOutcome(True, "fat-forest Hilbert formula", "confirmed")
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +287,16 @@ def _fat_hilb(params, field):
     "P",
     "cover complexes of edgeless graphs and their duals are skeleta, hence CM with linear resolutions",
 )
-def _pn_thm(params, field):
-    for n in params.get("ns", (4, 5, 6, 7)):
+def _pn_thm(field):
+    for n in (4, 5, 6, 7):
         for k in range(2, min(n, 5)):
             c = cover_complex(points(n), k)
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
                 t = betti_hochster(cx, field)
-                if linear_resolution_degree(t) is None or not is_cm_ab(cx, field, table=t):
-                    return False, f"n={n},k={k} {label} CM+linear", "fails", [], None
-    return True, "both sides CM with linear resolutions", "confirmed", [], None
+                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, field, table=t),
+                         f"n={n},k={k} {label} CM+linear", "fails")
+    return ClaimOutcome(True, "both sides CM with linear resolutions", "confirmed")
 
 
 @_claim(
@@ -284,19 +305,17 @@ def _pn_thm(params, field):
     "for n isolated points and degree 2: b[1,n-1]=n, b[2,n]=n-1 on the cover side "
     "and b[i,i+1]=n*C(n-1,i)-C(n,i+1) on the dual side",
 )
-def _pn_ex(params, field):
-    for n in params.get("ns", (4, 5, 6, 7, 8)):
+def _pn_ex(field):
+    for n in (4, 5, 6, 7, 8):
         c = cover_complex(points(n), 2)
         d = alexander_dual(c)
-        ok, exp, got = _match_tables(
+        _require_tables(
             [
                 (f"n={n} primal", betti_hochster(c, field), {(1, n - 1): n, (2, n): n - 1}),
                 (f"n={n} dual", betti_hochster(d, field), {(i, i + 1): n * comb(n - 1, i) - comb(n, i + 1) for i in range(1, n)}),
             ]
         )
-        if not ok:
-            return False, exp, got, [], None
-    return True, "stated Betti values", "confirmed", [], None
+    return ClaimOutcome(True, "stated Betti values", "confirmed")
 
 
 @_claim(
@@ -307,21 +326,18 @@ def _pn_ex(params, field):
     expect_confirmed=False,
     counterpart="points.k2.example",
 )
-def _pn_numer(params, field):
-    n = params.get("n", 5)
+def _pn_numer(field):
+    n = 5
     c = cover_complex(points(n), 2)
     h = hilbert_from_fvector(f_vector(c), n)
     printed = (1,) + (0,) * (n - 2) + (-1,)  # both correction terms land on t^(n-1)
-    disc = [
-        Discrepancy(
-            "points.k2.numerator-as-printed",
-            f"numerator of the degree-2 cover series, n={n}",
-            "1 - n t^(n-1) + (n-1) t^(n-1)",
-            f"computed numerator {list(h.numerator)} = 1 - n t^(n-1) + (n-1) t^n",
-        )
-    ]
-    ok = tuple(h.numerator) == printed
-    return ok, "printed numerator with duplicated exponent", f"{list(h.numerator)}", disc, None
+    disc = (
+        f"numerator of the degree-2 cover series, n={n}",
+        "1 - n t^(n-1) + (n-1) t^(n-1)",
+        f"computed numerator {list(h.numerator)} = 1 - n t^(n-1) + (n-1) t^n",
+    )
+    return ClaimOutcome(tuple(h.numerator) == printed,
+                        "printed numerator with duplicated exponent", f"{list(h.numerator)}", (disc,))
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +362,23 @@ def _tree_samples(n: int) -> list[Graph]:
     "with linear resolutions; cover side has b[1,n-2]=n-1, b[2,n-1]=n-2, and all "
     "trees of one size share a single Betti table on both sides",
 )
-def _tree_thm(params, field):
-    for n in params.get("ns", (4, 5, 6, 7)):
+def _tree_thm(field):
+    for n in (4, 5, 6, 7):
         seen_primal = set()
         seen_tree = set()
         for tgraph in _tree_samples(n):
             tc = clique_complex(tgraph)
             cc = cover_complex(tgraph, 2)
             tt, tv = betti_hochster(tc, field), betti_hochster(cc, field)
-            if not (is_cm_ab(tc, field, table=tt) and is_cm_ab(cc, field, table=tv)):
-                return False, f"n={n}: both CM", "not CM", [], None
-            if linear_resolution_degree(tt) is None or linear_resolution_degree(tv) is None:
-                return False, f"n={n}: both linear", "not linear", [], None
-            ok, exp, got = _match_tables([(f"n={n} cover", tv, {(1, n - 2): n - 1, (2, n - 1): n - 2})])
-            if not ok:
-                return False, exp, got, [], None
+            _require(is_cm_ab(tc, field, table=tt) and is_cm_ab(cc, field, table=tv), f"n={n}: both CM", "not CM")
+            _require(linear_resolution_degree(tt) is not None and linear_resolution_degree(tv) is not None,
+                     f"n={n}: both linear", "not linear")
+            _require_tables([(f"n={n} cover", tv, {(1, n - 2): n - 1, (2, n - 1): n - 2})])
             seen_primal.add(tuple(tv.sorted_items()))
             seen_tree.add(tuple(tt.sorted_items()))
-        if len(seen_primal) != 1 or len(seen_tree) != 1:
-            return False, f"n={n}: one shared Betti table per side", "tables differ between trees", [], None
-    return True, "CM, linear, stated values, shared tables", "confirmed", [], None
+        _require(len(seen_primal) == 1 and len(seen_tree) == 1,
+                 f"n={n}: one shared Betti table per side", "tables differ between trees")
+    return ClaimOutcome(True, "CM, linear, stated values, shared tables", "confirmed")
 
 
 def _tree_dual_proof_formula(n: int) -> dict:
@@ -378,13 +391,11 @@ def _tree_dual_proof_formula(n: int) -> dict:
     "tree-ring Betti numbers b[i,i+1] = n*C(n-1,i) - C(n,i+1) - (n-1)*C(n-2,i-1), "
     "the derivation-side closed form (sign-normalized)",
 )
-def _tree_dual_proof(params, field):
-    for n in params.get("ns", (4, 5, 6, 7)):
+def _tree_dual_proof(field):
+    for n in (4, 5, 6, 7):
         t = betti_hochster(clique_complex(path(n)), field)
-        ok, exp, got = _match_tables([(f"n={n}", t, _tree_dual_proof_formula(n))])
-        if not ok:
-            return False, exp, got, [], None
-    return True, "derivation-side closed form", "confirmed", [], None
+        _require_tables([(f"n={n}", t, _tree_dual_proof_formula(n))])
+    return ClaimOutcome(True, "derivation-side closed form", "confirmed")
 
 
 @_claim(
@@ -394,19 +405,16 @@ def _tree_dual_proof(params, field):
     expect_confirmed=False,
     counterpart="tree.dual-betti.proof-variant",
 )
-def _tree_dual_stated(params, field):
-    n = params.get("n", 5)
+def _tree_dual_stated(field):
+    n = 5
     t = betti_hochster(clique_complex(path(n)), field)
     stated = _clean({(i, i + 1): (n - 1) * comb(n - 2, i + 1) for i in range(1, n)})
-    disc = [
-        Discrepancy(
-            "tree.dual-betti.as-stated",
-            f"tree-ring Betti closed form, n={n}",
-            "(n-2)C(n-2,i+1) + C(n-2,i+1)",
-            f"oracle {_fmt_table(t)} matches n*C(n-1,i) - C(n,i+1) - (n-1)*C(n-2,i-1)",
-        )
-    ]
-    return t.entries == stated, "stated additive closed form", _fmt_table(t), disc, None
+    disc = (
+        f"tree-ring Betti closed form, n={n}",
+        "(n-2)C(n-2,i+1) + C(n-2,i+1)",
+        f"oracle {_fmt_table(t)} matches n*C(n-1,i) - C(n,i+1) - (n-1)*C(n-2,i-1)",
+    )
+    return ClaimOutcome(t.entries == stated, "stated additive closed form", _fmt_table(t), (disc,))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +427,8 @@ def _tree_dual_stated(params, field):
     "cover complexes of stars and their duals are polynomial extensions of skeleta, "
     "hence CM with linear resolutions",
 )
-def _star_thm(params, field):
-    for n in params.get("ns", (5, 6, 7)):
+def _star_thm(field):
+    for n in (5, 6, 7):
         for k in range(2, n):
             c = cover_complex(star(n), k)
             if c.is_void:
@@ -428,9 +436,9 @@ def _star_thm(params, field):
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
                 t = betti_hochster(cx, field)
-                if linear_resolution_degree(t) is None or not is_cm_ab(cx, field, table=t):
-                    return False, f"n={n},k={k} {label} CM+linear", "fails", [], None
-    return True, "both sides CM with linear resolutions", "confirmed", [], None
+                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, field, table=t),
+                         f"n={n},k={k} {label} CM+linear", "fails")
+    return ClaimOutcome(True, "both sides CM with linear resolutions", "confirmed")
 
 
 @_claim(
@@ -439,12 +447,12 @@ def _star_thm(params, field):
     "the six-vertex star at degree 3: both the cover ring and its dual have Betti "
     "numbers b[1,3]=10, b[2,4]=15, b[3,5]=6",
 )
-def _s6_k3(params, field):
+def _s6_k3(field):
     c = cover_complex(star(6), 3)
     d = alexander_dual(c)
     exp = {(1, 3): 10, (2, 4): 15, (3, 5): 6}
-    ok, e, g = _match_tables([("primal", betti_hochster(c, field), exp), ("dual", betti_hochster(d, field), exp)])
-    return ok, e, g, [], None
+    pairs = [("primal", betti_hochster(c, field), exp), ("dual", betti_hochster(d, field), exp)]
+    return ClaimOutcome(True, *_require_tables(pairs))
 
 
 @_claim(
@@ -454,19 +462,16 @@ def _s6_k3(params, field):
     expect_confirmed=False,
     counterpart="star6.example.k3",
 )
-def _s6_k2(params, field):
+def _s6_k2(field):
     c = cover_complex(star(6), 2)
     t = betti_hochster(c, field)
     exp = _clean({(1, 3): 10, (2, 4): 15, (3, 5): 6})
-    disc = [
-        Discrepancy(
-            "star6.example.as-stated",
-            "degree index of the six-vertex star example",
-            "values (10,15,6) attributed to degree 2",
-            f"degree-2 oracle gives {_fmt_table(t)}; the values match degree 3",
-        )
-    ]
-    return t.entries == exp, "(10,15,6) at degree 2", _fmt_table(t), disc, None
+    disc = (
+        "degree index of the six-vertex star example",
+        "values (10,15,6) attributed to degree 2",
+        f"degree-2 oracle gives {_fmt_table(t)}; the values match degree 3",
+    )
+    return ClaimOutcome(t.entries == exp, "(10,15,6) at degree 2", _fmt_table(t), (disc,))
 
 
 @_claim(
@@ -477,35 +482,32 @@ def _s6_k2(params, field):
     expect_confirmed=False,
     counterpart="conjecture.Ln",
 )
-def _l6_stated(params, field):
+def _l6_stated(field):
     c = cover_complex(path(6), 3)
     d = alexander_dual(c)
     t, td = betti_hochster(c, field), betti_hochster(d, field)
     cm = is_cm_ab(c, field, table=t)
     stated_primal = _clean({(1, 2): 9, (2, 3): 18, (3, 4): 15, (4, 5): 6, (5, 6): 1})
     stated_dual = _clean({(1, 3): 2, (2, 6): 1})
-    disc = [
-        Discrepancy(
-            "path6.example.as-stated",
+    discs = (
+        (
             "six-vertex path, degree-3 cover ring Betti",
             "(9,18,15,6,1) in degrees 2..6",
             f"oracle {_fmt_table(t)}",
         ),
-        Discrepancy(
-            "path6.example.as-stated",
+        (
             "six-vertex path, degree-3 dual Betti",
             "b[1,3]=2, b[2,6]=1",
             f"oracle {_fmt_table(td)}; the path has four independent 3-sets",
         ),
-        Discrepancy(
-            "path6.example.as-stated",
+        (
             "six-vertex path, degree-3 cover ring Cohen-Macaulayness",
             "linear resolution but not CM",
             f"oracle: linear degree {linear_resolution_degree(t)} and CM={cm}",
         ),
-    ]
+    )
     ok = t.entries == stated_primal and td.entries == stated_dual and not cm
-    return ok, "stated path figures", f"primal {_fmt_table(t)}; dual {_fmt_table(td)}; CM={cm}", disc, None
+    return ClaimOutcome(ok, "stated path figures", f"primal {_fmt_table(t)}; dual {_fmt_table(td)}; CM={cm}", discs)
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +520,25 @@ def _l6_stated(params, field):
     "the 2x2 case: cover Betti (1,4,4,1), dual a complete intersection with Betti "
     "(1,2,1); for larger n neither the cover ring nor its dual is CM or linear",
 )
-def _prism(params, field):
+def _prism(field):
     c = cover_complex(complete_prism(2), 2)
     d = alexander_dual(c)
-    ok, e, g = _match_tables(
+    _require_tables(
         [
             ("2x2 primal", betti_hochster(c, field), {(1, 2): 4, (2, 3): 4, (3, 4): 1}),
             ("2x2 dual", betti_hochster(d, field), {(1, 2): 2, (2, 4): 1}),
         ]
     )
-    if not ok:
-        return False, e, g, [], None
-    if sorted(map(vertices_of, d.facets)) != [(1, 2), (1, 3), (2, 4), (3, 4)]:
-        return False, "dual facets {x1x2},{x2y2},{y1y2},{x1y1}", str(d.facet_vertices()), [], None
-    for n in params.get("ns", (3, 4)):
+    _require(sorted(map(vertices_of, d.facets)) == [(1, 2), (1, 3), (2, 4), (3, 4)],
+             "dual facets {x1x2},{x2y2},{y1y2},{x1y1}", str(d.facet_vertices()))
+    for n in (3, 4):
         c = cover_complex(complete_prism(n), 2)
         d = alexander_dual(c)
         for label, cx in (("primal", c), ("dual", d)):
             t = betti_hochster(cx, field)
-            if linear_resolution_degree(t) is not None or is_cm_ab(cx, field, table=t):
-                return False, f"n={n} {label} neither CM nor linear", "is CM or linear", [], None
-    return True, "2x2 tables and negative verdicts beyond", "confirmed", [], None
+            _require(linear_resolution_degree(t) is None and not is_cm_ab(cx, field, table=t),
+                     f"n={n} {label} neither CM nor linear", "is CM or linear")
+    return ClaimOutcome(True, "2x2 tables and negative verdicts beyond", "confirmed")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +551,7 @@ def _prism(params, field):
     "the Betti table of a join is the convolution of the factor tables, and a join "
     "of two rings with a-linear resolutions (a > 1) is never linear",
 )
-def _join_lemma(params, field):
+def _join_lemma(field):
     from .complexes import join, make_complex
 
     pairs = [
@@ -564,13 +564,13 @@ def _join_lemma(params, field):
         j = join(a, b)
         tj = betti_hochster(j, field)
         prod = betti_product(betti_hochster(a, field), betti_hochster(b, field))
-        if tj.entries != prod.entries:
-            return False, "join table equals product", f"{_fmt_table(tj)} vs {_fmt_entries(prod.entries)}", [], None
+        _require(tj.entries == prod.entries,
+                 "join table equals product", f"{_fmt_table(tj)} vs {_fmt_entries(prod.entries)}")
         sa = linear_resolution_degree(betti_hochster(a, field))
         sb = linear_resolution_degree(betti_hochster(b, field))
-        if sa and sb and sa > 1 and sb > 1 and linear_resolution_degree(tj) is not None:
-            return False, "join of a-linear factors (a>1) not linear", "is linear", [], None
-    return True, "product rule and non-linearity of joins", "confirmed", [], None
+        _require(not (sa and sb and sa > 1 and sb > 1 and linear_resolution_degree(tj) is not None),
+                 "join of a-linear factors (a>1) not linear", "is linear")
+    return ClaimOutcome(True, "product rule and non-linearity of joins", "confirmed")
 
 
 @_claim(
@@ -579,17 +579,14 @@ def _join_lemma(params, field):
     "dual cover rings of complete bipartite graphs are always CM; the resolution is "
     "linear exactly when the degree exceeds the smaller side (k > m)",
 )
-def _kmn_adj(params, field):
-    cases = params.get("cases", ((2, 2, 2), (2, 3, 2), (2, 3, 3), (2, 4, 3), (3, 3, 2), (3, 3, 3), (3, 4, 3)))
-    for m, n, k in cases:
+def _kmn_adj(field):
+    for m, n, k in ((2, 2, 2), (2, 3, 2), (2, 3, 3), (2, 4, 3), (3, 3, 2), (3, 3, 3), (3, 4, 3)):
         d = alexander_dual(cover_complex(complete_bipartite(m, n), k))
         t = betti_hochster(d, field)
         lin = linear_resolution_degree(t) is not None
-        if not is_cm_ab(d, field, table=t):
-            return False, f"K({m},{n}) k={k}: dual CM", "not CM", [], None
-        if lin != (k > m):
-            return False, f"K({m},{n}) k={k}: linear iff k>m", f"linear={lin}", [], None
-    return True, "dual CM always; linear iff k > m", "confirmed", [], None
+        _require(is_cm_ab(d, field, table=t), f"K({m},{n}) k={k}: dual CM", "not CM")
+        _require(lin == (k > m), f"K({m},{n}) k={k}: linear iff k>m", f"linear={lin}")
+    return ClaimOutcome(True, "dual CM always; linear iff k > m", "confirmed")
 
 
 @_claim(
@@ -599,20 +596,17 @@ def _kmn_adj(params, field):
     expect_confirmed=False,
     counterpart="bipartite.dual.adjudicated",
 )
-def _kmn_stated(params, field):
-    m = n = k = params.get("size", 2)
+def _kmn_stated(field):
+    m = n = k = 2
     d = alexander_dual(cover_complex(complete_bipartite(m, n), k))
     t = betti_hochster(d, field)
     lin = linear_resolution_degree(t) is not None
-    disc = [
-        Discrepancy(
-            "bipartite.dual.as-stated",
-            f"linearity boundary for complete bipartite duals at m=k (m=n=k={m})",
-            "linear resolution whenever m <= k <= n",
-            f"oracle: at m=k the dual ideal keeps a generator on the small side; linear={lin}; boundary is k > m",
-        )
-    ]
-    return lin, "linear at m = k", f"linear={lin}", disc, None
+    disc = (
+        f"linearity boundary for complete bipartite duals at m=k (m=n=k={m})",
+        "linear resolution whenever m <= k <= n",
+        f"oracle: at m=k the dual ideal keeps a generator on the small side; linear={lin}; boundary is k > m",
+    )
+    return ClaimOutcome(lin, "linear at m = k", f"linear={lin}", (disc,))
 
 
 @_claim(
@@ -621,23 +615,20 @@ def _kmn_stated(params, field):
     "the 4x4 bipartite graph at degree 3: the cover ring is 4-linear with Betti "
     "(36,96,100,48,9) and the dual is the product of two skeleton rings, not linear",
 )
-def _k44(params, field):
+def _k44(field):
     c = cover_complex(complete_bipartite(4, 4), 3)
     t = betti_hochster(c, field)
     exp = {(1, 4): 36, (2, 5): 96, (3, 6): 100, (4, 7): 48, (5, 8): 9}
-    ok, e, g = _match_tables([("primal", t, exp)])
-    if not ok:
-        return False, e, g, [], None
-    if linear_resolution_degree(t) != 4:
-        return False, "4-linear", f"linear degree {linear_resolution_degree(t)}", [], None
+    _require_tables([("primal", t, exp)])
+    degree = linear_resolution_degree(t)
+    _require(degree == 4, "4-linear", f"linear degree {degree}")
     d = alexander_dual(c)
     td = betti_hochster(d, field)
     factor = betti_hochster(skeleton(simplex_complex(4), 1), field)
-    if td.entries != betti_product(factor, factor).entries:
-        return False, "dual table is the square of the skeleton table", _fmt_table(td), [], None
-    if linear_resolution_degree(td) is not None:
-        return False, "dual not linear", "linear", [], None
-    return True, "4-linear values and product dual", "confirmed", [], None
+    _require(td.entries == betti_product(factor, factor).entries,
+             "dual table is the square of the skeleton table", _fmt_table(td))
+    _require(linear_resolution_degree(td) is None, "dual not linear", "linear")
+    return ClaimOutcome(True, "4-linear values and product dual", "confirmed")
 
 
 @_claim(
@@ -646,17 +637,15 @@ def _k44(params, field):
     "degree-2 cover rings of complete bipartite graphs (both sides > 2) are "
     "(m+n-2)-linear with b1=mn, b2=2mn-m-n, b3=mn-m-n+1, and not CM",
 )
-def _kmn_k2(params, field):
-    for m, n in params.get("cases", ((3, 3), (3, 4))):
+def _kmn_k2(field):
+    for m, n in ((3, 3), (3, 4)):
         c = cover_complex(complete_bipartite(m, n), 2)
         t = betti_hochster(c, field)
         exp = {(1, m + n - 2): m * n, (2, m + n - 1): 2 * m * n - m - n, (3, m + n): m * n - m - n + 1}
-        ok, e, g = _match_tables([(f"K({m},{n})", t, exp)])
-        if not ok:
-            return False, e, g, [], None
-        if linear_resolution_degree(t) != m + n - 2 or is_cm_ab(c, field, table=t):
-            return False, f"K({m},{n}): (m+n-2)-linear and not CM", "fails", [], None
-    return True, "stated degree-2 bipartite values", "confirmed", [], None
+        _require_tables([(f"K({m},{n})", t, exp)])
+        _require(linear_resolution_degree(t) == m + n - 2 and not is_cm_ab(c, field, table=t),
+                 f"K({m},{n}): (m+n-2)-linear and not CM", "fails")
+    return ClaimOutcome(True, "stated degree-2 bipartite values", "confirmed")
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +658,16 @@ def _kmn_k2(params, field):
     "at n = 2k-1 the path cover ring is CM with a linear resolution; its dual ideal "
     "is principal on the odd-position product",
 )
-def _l2k1(params, field):
-    for k in params.get("ks", (2, 3, 4)):
+def _l2k1(field):
+    for k in (2, 3, 4):
         n = 2 * k - 1
         c = cover_complex(path(n), k)
         gens = [vertices_of(m) for m in dual_ideal_generators(c)]
-        if gens != [tuple(range(1, n + 1, 2))]:
-            return False, f"k={k}: single odd-position generator", str(gens), [], None
+        _require(gens == [tuple(range(1, n + 1, 2))], f"k={k}: single odd-position generator", str(gens))
         t = betti_hochster(c, field)
-        if linear_resolution_degree(t) is None or not is_cm_ab(c, field, table=t):
-            return False, f"k={k}: CM with linear resolution", "fails", [], None
-    return True, "principal dual ideal; CM and linear", "confirmed", [], None
+        _require(linear_resolution_degree(t) is not None and is_cm_ab(c, field, table=t),
+                 f"k={k}: CM with linear resolution", "fails")
+    return ClaimOutcome(True, "principal dual ideal; CM and linear", "confirmed")
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +680,15 @@ def _l2k1(params, field):
     "adding a dominating hub leaves every cover ring Betti table unchanged, "
     "and likewise for the duals",
 )
-def _wheel(params, field):
-    cases = params.get("cases", ((4, 2), (5, 2), (6, 2), (6, 3)))
-    for n, k in cases:
+def _wheel(field):
+    for n, k in ((4, 2), (5, 2), (6, 2), (6, 3)):
         a = cover_complex(cycle(n), k)
         b = cover_complex(wheel(n), k)
-        if betti_hochster(a, field).entries != betti_hochster(b, field).entries:
-            return False, f"C{n} vs hub graph, k={k}", "tables differ", [], None
-        if betti_hochster(alexander_dual(a), field).entries != betti_hochster(alexander_dual(b), field).entries:
-            return False, f"C{n} vs hub graph duals, k={k}", "tables differ", [], None
-    return True, "hub leaves Betti tables unchanged", "confirmed", [], None
+        _require(betti_hochster(a, field).entries == betti_hochster(b, field).entries,
+                 f"C{n} vs hub graph, k={k}", "tables differ")
+        _require(betti_hochster(alexander_dual(a), field).entries == betti_hochster(alexander_dual(b), field).entries,
+                 f"C{n} vs hub graph duals, k={k}", "tables differ")
+    return ClaimOutcome(True, "hub leaves Betti tables unchanged", "confirmed")
 
 
 def _cycle_binomial(n: int) -> dict:
@@ -716,23 +703,17 @@ def _cycle_binomial(n: int) -> dict:
     "the cycle ring is Gorenstein with b[i,i+1] = n*C(n-1,i) - C(n,i+1) - n*C(n-2,i-1) "
     "and top Betti number 1; the degree-2 cover side is (n-2)-linear with Betti (n, n, 1)",
 )
-def _cycle_adj(params, field):
-    for n in params.get("ns", (4, 5, 6, 7)):
+def _cycle_adj(field):
+    for n in (4, 5, 6, 7):
         cy = clique_complex(cycle(n))
         t = betti_hochster(cy, field)
-        ok, e, g = _match_tables([(f"C{n} ring", t, _cycle_binomial(n))])
-        if not ok:
-            return False, e, g, [], None
-        if not is_gorenstein(cy, field, table=t):
-            return False, f"C{n} Gorenstein", "not Gorenstein", [], None
+        _require_tables([(f"C{n} ring", t, _cycle_binomial(n))])
+        _require(is_gorenstein(cy, field, table=t), f"C{n} Gorenstein", "not Gorenstein")
         cv = cover_complex(cycle(n), 2)
         tv = betti_hochster(cv, field)
-        ok, e, g = _match_tables([(f"C{n} cover", tv, {(1, n - 2): n, (2, n - 1): n, (3, n): 1})])
-        if not ok:
-            return False, e, g, [], None
-        if linear_resolution_degree(tv) != n - 2:
-            return False, f"C{n} cover (n-2)-linear", "not", [], None
-    return True, "Gorenstein binomial table; cover side (n,n,1)", "confirmed", [], None
+        _require_tables([(f"C{n} cover", tv, {(1, n - 2): n, (2, n - 1): n, (3, n): 1})])
+        _require(linear_resolution_degree(tv) == n - 2, f"C{n} cover (n-2)-linear", "not")
+    return ClaimOutcome(True, "Gorenstein binomial table; cover side (n,n,1)", "confirmed")
 
 
 @_claim(
@@ -743,23 +724,20 @@ def _cycle_adj(params, field):
     expect_confirmed=False,
     counterpart="cycle.betti.adjudicated",
 )
-def _cycle_stated(params, field):
-    n = params.get("n", 5)
+def _cycle_stated(field):
+    n = 5
     cy = clique_complex(cycle(n))
     cv = cover_complex(cycle(n), 2)
     t, tv = betti_hochster(cy, field), betti_hochster(cv, field)
     stated_ring = _clean({(1, n - 2): n, (2, n - 1): n, (3, n): 1})
     stated_cover = _clean(_cycle_binomial(n))
-    disc = [
-        Discrepancy(
-            "cycle.betti.as-stated",
-            f"assignment of the two cycle Betti formulas, n={n}",
-            "(n,n,1) on the cycle ring; binomial formula on the cover side",
-            f"oracle: cycle ring {_fmt_table(t)}; cover side {_fmt_table(tv)}; the assignments are swapped",
-        )
-    ]
+    disc = (
+        f"assignment of the two cycle Betti formulas, n={n}",
+        "(n,n,1) on the cycle ring; binomial formula on the cover side",
+        f"oracle: cycle ring {_fmt_table(t)}; cover side {_fmt_table(tv)}; the assignments are swapped",
+    )
     ok = t.entries == stated_ring and tv.entries == stated_cover
-    return ok, "stated assignment", "swapped by oracle", disc, None
+    return ClaimOutcome(ok, "stated assignment", "swapped by oracle", (disc,))
 
 
 @_claim(
@@ -768,21 +746,21 @@ def _cycle_stated(params, field):
     "for the 2k-cycle at degree k the dual ideal is the pair of alternating products: "
     "a complete intersection, CM but not linear; the cover ring is linear but not CM",
 )
-def _c2k_adj(params, field):
-    for k in params.get("ks", (2, 3, 4)):
+def _c2k_adj(field):
+    for k in (2, 3, 4):
         n = 2 * k
         c = cover_complex(cycle(n), k)
         d = alexander_dual(c)
         gens = [vertices_of(m) for m in minimal_nonfaces(d)]
-        if gens != [tuple(range(1, n, 2)), tuple(range(2, n + 1, 2))]:
-            return False, f"k={k}: alternating-product generators", str(gens), [], None
+        _require(gens == [tuple(range(1, n, 2)), tuple(range(2, n + 1, 2))],
+                 f"k={k}: alternating-product generators", str(gens))
         td = betti_hochster(d, field)
         t = betti_hochster(c, field)
-        if not (is_cm_ab(d, field, table=td) and linear_resolution_degree(td) is None):
-            return False, f"k={k}: dual CM and not linear", "fails", [], None
-        if not (linear_resolution_degree(t) is not None and not is_cm_ab(c, field, table=t)):
-            return False, f"k={k}: cover linear and not CM", "fails", [], None
-    return True, "dual CM-not-linear; cover linear-not-CM", "confirmed", [], None
+        _require(is_cm_ab(d, field, table=td) and linear_resolution_degree(td) is None,
+                 f"k={k}: dual CM and not linear", "fails")
+        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, field, table=t),
+                 f"k={k}: cover linear and not CM", "fails")
+    return ClaimOutcome(True, "dual CM-not-linear; cover linear-not-CM", "confirmed")
 
 
 @_claim(
@@ -793,21 +771,18 @@ def _c2k_adj(params, field):
     expect_confirmed=False,
     counterpart="even-cycle.top-degree.adjudicated",
 )
-def _c2k_stated(params, field):
-    k = params.get("k", 3)
+def _c2k_stated(field):
+    k = 3
     d = alexander_dual(cover_complex(cycle(2 * k), k))
     td = betti_hochster(d, field)
     lin = linear_resolution_degree(td) is not None
     cm = is_cm_ab(d, field, table=td)
-    disc = [
-        Discrepancy(
-            "even-cycle.top-degree.as-stated",
-            f"which ring of the 2k-cycle pair is linear, k={k}",
-            "dual ring linear but not CM",
-            f"oracle: dual ring CM={cm}, linear={lin}; the cover ring carries the linear resolution",
-        )
-    ]
-    return lin and not cm, "dual linear, not CM", f"dual CM={cm} linear={lin}", disc, None
+    disc = (
+        f"which ring of the 2k-cycle pair is linear, k={k}",
+        "dual ring linear but not CM",
+        f"oracle: dual ring CM={cm}, linear={lin}; the cover ring carries the linear resolution",
+    )
+    return ClaimOutcome(lin and not cm, "dual linear, not CM", f"dual CM={cm} linear={lin}", (disc,))
 
 
 @_claim(
@@ -816,12 +791,11 @@ def _c2k_stated(params, field):
     "the 8-cycle at degree 4 has total Betti numbers (1,16,48,68,56,28,8,1) in "
     "degrees j = i+1",
 )
-def _c8(params, field):
+def _c8(field):
     t = betti_hochster(cover_complex(cycle(8), 4), field)
     totals = (1, 16, 48, 68, 56, 28, 8, 1)
     exp = {(i, i + 1): totals[i] for i in range(1, 8)}
-    ok, e, g = _match_tables([("cover", t, exp)])
-    return ok, e, g, [], None
+    return ClaimOutcome(True, *_require_tables([("cover", t, exp)]))
 
 
 # ---------------------------------------------------------------------------
@@ -835,24 +809,21 @@ def _c8(params, field):
     "its clique complex (the octahedron) is CM and not linear; beyond 6 vertices "
     "neither ring is CM or linear",
 )
-def _c2n(params, field):
+def _c2n(field):
     c = cover_complex(cycle_square(6), 2)
     t = betti_hochster(c, field)
-    ok, e, g = _match_tables([("n=6 cover", t, {(1, 3): 8, (2, 4): 12, (3, 5): 6, (4, 6): 1})])
-    if not ok:
-        return False, e, g, [], None
-    if linear_resolution_degree(t) != 3 or is_cm_ab(c, field, table=t):
-        return False, "n=6: 3-linear and not CM", "fails", [], None
+    _require_tables([("n=6 cover", t, {(1, 3): 8, (2, 4): 12, (3, 5): 6, (4, 6): 1})])
+    _require(linear_resolution_degree(t) == 3 and not is_cm_ab(c, field, table=t), "n=6: 3-linear and not CM", "fails")
     octa = clique_complex(cycle_square(6))
     to = betti_hochster(octa, field)
-    if not is_cm_ab(octa, field, table=to) or linear_resolution_degree(to) is not None:
-        return False, "octahedron CM and not linear", "fails", [], None
-    for n in params.get("ns", (7, 8)):
+    _require(is_cm_ab(octa, field, table=to) and linear_resolution_degree(to) is None,
+             "octahedron CM and not linear", "fails")
+    for n in (7, 8):
         c = cover_complex(cycle_square(n), 2)
         t = betti_hochster(c, field)
-        if linear_resolution_degree(t) is not None or is_cm_ab(c, field, table=t):
-            return False, f"n={n}: neither linear nor CM", "fails", [], None
-    return True, "six-vertex tables and negative verdicts beyond", "confirmed", [], None
+        _require(linear_resolution_degree(t) is None and not is_cm_ab(c, field, table=t),
+                 f"n={n}: neither linear nor CM", "fails")
+    return ClaimOutcome(True, "six-vertex tables and negative verdicts beyond", "confirmed")
 
 
 @_claim(
@@ -862,25 +833,19 @@ def _c2n(params, field):
     "b[i,i+1] = (n-3)*C(n-3,i) - C(n-3,i+1) and CM; the cover side is CM and "
     "(n-3)-linear with b[1,n-3] = n-2, b[2,n-2] = n-3",
 )
-def _l2n_adj(params, field):
-    for n in params.get("ns", (5, 6, 7, 8)):
+def _l2n_adj(field):
+    for n in (5, 6, 7, 8):
         cc = clique_complex(path_square(n))
         tcc = betti_hochster(cc, field)
         exp = {(i, i + 1): (n - 3) * comb(n - 3, i) - comb(n - 3, i + 1) for i in range(1, n)}
-        ok, e, g = _match_tables([(f"n={n} clique", tcc, exp)])
-        if not ok:
-            return False, e, g, [], None
+        _require_tables([(f"n={n} clique", tcc, exp)])
         cv = cover_complex(path_square(n), 2)
         tcv = betti_hochster(cv, field)
-        ok, e, g = _match_tables([(f"n={n} cover", tcv, {(1, n - 3): n - 2, (2, n - 2): n - 3})])
-        if not ok:
-            return False, e, g, [], None
-        if not (is_cm_ab(cc, field, table=tcc) and is_cm_ab(cv, field, table=tcv)):
-            return False, f"n={n}: both CM", "fails", [], None
+        _require_tables([(f"n={n} cover", tcv, {(1, n - 3): n - 2, (2, n - 2): n - 3})])
+        _require(is_cm_ab(cc, field, table=tcc) and is_cm_ab(cv, field, table=tcv), f"n={n}: both CM", "fails")
         h = fat_forest_hilbert(FatForestDecomposition((2,) * (n - 2), (1,) * (n - 3)), n)
-        if h != hilbert_from_fvector(f_vector(cc), n):
-            return False, f"n={n}: fat-tree Hilbert series", "mismatch", [], None
-    return True, "clique and cover tables, CM, fat-tree series", "confirmed", [], None
+        _require(h == hilbert_from_fvector(f_vector(cc), n), f"n={n}: fat-tree Hilbert series", "mismatch")
+    return ClaimOutcome(True, "clique and cover tables, CM, fat-tree series", "confirmed")
 
 
 @_claim(
@@ -891,23 +856,20 @@ def _l2n_adj(params, field):
     expect_confirmed=False,
     counterpart="path-squared.adjudicated",
 )
-def _l2n_stated(params, field):
-    n = params.get("n", 6)
+def _l2n_stated(field):
+    n = 6
     cc = clique_complex(path_square(n))
     cv = cover_complex(path_square(n), 2)
     tcc, tcv = betti_hochster(cc, field), betti_hochster(cv, field)
     stated_clique = _clean({(1, n - 2): n - 2, (2, n - 1): n - 3})
-    disc = [
-        Discrepancy(
-            "path-squared.as-stated",
-            f"assignment of the squared-path Betti descriptions, n={n}",
-            "clique complex with b[1,n-2]=n-2, b[2,n-1]=n-3; cover side with the quadratic-degree formula",
-            f"oracle: clique side {_fmt_table(tcc)} (degrees i+1); cover side {_fmt_table(tcv)} "
-            f"(values n-2, n-3 at degrees n-3, n-2, one lower than stated)",
-        )
-    ]
-    ok = tcc.entries == stated_clique
-    return ok, "stated assignment and degrees", "swapped and shifted by oracle", disc, None
+    disc = (
+        f"assignment of the squared-path Betti descriptions, n={n}",
+        "clique complex with b[1,n-2]=n-2, b[2,n-1]=n-3; cover side with the quadratic-degree formula",
+        f"oracle: clique side {_fmt_table(tcc)} (degrees i+1); cover side {_fmt_table(tcv)} "
+        f"(values n-2, n-3 at degrees n-3, n-2, one lower than stated)",
+    )
+    return ClaimOutcome(tcc.entries == stated_clique,
+                        "stated assignment and degrees", "swapped and shifted by oracle", (disc,))
 
 
 @_claim(
@@ -916,16 +878,14 @@ def _l2n_stated(params, field):
     "the squared 8-path at degree 3: cover Betti b[1,2]=6, b[2,3]=8, b[3,4]=3 and "
     "dual Betti b[1,3]=4, b[2,4]=3",
 )
-def _l2_8(params, field):
+def _l2_8(field):
     c = cover_complex(path_square(8), 3)
     d = alexander_dual(c)
-    ok, e, g = _match_tables(
-        [
-            ("cover", betti_hochster(c, field), {(1, 2): 6, (2, 3): 8, (3, 4): 3}),
-            ("dual", betti_hochster(d, field), {(1, 3): 4, (2, 4): 3}),
-        ]
-    )
-    return ok, e, g, [], None
+    pairs = [
+        ("cover", betti_hochster(c, field), {(1, 2): 6, (2, 3): 8, (3, 4): 3}),
+        ("dual", betti_hochster(d, field), {(1, 3): 4, (2, 4): 3}),
+    ]
+    return ClaimOutcome(True, *_require_tables(pairs))
 
 
 @_claim(
@@ -934,22 +894,21 @@ def _l2_8(params, field):
     "at degree k the squared 3k-cycle ring is linear and not CM while the squared "
     "(3k-2)-path ring is linear and CM; the dual ideals are the arithmetic-progression products",
 )
-def _thirds(params, field):
-    for k in params.get("ks", (2, 3)):
+def _thirds(field):
+    for k in (2, 3):
         a = cover_complex(cycle_square(3 * k), k)
         b = cover_complex(path_square(3 * k - 2), k)
         gens_a = [vertices_of(m) for m in minimal_nonfaces(alexander_dual(a))]
-        if gens_a != [tuple(range(1, 3 * k + 1, 3)), tuple(range(2, 3 * k + 1, 3)), tuple(range(3, 3 * k + 1, 3))]:
-            return False, f"k={k}: three progression generators", str(gens_a), [], None
+        _require(gens_a == [tuple(range(1, 3 * k + 1, 3)), tuple(range(2, 3 * k + 1, 3)), tuple(range(3, 3 * k + 1, 3))],
+                 f"k={k}: three progression generators", str(gens_a))
         gens_b = [vertices_of(m) for m in minimal_nonfaces(alexander_dual(b))]
-        if gens_b != [tuple(range(1, 3 * k - 1, 3))]:
-            return False, f"k={k}: principal progression generator", str(gens_b), [], None
+        _require(gens_b == [tuple(range(1, 3 * k - 1, 3))], f"k={k}: principal progression generator", str(gens_b))
         ta, tb = betti_hochster(a, field), betti_hochster(b, field)
-        if not (linear_resolution_degree(ta) is not None and not is_cm_ab(a, field, table=ta)):
-            return False, f"k={k}: squared-cycle ring linear, not CM", "fails", [], None
-        if not (linear_resolution_degree(tb) is not None and is_cm_ab(b, field, table=tb)):
-            return False, f"k={k}: squared-path ring linear and CM", "fails", [], None
-    return True, "progression ideals; linearity and CM split", "confirmed", [], None
+        _require(linear_resolution_degree(ta) is not None and not is_cm_ab(a, field, table=ta),
+                 f"k={k}: squared-cycle ring linear, not CM", "fails")
+        _require(linear_resolution_degree(tb) is not None and is_cm_ab(b, field, table=tb),
+                 f"k={k}: squared-path ring linear and CM", "fails")
+    return ClaimOutcome(True, "progression ideals; linearity and CM split", "confirmed")
 
 
 @_claim(
@@ -957,11 +916,11 @@ def _thirds(params, field):
     "C2",
     "the squared 9-cycle at degree 3 has total Betti numbers (1,27,81,108,81,36,9,1)",
 )
-def _c2_9(params, field):
+def _c2_9(field):
     t = betti_hochster(cover_complex(cycle_square(9), 3), field)
     got = t.totals()
     exp = (1, 27, 81, 108, 81, 36, 9, 1)
-    return got == exp, str(exp), str(got), [], None
+    return ClaimOutcome(got == exp, str(exp), str(got))
 
 
 @_claim(
@@ -971,11 +930,11 @@ def _c2_9(params, field):
     "binomials b[i,i] = C(4,i); the companion figure for disconnected-set complexes "
     "is outside this library's scope",
 )
-def _l2_10(params, field):
+def _l2_10(field):
     c = cover_complex(path_square(10), 4)
     t = betti_hochster(c, field)
     exp = {(i, i): comb(4, i) for i in range(5)}
-    return t.entries == exp, _fmt_entries(exp), _fmt_table(t), [], None
+    return ClaimOutcome(t.entries == exp, _fmt_entries(exp), _fmt_table(t))
 
 
 # ---------------------------------------------------------------------------
@@ -988,22 +947,20 @@ def _l2_10(params, field):
     "degree-2 grid cover rings are linear with b1=2mn-m-n, b2=3mn-2m-2n, "
     "b3=mn-m-n+1 and not CM; the grid ring itself is CM and not linear",
 )
-def _grid_adj(params, field):
-    for m, n in params.get("cases", ((2, 2), (2, 3), (3, 3))):
+def _grid_adj(field):
+    for m, n in ((2, 2), (2, 3), (3, 3)):
         g = grid(m, n)
         c = cover_complex(g, 2)
         t = betti_hochster(c, field)
         exp = {(1, m * n - 2): 2 * m * n - m - n, (2, m * n - 1): 3 * m * n - 2 * m - 2 * n, (3, m * n): m * n - m - n + 1}
-        ok, e, got = _match_tables([(f"{m}x{n} cover", t, exp)])
-        if not ok:
-            return False, e, got, [], None
-        if linear_resolution_degree(t) is None or is_cm_ab(c, field, table=t):
-            return False, f"{m}x{n}: linear and not CM", "fails", [], None
+        _require_tables([(f"{m}x{n} cover", t, exp)])
+        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, field, table=t),
+                 f"{m}x{n}: linear and not CM", "fails")
         cc = clique_complex(g)
         tcc = betti_hochster(cc, field)
-        if not is_cm_ab(cc, field, table=tcc) or linear_resolution_degree(tcc) is not None:
-            return False, f"{m}x{n}: grid ring CM and not linear", "fails", [], None
-    return True, "grid cover values with b3 = mn-m-n+1", "confirmed", [], None
+        _require(is_cm_ab(cc, field, table=tcc) and linear_resolution_degree(tcc) is None,
+                 f"{m}x{n}: grid ring CM and not linear", "fails")
+    return ClaimOutcome(True, "grid cover values with b3 = mn-m-n+1", "confirmed")
 
 
 @_claim(
@@ -1013,20 +970,17 @@ def _grid_adj(params, field):
     expect_confirmed=False,
     counterpart="grid.adjudicated",
 )
-def _grid_stated(params, field):
-    m, n = params.get("case", (2, 3))
+def _grid_stated(field):
+    m, n = 2, 3
     t = betti_hochster(cover_complex(grid(m, n), 2), field)
     got = t.entries.get((3, m * n), 0)
     stated = m * n - m - n - 1
-    disc = [
-        Discrepancy(
-            "grid.as-stated",
-            f"third Betti number of the {m}x{n} grid cover ring",
-            f"mn-m-n-1 = {stated}",
-            f"oracle b[3,{m * n}] = {got} = mn-m-n+1",
-        )
-    ]
-    return got == stated, f"b3 = {stated}", f"b3 = {got}", disc, None
+    disc = (
+        f"third Betti number of the {m}x{n} grid cover ring",
+        f"mn-m-n-1 = {stated}",
+        f"oracle b[3,{m * n}] = {got} = mn-m-n+1",
+    )
+    return ClaimOutcome(got == stated, f"b3 = {stated}", f"b3 = {got}", (disc,))
 
 
 # ---------------------------------------------------------------------------
@@ -1110,7 +1064,7 @@ def scan_conjecture_Ln(
     n_range=(3, 12),
     fields=(RATIONALS, GF2),
     *,
-    max_ground: int = 22,
+    max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,
     workers: int = 1,
 ) -> ScanReport:
@@ -1134,7 +1088,7 @@ def scan_conjecture_L2n(
     n_range=(3, 10),
     fields=(RATIONALS, GF2),
     *,
-    max_ground: int = 22,
+    max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,
     workers: int = 1,
 ) -> ScanReport:
@@ -1146,16 +1100,19 @@ def scan_conjecture_L2n(
     return ScanReport("L2n", cells, cex, [], secs)
 
 
+def _conj(rep: ScanReport) -> ClaimOutcome:
+    got = f"{len(rep.cells)} cells scanned, {len(rep.counterexamples)} counterexamples"
+    ok = None if not rep.counterexamples else False
+    return ClaimOutcome(ok, "no counterexample in range", got, note="conjecture scan; finite evidence only")
+
+
 @_claim(
     "conjecture.Ln",
     "L",
     "conjecture scan: path cover rings are CM with linear resolutions for all n >= 2k-1",
 )
-def _conj_ln(params, field):
-    rep = scan_conjecture_Ln(params.get("k_range", (2, 3)), params.get("n_range", (3, 9)), (field,))
-    ok = None if not rep.counterexamples else False
-    got = f"{len(rep.cells)} cells scanned, {len(rep.counterexamples)} counterexamples"
-    return ok, "no counterexample in range", got, [], "conjecture scan; finite evidence only"
+def _conj_ln(field):
+    return _conj(scan_conjecture_Ln((2, 3), (3, 9), (field,)))
 
 
 @_claim(
@@ -1163,35 +1120,35 @@ def _conj_ln(params, field):
     "L2",
     "conjecture scan: squared-path cover rings and their duals are CM with linear resolutions",
 )
-def _conj_l2n(params, field):
-    rep = scan_conjecture_L2n(params.get("k_range", (2, 3)), params.get("n_range", (3, 8)), (field,))
-    ok = None if not rep.counterexamples else False
-    got = f"{len(rep.cells)} cells scanned, {len(rep.counterexamples)} counterexamples"
-    return ok, "no counterexample in range", got, [], "conjecture scan; finite evidence only"
+def _conj_l2n(field):
+    return _conj(scan_conjecture_L2n((2, 3), (3, 8), (field,)))
 
 
 # ---------------------------------------------------------------------------
 # Public API
 
 
-def verify_claim(claim_id: str, params: dict | None = None, field: Field = RATIONALS) -> ClaimResult:
+def verify_claim(claim_id: str, field: Field = RATIONALS) -> ClaimResult:
     """Run one claim record against the oracle over the given field."""
     if claim_id not in CLAIMS:
         raise KeyError(f"unknown claim {claim_id!r}; known: {sorted(CLAIMS)}")
-    rec = CLAIMS[claim_id]
     t0 = time.time()
-    ok, expected, got, discs, note = rec.runner(params or {}, field)
+    try:
+        out = CLAIMS[claim_id].runner(field)
+    except _Refuted as refuted:
+        out = ClaimOutcome(False, *refuted.args)
     secs = time.time() - t0
-    status = PARTIAL if ok is None else (CONFIRMED if ok else REFUTED)
-    return ClaimResult(claim_id, status, str(field), str(expected), str(got), secs, discs, note)
+    status = PARTIAL if out.ok is None else (CONFIRMED if out.ok else REFUTED)
+    discs = [Discrepancy(claim_id, *d) for d in out.discrepancies]
+    return ClaimResult(claim_id, status, str(field), out.expected, out.got, secs, discs, out.note)
 
 
-def verify_all(fields=(RATIONALS, GF2), params: dict | None = None) -> list[ClaimResult]:
+def verify_all(fields=(RATIONALS, GF2)) -> list[ClaimResult]:
     """Run every claim over every field; results sorted by claim id then field."""
     out = []
     for cid in sorted(CLAIMS):
         for f in fields:
-            out.append(verify_claim(cid, params, f))
+            out.append(verify_claim(cid, f))
     return out
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__, claims
+from . import claims
 from .complexes import (
     SimplicialComplex,
     alexander_dual,
@@ -33,6 +33,7 @@ from .errors import GuardExceeded, VoidComplexError, check_guard
 from .graphs import FamilySpec, build_family, graph_from_json
 from .homology import RATIONALS, GF2, Field, parse_field
 from .resolution import (
+    DEFAULT_HOCHSTER_GUARD,
     GradedBettiTable,
     betti_hochster,
     eagon_reiner_check,
@@ -79,7 +80,7 @@ def _add_report_args(p, formats):
 
 def _add_guard_args(p):
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--max-ground", type=int, default=22)
+    p.add_argument("--max-ground", type=int, default=DEFAULT_HOCHSTER_GUARD)
     p.add_argument("--override-guards", action="store_true")
 
 
@@ -148,11 +149,20 @@ def _read_cached(key: Path, c: SimplicialComplex, field: Field, fv) -> GradedBet
     return None
 
 
+def _source_digest() -> str:
+    """sha256 of srlab's own *.py sources, so a table is served only to the code that wrote it."""
+    h = hashlib.sha256()
+    for src in sorted(Path(__file__).parent.glob("*.py")):
+        data = src.read_bytes()
+        h.update(f"{src.name}\0{len(data)}\0".encode() + data)
+    return h.hexdigest()
+
+
 def _betti_cached(c, field, args, fv):
     cache = _cache_dir(args)
     key = None
     if cache is not None:
-        digest = hashlib.sha256(f"{canonical_json(c)}|{field}|{__version__}".encode()).hexdigest()
+        digest = hashlib.sha256(f"{canonical_json(c)}|{field}|{_source_digest()}".encode()).hexdigest()
         key = cache / f"{digest}.json"
         t = _read_cached(key, c, field, fv)
         if t is not None:

@@ -1,18 +1,22 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from srlab import cli
 from srlab.claims import (
     CLAIMS,
     CONFIRMED,
     PARTIAL,
     REFUTED,
     discrepancy_report,
-    has_unexpected_refutation,
     scan_conjecture_L2n,
     scan_conjecture_Ln,
-    verify_all,
     verify_claim,
 )
 from srlab.homology import GF2, RATIONALS
+
+GOLDEN = Path(__file__).parent / "data" / "verify_all_both.json"
 
 
 def test_catalog_completeness():
@@ -29,15 +33,15 @@ def test_catalog_completeness():
     assert all(r.counterpart for r in refuted_records)
 
 
-def test_all_claims_match_expected_status():
-    for field in (RATIONALS, GF2):
-        results = verify_all(fields=(field,))
-        assert not has_unexpected_refutation(results)
-        for r in results:
-            rec = CLAIMS[r.claim_id]
-            if r.status == PARTIAL:
-                continue
-            assert (r.status == CONFIRMED) == rec.expect_confirmed, r.to_json()
+def test_all_claims_match_expected_status(capsys):
+    assert cli.main(["verify", "--all", "--field", "both", "--format", "json"]) == 0  # no unexpected refutation
+    payload = json.loads(capsys.readouterr().out)
+    for r in payload["results"]:
+        del r["seconds"]
+        if r["status"] != PARTIAL:
+            assert (r["status"] == CONFIRMED) == CLAIMS[r["claim"]].expect_confirmed, r
+    # every value of the report except its timings is pinned
+    assert payload == json.loads(GOLDEN.read_text())
 
 
 def test_refuted_variants_are_refuted():

@@ -1,10 +1,11 @@
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
 from srlab import cli
-from srlab.claims import CLAIMS, ClaimRecord
+from srlab.claims import CLAIMS, ClaimOutcome, ClaimRecord, _require, scan_conjecture_L2n, scan_conjecture_Ln
 from srlab.bitsets import mask_of
 from srlab.complexes import (
     alexander_dual,
@@ -17,7 +18,7 @@ from srlab.complexes import (
 )
 from srlab.errors import GuardExceeded
 from srlab.graphs import path
-from srlab.resolution import betti_hochster
+from srlab.resolution import DEFAULT_HOCHSTER_GUARD, betti_hochster
 from srlab.structure import is_fat_forest, is_pure_shellable, is_vertex_decomposable
 
 DATA = Path(__file__).parent / "data"
@@ -217,12 +218,12 @@ def test_wrong_cached_table_is_not_served(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == cold and len(computed) == 1
 
 
-def test_cache_is_keyed_on_the_package_version(capsys, tmp_path, monkeypatch):
+def test_cache_is_keyed_on_the_package_sources(capsys, tmp_path, monkeypatch):
     args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
     computed = []
     real = cli.betti_hochster
     monkeypatch.setattr(cli, "betti_hochster", lambda *a, **kw: computed.append(a) or real(*a, **kw))
-    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)  # as if any source file had changed
     assert cli.main(args) == 0
     assert capsys.readouterr().out == cold and len(computed) == 1
     assert entry.exists() and len(list(entry.parent.iterdir())) == 2  # a second entry, the first untouched
@@ -275,11 +276,31 @@ def test_verify_claim_and_formats(capsys):
 
 
 def test_verify_exit_4_on_unexpected_refutation(capsys, monkeypatch):
-    def bad_runner(params, field):
-        return False, "expected", "got", [], None
+    def bad_runner(field):
+        for n in (1, 2, 3):
+            _require(n < 2, f"n={n}: below 2", f"n={n}")
+        return ClaimOutcome(True, "unreachable", "unreachable")
 
     monkeypatch.setitem(CLAIMS, "always.fails", ClaimRecord("always.fails", "any", "test", True, bad_runner))
-    assert cli.main(["verify", "--claim", "always.fails"]) == 4
+    code, out = run(capsys, "verify", "--claim", "always.fails")
+    assert code == 4
+    (result,) = json.loads(out)["results"]
+    assert (result["status"], result["expected"], result["got"]) == ("REFUTED", "n=2: below 2", "n=2")
+
+    def guarded_runner(field):
+        raise GuardExceeded("ground set 30 exceeds Hochster guard 22")
+
+    monkeypatch.setitem(CLAIMS, "always.guarded", ClaimRecord("always.guarded", "any", "test", True, guarded_runner))
+    assert cli.main(["verify", "--claim", "always.guarded"]) == 2
+    assert "guard: ground set 30" in capsys.readouterr().err
+
+
+def test_hochster_guard_default_is_one_constant():
+    parser = cli.make_parser()
+    for argv in (["invariants"], ["scan", "--conjecture", "Ln"]):
+        assert parser.parse_args(argv).max_ground == DEFAULT_HOCHSTER_GUARD
+    for scanner in (scan_conjecture_Ln, scan_conjecture_L2n):
+        assert inspect.signature(scanner).parameters["max_ground"].default == DEFAULT_HOCHSTER_GUARD
 
 
 def test_scan_formats_and_exit(capsys):
