@@ -1174,11 +1174,14 @@ def cross_field_summary(results: list[ClaimResult]) -> list[dict]:
     return out
 
 
+def discrepancies_of(results) -> list[Discrepancy]:
+    """The discrepancies that the refutation-on-record claims among results
+    carry; stable ordering by claim then subject."""
+    out = [d for r in results if not CLAIMS[r.claim_id].expect_confirmed for d in r.discrepancies]
+    return sorted(out, key=lambda d: (d.claim_id, d.subject))
+
+
 def discrepancy_report(field: Field = RATIONALS) -> list[Discrepancy]:
     """Every recorded locus where the oracle disagrees with a stated value,
     with both values side by side; stable ordering by claim then subject."""
-    out: list[Discrepancy] = []
-    for cid, rec in CLAIMS.items():
-        if not rec.expect_confirmed:
-            out.extend(verify_claim(cid, field=field).discrepancies)
-    return sorted(out, key=lambda d: (d.claim_id, d.subject))
+    return discrepancies_of(verify_claim(cid, field) for cid, rec in CLAIMS.items() if not rec.expect_confirmed)

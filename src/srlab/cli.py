@@ -275,10 +275,11 @@ def cmd_verify(args) -> int:
         results = claims.verify_all(fields=fields)
     else:
         raise ValueError("need --claim ID or --all")
+    first = [r for r in results if r.field == str(fields[0])]  # discrepancies come from the first field
     payload = {
         "results": [r.to_json() for r in results],
         "byClaim": claims.cross_field_summary(results),
-        "discrepancies": [d.to_json() for d in claims.discrepancy_report()] if args.all else [],
+        "discrepancies": [d.to_json() for d in claims.discrepancies_of(first)] if args.all else [],
     }
     if args.format == "json":
         _emit(args, json.dumps(payload, sort_keys=True))

@@ -249,16 +249,15 @@ class _HochsterPlan:
     """The field-independent half of Hochster's sum for one complex.
 
     uses counts the subsets W of the LCM lattice by (core, |W|, link): core
-    packs the squeezed core (_squeezed_core) of the facet list that _side
-    chose for W into width bytes per facet, and link says whether that list
+    is the squeezed core (_squeezed_core) of the facet list that _side chose
+    for W, the key Reisner's memo uses too, and link says whether that list
     is the dual's link. A W whose list is a cone or collapses to a point adds
     nothing and is left out. dims holds, per field, the homology of every
     core, filled in by the first table asked for over that field.
     """
 
-    width: int
-    uses: dict[tuple[bytes, int, bool], int]
-    dims: dict[Field, dict[bytes, tuple[int, ...]]]
+    uses: dict[tuple[tuple[int, ...], int, bool], int]
+    dims: dict[Field, dict[tuple[int, ...], tuple[int, ...]]]
 
 
 @lru_cache(maxsize=256)
@@ -266,25 +265,23 @@ def _hochster_plan(c: SimplicialComplex) -> _HochsterPlan:
     """The plan of c's Hochster sum; memoized, so every field of c shares it."""
     n = c.n
     dual_facets = alexander_dual(c).facets
-    width = n // 8 + 1
-    uses: dict[tuple[bytes, int, bool], int] = {}
+    uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
     cores: dict = {}
     for w in _lcm_lattice(dual_facets, n):
         facets, link = _side(c.facets, dual_facets, n, w)
         core = _squeezed_core(facets, cores)
         if core is not None:
-            use = (b"".join(f.to_bytes(width, "little") for f in core), w.bit_count(), link)
+            use = (core, w.bit_count(), link)
             uses[use] = uses.get(use, 0) + 1
-    return _HochsterPlan(width, uses, {})
+    return _HochsterPlan(uses, {})
 
 
-def _core_dims(width: int, core: bytes, field: Field, gf2: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Homology of a packed core over field; over Q, from its GF(2) profile gf2."""
-    facets = [int.from_bytes(core[i : i + width], "little") for i in range(0, len(core), width)]
-    return homology_dims_from_facets(facets, field) if gf2 is None else rational_dims(facets, gf2)
+def _core_dims(core: tuple[int, ...], field: Field, gf2: tuple[int, ...] | None) -> tuple[int, ...]:
+    """Homology of a core over field; over Q, from its GF(2) profile gf2."""
+    return homology_dims_from_facets(core, field) if gf2 is None else rational_dims(core, gf2)
 
 
-def _plan_dims(plan: _HochsterPlan, field: Field, workers: int) -> dict[bytes, tuple[int, ...]]:
+def _plan_dims(plan: _HochsterPlan, field: Field, workers: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The homology over field of every core of plan, computing only what the
     plan does not hold yet. Over Q the GF(2) profiles come first and stay in
     the plan, so Q and GF(2) share them in either order."""
@@ -293,7 +290,7 @@ def _plan_dims(plan: _HochsterPlan, field: Field, workers: int) -> dict[bytes, t
     if not todo:
         return known
     gf2 = _plan_dims(plan, GF2, workers) if field.is_rationals else None
-    args = [(plan.width, core, field, None if gf2 is None else gf2[core]) for core in todo]
+    args = [(core, field, None if gf2 is None else gf2[core]) for core in todo]
     if workers > 1:
         import multiprocessing as mp
 

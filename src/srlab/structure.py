@@ -3,7 +3,12 @@ pure shellability, and the chordality / 2-linearity / fat-forest equivalence.
 
 Every positive verdict carries a witness that an independent checker can
 replay in polynomial time: a facet ordering for fat forests and shellings,
-a shedding tree for vertex decompositions.
+a shedding tree for vertex decompositions. Fat forests and shellings share
+one backtracking search over facet orders (_facet_order); each witness has
+one step rule, used by both its search and its replay: a single maximal
+overlap for fat forests, _shells_onto for shellings, which makes the replay
+of a shelling O(F^2) bit operations on F facets. Link and deletion of a
+vertex come from one helper, _shed.
 """
 
 from __future__ import annotations
@@ -37,6 +42,37 @@ class StructureVerdict:
     note: str | None = None
 
 
+def _facet_order(facets: list[int], fits, prefer=None) -> list[int] | None:
+    """Indices of an order of facets in which each facet fits(facet, placed)
+    onto the facets placed before it, or None if there is none.
+
+    Backtracking tries the unplaced facets that fit in index order, stably
+    sorted by prefer(facet, placed) descending when prefer is given. A set of
+    placed facets with no completion is remembered as dead, since whether
+    the rest can follow depends only on that set.
+    """
+    k = len(facets)
+    dead: set[int] = set()
+
+    def dfs(used_bits: int, order: list[int]) -> list[int] | None:
+        if len(order) == k:
+            return order
+        if used_bits in dead:
+            return None
+        placed = [facets[i] for i in order]
+        cands = [i for i in range(k) if not used_bits >> i & 1 and fits(facets[i], placed)]
+        if prefer is not None:
+            cands.sort(key=lambda i: -prefer(facets[i], placed))
+        for idx in cands:
+            res = dfs(used_bits | (1 << idx), order + [idx])
+            if res is not None:
+                return res
+        dead.add(used_bits)
+        return None
+
+    return dfs(0, [])
+
+
 # ---------------------------------------------------------------------------
 # Fat forests
 
@@ -53,31 +89,8 @@ def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureV
     if c.is_void:
         return StructureVerdict(name, False, note="void complex")
     facets = list(c.facets)
-    k = len(facets)
-    if k == 1:
-        dims = (facets[0].bit_count() - 1,)
-        return StructureVerdict(name, True, (list(facets), FatForestDecomposition(dims, ())))
-    check_guard("fat-forest search", k, FAT_FOREST_FACET_GUARD, override, facets=True)
-    dead: set[int] = set()
-
-    def dfs(used_bits: int, order: list[int]) -> list[int] | None:
-        if len(order) == k:
-            return order
-        if used_bits in dead:
-            return None
-        placed = [facets[i] for i in order]
-        for idx in range(k):
-            if used_bits >> idx & 1:
-                continue
-            if single_maximal_overlap(facets[idx], placed) is None:
-                continue
-            res = dfs(used_bits | (1 << idx), order + [idx])
-            if res is not None:
-                return res
-        dead.add(used_bits)
-        return None
-
-    order = dfs(0, [])
+    check_guard("fat-forest search", len(facets), FAT_FOREST_FACET_GUARD, override, facets=True)
+    order = _facet_order(facets, lambda f, placed: single_maximal_overlap(f, placed) is not None)
     if order is None:
         return StructureVerdict(name, False)
     masks = [facets[i] for i in order]
@@ -88,7 +101,7 @@ def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureV
 
 def verify_fat_forest_order(c: SimplicialComplex, order: list[int]) -> FatForestDecomposition | None:
     """Replay a facet order; returns the decomposition data or None if invalid."""
-    if sorted(order) != sorted(c.facets):
+    if not order or sorted(order) != sorted(c.facets):
         return None
     dims = [order[0].bit_count() - 1]
     overlaps = []
@@ -135,6 +148,13 @@ def froberg_check(g: Graph, field: Field = RATIONALS) -> FrobergReport:
 # Vertex decomposability
 
 
+def _shed(facets, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The facets of the link and of the deletion of vertex v, each sorted."""
+    b = 1 << (v - 1)
+    link = tuple(sorted([f ^ b for f in facets if f & b]))
+    return link, tuple(sorted(maximal_masks([f & ~b for f in facets])))
+
+
 def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
     """Recursive test for pure complexes: a simplex qualifies, otherwise some
     vertex must have a vertex-decomposable link and a vertex-decomposable
@@ -179,11 +199,9 @@ def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> S
         d1 = facets[0].bit_count()  # facet size, pure by construction
         result = None
         for v in verts:
-            b = 1 << (v - 1)
-            delf = tuple(sorted(maximal_masks(f & ~b for f in facets)))
+            linkf, delf = _shed(facets, v)
             if any(f.bit_count() != d1 for f in delf):
                 continue  # deletion must stay pure of the same dimension
-            linkf = tuple(sorted(f ^ b for f in facets if f & b))
             wl = rec(linkf)
             if wl is None:
                 continue
@@ -207,17 +225,12 @@ def check_vd_witness(c: SimplicialComplex, witness) -> bool:
     def rec(facets: tuple[int, ...], w) -> bool:
         if "simplex" in w:
             return len(facets) == 1 and set(vertices_of(facets[0])) == set(w["simplex"])
-        v = w["vertex"]
-        b = 1 << (v - 1)
-        if not any(f & b for f in facets):
+        linkf, delf = _shed(facets, w["vertex"])
+        if not linkf:
             return False
         d1 = facets[0].bit_count()
-        if any(f.bit_count() != d1 for f in facets):
+        if any(f.bit_count() != d1 for f in facets + delf):
             return False
-        delf = tuple(sorted(maximal_masks(f & ~b for f in facets)))
-        if any(f.bit_count() != d1 for f in delf):
-            return False
-        linkf = tuple(sorted(f ^ b for f in facets if f & b))
         return rec(linkf, w["link"]) and rec(delf, w["del"])
 
     return bool(c.facets) and rec(tuple(c.facets), witness)
@@ -230,10 +243,8 @@ def shelling_order_from_vd(c: SimplicialComplex, witness) -> list[int]:
     def rec(facets: tuple[int, ...], w) -> list[int]:
         if "simplex" in w:
             return [facets[0]]
-        v = w["vertex"]
-        b = 1 << (v - 1)
-        delf = tuple(sorted(maximal_masks(f & ~b for f in facets)))
-        linkf = tuple(sorted(f ^ b for f in facets if f & b))
+        b = 1 << (w["vertex"] - 1)
+        linkf, delf = _shed(facets, w["vertex"])
         return rec(delf, w["del"]) + [m | b for m in rec(linkf, w["link"])]
 
     return rec(tuple(c.facets), witness)
@@ -243,20 +254,36 @@ def shelling_order_from_vd(c: SimplicialComplex, witness) -> list[int]:
 # Pure shellability
 
 
+def _shells_onto(f: int, placed: list[int]) -> bool:
+    """The shelling step: whether f meets the union of the placed facets in a
+    pure subcomplex of codimension one, so that f may follow them.
+
+    With R the vertices v of f such that f minus v lies in a placed facet,
+    that holds iff f minus p meets R for every placed p: then f meets p
+    inside some f minus v with v in R. O(|placed|) bit operations.
+    """
+    r = 0
+    for p in placed:
+        x = f & ~p
+        if x & (x - 1) == 0:  # f minus p is one vertex
+            r |= x
+    return all(f & ~p & r for p in placed)
+
+
+def _overlap(f: int, placed: list[int]) -> int:
+    union = 0
+    for p in placed:
+        union |= p
+    return (f & union).bit_count()
+
+
 def is_valid_shelling(c: SimplicialComplex, order: list[int]) -> bool:
     """Check a facet order: each facet must meet the union of its
-    predecessors in a pure subcomplex of codimension one, which amounts to
-    every pairwise overlap extending to one of size |facet| - 1."""
+    predecessors in a pure subcomplex of codimension one (_shells_onto), so
+    the whole order costs O(F^2) bit operations."""
     if sorted(order) != sorted(c.facets) or not order:
         return False
-    for i in range(1, len(order)):
-        fi = order[i]
-        want = fi.bit_count() - 1
-        for j in range(i):
-            x = fi & order[j]
-            if not any((x & ~(fi & order[l]) == 0) and (fi & order[l]).bit_count() == want for l in range(i)):
-                return False
-    return True
+    return all(_shells_onto(f, order[:i]) for i, f in enumerate(order))
 
 
 def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
@@ -272,45 +299,8 @@ def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> Struct
     if not is_pure(c):
         raise ValueError("shellability is only tested here for pure complexes")
     facets = list(c.facets)
-    k = len(facets)
-    if k == 1:
-        return StructureVerdict(name, True, [0])
-    check_guard("shelling search", k, SHELLING_FACET_GUARD, override, facets=True)
-    want = facets[0].bit_count() - 1
-    dead: set[int] = set()
-
-    def can_place(idx: int, placed: list[int]) -> bool:
-        fi = facets[idx]
-        overlaps = [fi & p for p in placed]
-        for x in overlaps:
-            if not any(x & ~y == 0 and y.bit_count() == want for y in overlaps):
-                return False
-        return True
-
-    def dfs(used_bits: int, order: list[int]) -> list[int] | None:
-        if len(order) == k:
-            return order
-        if used_bits in dead:
-            return None
-        placed = [facets[i] for i in order]
-        union = 0
-        for p in placed:
-            union |= p
-        cands = []
-        for idx in range(k):
-            if used_bits >> idx & 1:
-                continue
-            if not order or can_place(idx, placed):
-                cands.append(((facets[idx] & union).bit_count(), -idx))
-        for _, negidx in sorted(cands, reverse=True):
-            idx = -negidx
-            res = dfs(used_bits | (1 << idx), order + [idx])
-            if res is not None:
-                return res
-        dead.add(used_bits)
-        return None
-
-    order = dfs(0, [])
+    check_guard("shelling search", len(facets), SHELLING_FACET_GUARD, override, facets=True)
+    order = _facet_order(facets, _shells_onto, _overlap)
     if order is None:
         return StructureVerdict(name, False)
     assert is_valid_shelling(c, [facets[i] for i in order])

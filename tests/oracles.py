@@ -136,3 +136,19 @@ def betti_dual_links(c: SimplicialComplex, field: Field) -> dict[tuple[int, int]
                     key = (idx + 1, c.n - card)
                     entries[key] = entries.get(key, 0) + val
     return entries
+
+
+def is_valid_shelling_pairwise(c: SimplicialComplex, order: list[int]) -> bool:
+    """Check a facet order: each facet must meet the union of its
+    predecessors in a pure subcomplex of codimension one, which amounts to
+    every pairwise overlap extending to one of size |facet| - 1."""
+    if sorted(order) != sorted(c.facets) or not order:
+        return False
+    for i in range(1, len(order)):
+        fi = order[i]
+        want = fi.bit_count() - 1
+        for j in range(i):
+            x = fi & order[j]
+            if not any((x & ~(fi & order[l]) == 0) and (fi & order[l]).bit_count() == want for l in range(i)):
+                return False
+    return True

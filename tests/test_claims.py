@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from srlab import cli
+from srlab import claims, cli
 from srlab.claims import (
     CLAIMS,
     CONFIRMED,
@@ -42,6 +42,17 @@ def test_all_claims_match_expected_status(capsys):
             assert (r["status"] == CONFIRMED) == CLAIMS[r["claim"]].expect_confirmed, r
     # every value of the report except its timings is pinned
     assert payload == json.loads(GOLDEN.read_text())
+
+
+def test_verify_all_runs_each_claim_once_per_field(capsys, monkeypatch):
+    calls = []
+    run_claim = claims.verify_claim
+    monkeypatch.setattr(claims, "verify_claim", lambda *a, **kw: calls.append(a) or run_claim(*a, **kw))
+    assert cli.main(["verify", "--all", "--field", "GF(2)", "--format", "json"]) == 0
+    assert len(calls) == len(CLAIMS)
+    # the discrepancies come from the GF(2) results, and read as they do over Q
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["discrepancies"] == json.loads(GOLDEN.read_text())["discrepancies"]
 
 
 def test_refuted_variants_are_refuted():

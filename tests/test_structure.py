@@ -1,12 +1,19 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from srlab.bitsets import mask_of
+from conftest import family_complexes
+from oracles import is_valid_shelling_pairwise
+from srlab.bitsets import mask_of, vertices_of
 from srlab.complexes import (
     alexander_dual,
     clique_complex,
     cover_complex,
     f_vector,
     irrelevant_complex,
+    is_pure,
     make_complex,
     simplex_complex,
     void_complex,
@@ -33,6 +40,7 @@ def C(n, facets):
 
 TWO_EDGES = C(4, [(1, 2), (3, 4)])
 OCTA = clique_complex(cycle_square(6))
+WITNESSES = Path(__file__).parent / "data" / "structure_witnesses.json"
 
 
 def test_fat_forest_cases():
@@ -58,9 +66,10 @@ def test_fat_forest_witness_replay_and_hilbert():
         order, decomp = v.witness
         assert verify_fat_forest_order(c, order) == decomp
         assert fat_forest_hilbert(decomp, c.n) == hilbert_from_fvector(f_vector(c), c.n)
-    # an invalid order is rejected
+    # an invalid order is rejected, and so is the empty order of a void complex
     c4 = clique_complex(cycle(4))
     assert verify_fat_forest_order(c4, list(c4.facets)) is None
+    assert verify_fat_forest_order(void_complex(3), []) is None
 
 
 def test_fat_forest_guard():
@@ -129,3 +138,69 @@ def test_shelling_checker_rejects_bad_orders():
     assert not is_valid_shelling(c4, [f12, f34, f23, f14])
     assert is_valid_shelling(c4, [f12, f23, f34, f14])
     assert not is_valid_shelling(c4, [f12, f23, f34])  # incomplete
+
+
+def test_shelling_checker_matches_pairwise_rule():
+    # random pure complexes in several facet orders, then every family
+    # complex with n <= 10 in its stored order
+    rng = random.Random(20261019)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        d = rng.randint(1, n - 1)
+        c = make_complex(n, [mask_of(rng.sample(range(1, n + 1), d)) for _ in range(rng.randint(1, 10))])
+        orders = [list(c.facets), list(reversed(c.facets))]
+        for _ in range(3):
+            orders.append(rng.sample(c.facets, len(c.facets)))
+        for order in orders:
+            verdicts.append(is_valid_shelling(c, order))
+            assert verdicts[-1] == is_valid_shelling_pairwise(c, order), (c, order)
+    for b in family_complexes(max_n=10):
+        order = list(b.c.facets)
+        verdicts.append(is_valid_shelling(b.c, order))
+        assert verdicts[-1] == is_valid_shelling_pairwise(b.c, order), b
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8  # both verdicts are exercised
+
+
+def _vd_preorder(w) -> list[int]:
+    """A shedding tree as its shedding vertices in preorder, 0 for a simplex
+    leaf; the leaves follow from the complex."""
+    if "simplex" in w:
+        return [0]
+    return [w["vertex"]] + _vd_preorder(w["link"]) + _vd_preorder(w["del"])
+
+
+def structure_witnesses() -> dict[str, dict]:
+    """The fat-forest, shelling and shedding witness (or False) of every
+    family complex with n <= 10, for each search its guards admit."""
+    out = {}
+    for b in family_complexes(max_n=10):
+        entry = {}
+        for key, fn in (("fatForest", is_fat_forest), ("shellable", is_pure_shellable), ("vd", is_vertex_decomposable)):
+            if key != "fatForest" and not is_pure(b.c):
+                continue
+            try:
+                v = fn(b.c)
+            except GuardExceeded:
+                continue
+            entry[key] = v.witness if v.holds else False
+            if v.holds and key == "fatForest":
+                order, decomp = v.witness
+                entry[key] = [[list(vertices_of(m)) for m in order], decomp.simplex_dims, decomp.overlap_dims]
+            elif v.holds and key == "vd":
+                entry[key] = _vd_preorder(v.witness)
+        out[b.name] = entry
+    return out
+
+
+def _dumps(witnesses: dict[str, dict]) -> str:
+    rows = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(witnesses.items()))
+    return "{\n" + ",\n".join(rows) + "\n}\n"
+
+
+def test_witnesses_match_golden_file():
+    assert _dumps(structure_witnesses()) == WITNESSES.read_text()
+
+
+if __name__ == "__main__":  # rewrite the golden witnesses: PYTHONPATH=src python tests/test_structure.py
+    WITNESSES.write_text(_dumps(structure_witnesses()))
