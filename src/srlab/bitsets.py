@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -71,6 +71,28 @@ def single_maximal_overlap(f: int, placed: Iterable[int]) -> int | None:
     if not hits:
         return 0
     return u if u in hits else None
+
+
+def shells_onto(f: int, placed: Sequence[int]) -> bool:
+    """The shelling step: whether f meets the union of the placed facets in a
+    pure subcomplex of codimension one, so that f may follow them.
+
+    With R the vertices v of f such that f minus v lies in a placed facet,
+    that holds iff f minus p meets R for every placed p: then f meets p
+    inside some f minus v with v in R. O(|placed|) bit operations.
+    """
+    r = 0
+    for p in placed:
+        x = f & ~p
+        if x & (x - 1) == 0:  # f minus p is one vertex
+            r |= x
+    return all(f & ~p & r for p in placed)
+
+
+def is_shelling(order: Sequence[int]) -> bool:
+    """Whether each facet of order shells onto those before it (shells_onto):
+    O(F^2) bit operations on F facets. For a pure complex this is a shelling."""
+    return all(shells_onto(f, order[:i]) for i, f in enumerate(order))
 
 
 def sort_canonical(masks: Iterable[int]) -> tuple[int, ...]:

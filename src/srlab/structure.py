@@ -6,9 +6,11 @@ replay in polynomial time: a facet ordering for fat forests and shellings,
 a shedding tree for vertex decompositions. Fat forests and shellings share
 one backtracking search over facet orders (_facet_order); each witness has
 one step rule, used by both its search and its replay: a single maximal
-overlap for fat forests, _shells_onto for shellings, which makes the replay
-of a shelling O(F^2) bit operations on F facets. Link and deletion of a
-vertex come from one helper, _shed.
+overlap for fat forests, bitsets.shells_onto for shellings, which makes the
+replay of a shelling O(F^2) bit operations on F facets. The fat-forest search
+only runs on clique complexes of chordal graphs (_is_quasi_forest), the
+complexes that have such an order. Link and deletion of a vertex come from
+one helper, _shed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .bitsets import maximal_masks, single_maximal_overlap, vertices_of
+from .bitsets import is_shelling, iter_vertices, maximal_masks, shells_onto, single_maximal_overlap, vertices_of
 from .complexes import SimplicialComplex, clique_complex, is_pure
 from .errors import check_guard
 from .graphs import Graph, is_chordal
@@ -24,6 +26,7 @@ from .homology import Field, RATIONALS
 from .resolution import (
     FatForestDecomposition,
     GradedBettiTable,
+    _squeezed,
     betti_hochster,
     linear_resolution_degree,
 )
@@ -77,6 +80,22 @@ def _facet_order(facets: list[int], fits, prefer=None) -> list[int] | None:
 # Fat forests
 
 
+def _is_quasi_forest(facets) -> bool:
+    """Whether the facets are the clique complex of a chordal graph, their
+    1-skeleton on the vertices they use.
+
+    These are the quasi-forests of Herzog-Hibi-Zheng (2004): exactly the
+    complexes with a fat-forest order. Polynomial in the facet count.
+    """
+    squeezed = _squeezed(facets)
+    adj = [0] * max(squeezed).bit_length()  # the largest mask holds the top vertex
+    for f in squeezed:
+        for v in iter_vertices(f):
+            adj[v - 1] |= f
+    g = Graph(len(adj), tuple(a & ~(1 << i) for i, a in enumerate(adj)))
+    return is_chordal(g).chordal and set(clique_complex(g).facets) == set(squeezed)
+
+
 def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
     """Search for an ordering of the facets where each simplex meets the
     union of its predecessors in a single face (possibly empty).
@@ -84,15 +103,19 @@ def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureV
     The witness is the facet order together with the (simplex dim, overlap
     dim) data consumable by fat_forest_hilbert. More than
     FAT_FOREST_FACET_GUARD facets raise GuardExceeded unless override is set.
+    A complex that is not the clique complex of a chordal graph has no such
+    order (_is_quasi_forest) and is refused before the search, which could
+    otherwise visit exponentially many sets of placed facets.
     """
     name = "fat_forest"
     if c.is_void:
         return StructureVerdict(name, False, note="void complex")
     facets = list(c.facets)
     check_guard("fat-forest search", len(facets), FAT_FOREST_FACET_GUARD, override, facets=True)
-    order = _facet_order(facets, lambda f, placed: single_maximal_overlap(f, placed) is not None)
-    if order is None:
+    if not _is_quasi_forest(facets):
         return StructureVerdict(name, False)
+    order = _facet_order(facets, lambda f, placed: single_maximal_overlap(f, placed) is not None)
+    assert order is not None, "a quasi-forest has a fat-forest order"
     masks = [facets[i] for i in order]
     decomp = verify_fat_forest_order(c, masks)
     assert decomp is not None
@@ -254,22 +277,6 @@ def shelling_order_from_vd(c: SimplicialComplex, witness) -> list[int]:
 # Pure shellability
 
 
-def _shells_onto(f: int, placed: list[int]) -> bool:
-    """The shelling step: whether f meets the union of the placed facets in a
-    pure subcomplex of codimension one, so that f may follow them.
-
-    With R the vertices v of f such that f minus v lies in a placed facet,
-    that holds iff f minus p meets R for every placed p: then f meets p
-    inside some f minus v with v in R. O(|placed|) bit operations.
-    """
-    r = 0
-    for p in placed:
-        x = f & ~p
-        if x & (x - 1) == 0:  # f minus p is one vertex
-            r |= x
-    return all(f & ~p & r for p in placed)
-
-
 def _overlap(f: int, placed: list[int]) -> int:
     union = 0
     for p in placed:
@@ -279,11 +286,11 @@ def _overlap(f: int, placed: list[int]) -> int:
 
 def is_valid_shelling(c: SimplicialComplex, order: list[int]) -> bool:
     """Check a facet order: each facet must meet the union of its
-    predecessors in a pure subcomplex of codimension one (_shells_onto), so
-    the whole order costs O(F^2) bit operations."""
+    predecessors in a pure subcomplex of codimension one (bitsets.shells_onto),
+    so the whole order costs O(F^2) bit operations."""
     if sorted(order) != sorted(c.facets) or not order:
         return False
-    return all(_shells_onto(f, order[:i]) for i, f in enumerate(order))
+    return is_shelling(order)
 
 
 def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
@@ -300,7 +307,7 @@ def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> Struct
         raise ValueError("shellability is only tested here for pure complexes")
     facets = list(c.facets)
     check_guard("shelling search", len(facets), SHELLING_FACET_GUARD, override, facets=True)
-    order = _facet_order(facets, _shells_onto, _overlap)
+    order = _facet_order(facets, shells_onto, _overlap)
     if order is None:
         return StructureVerdict(name, False)
     assert is_valid_shelling(c, [facets[i] for i in order])

@@ -18,6 +18,13 @@ from srlab.homology import GF2, RATIONALS
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_both.json"
 
+# `scan --field both --format json` reports without `seconds`, written before
+# shelling certificates decided scan cells; every later change must reproduce them.
+SCAN_GOLDEN = {
+    "scan_Ln_k4_n12_both.json": ["--conjecture", "Ln", "--kmax", "4", "--nmax", "12"],
+    "scan_L2n_k3_n10_both.json": ["--conjecture", "L2n", "--kmax", "3", "--nmax", "10"],
+}
+
 
 def test_catalog_completeness():
     assert len(CLAIMS) >= 15
@@ -42,6 +49,14 @@ def test_all_claims_match_expected_status(capsys):
             assert (r["status"] == CONFIRMED) == CLAIMS[r["claim"]].expect_confirmed, r
     # every value of the report except its timings is pinned
     assert payload == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GOLDEN))
+def test_scans_match_golden_files(capsys, name):
+    assert cli.main(["scan", *SCAN_GOLDEN[name], "--field", "both", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["seconds"]
+    assert (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode() == (GOLDEN.parent / name).read_bytes()
 
 
 def test_verify_all_runs_each_claim_once_per_field(capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Reisner's sweep over facet intersections against the every-link sweep it replaced."""
+"""Reisner's sweep over facet intersections, and is_cm_reisner with its shelling
+certificate in front, against the every-link sweep they replaced."""
 
 import random
 
@@ -11,7 +12,7 @@ from srlab.bitsets import vertices_of
 from srlab.complexes import alexander_dual, all_faces, cover_complex, make_complex
 from srlab.errors import GuardExceeded
 from srlab.homology import GF2, RATIONALS, Field
-from srlab.resolution import ReisnerVerdict, is_cm_reisner
+from srlab.resolution import ReisnerVerdict, _reisner_sweep, is_cm_reisner
 
 FIELDS = (RATIONALS, GF2, Field(3))
 
@@ -55,6 +56,8 @@ def test_random_complexes_match_every_link_sweep():
         for field in FIELDS:
             got = is_cm_reisner(c, field)
             assert got == reisner_every_link(c, field), (c, field)
+            if not alexander_dual(c).is_void:  # the sweep skips the full simplex
+                assert _reisner_sweep(c, field) == got, (c, field)
             verdicts.append(got)
     # the corpus exercises both verdicts and witnesses above the empty face
     assert any(v.cm for v in verdicts) and any(v.witness and v.witness[0] for v in verdicts)
@@ -72,7 +75,8 @@ def test_family_covers_and_duals_match_every_link_sweep():
                 if x in seen or x.is_void:
                     continue
                 seen.add(x)
-                assert is_cm_reisner(x, RATIONALS) == reisner_every_link(x, RATIONALS), (name, k, x)
+                expect = reisner_every_link(x, RATIONALS)
+                assert is_cm_reisner(x, RATIONALS) == expect == _reisner_sweep(x, RATIONALS), (name, k, x)
 
 
 def test_guard_stops_before_face_enumeration(monkeypatch):
@@ -83,5 +87,6 @@ def test_guard_stops_before_face_enumeration(monkeypatch):
     big = make_complex(25, [(1 << 25) - 2, (1 << 24) - 1])
     with pytest.raises(GuardExceeded):
         is_cm_reisner(big)
-    assert is_cm_reisner(big, override=True).cm  # the sweep itself enumerates no faces
+    assert is_cm_reisner(big, override=True).cm  # a shelling
+    assert _reisner_sweep(big, RATIONALS).cm  # the sweep itself enumerates no faces
 

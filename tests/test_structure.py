@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import family_complexes
+from conftest import family_complexes, family_graphs
 from oracles import is_valid_shelling_pairwise
-from srlab.bitsets import mask_of, vertices_of
+from srlab.bitsets import mask_of, single_maximal_overlap, vertices_of
 from srlab.complexes import (
     alexander_dual,
     clique_complex,
@@ -23,6 +23,10 @@ from srlab.graphs import complete, cycle, cycle_square, path, path_square, star
 from srlab.homology import GF2
 from srlab.resolution import fat_forest_hilbert, hilbert_from_fvector
 from srlab.structure import (
+    FAT_FOREST_FACET_GUARD,
+    StructureVerdict,
+    _facet_order,
+    _is_quasi_forest,
     check_vd_witness,
     froberg_check,
     is_fat_forest,
@@ -77,6 +81,36 @@ def test_fat_forest_guard():
     with pytest.raises(GuardExceeded):
         is_fat_forest(big)
     assert is_fat_forest(big, override=True).holds in (True, False)
+
+
+def test_quasi_forest_test_matches_the_search():
+    # Herzog-Hibi-Zheng: fat forests (quasi-forests) are exactly the clique
+    # complexes of chordal graphs; the search alone is the reference here
+    def search_finds_order(c):
+        return _facet_order(list(c.facets), lambda f, placed: single_maximal_overlap(f, placed) is not None) is not None
+
+    rng = random.Random(20261020)
+    corpus = []
+    for _ in range(5000):
+        n = rng.randint(1, 7)
+        corpus.append(make_complex(n, [rng.randrange(1 << n) for _ in range(rng.randint(1, 9))]))
+    for name, g in family_graphs(10):
+        for k in range(1, g.n + 1):
+            c = cover_complex(g, k)
+            corpus += [clique_complex(g)] + ([c, alexander_dual(c)] if not c.is_void else [])
+    verdicts = []
+    for c in corpus:
+        if c.is_void or len(c.facets) > FAT_FOREST_FACET_GUARD:
+            continue
+        verdicts.append(_is_quasi_forest(c.facets))
+        assert verdicts[-1] == search_finds_order(c), c
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9  # both verdicts are exercised
+
+
+def test_fat_forest_refuses_non_quasi_forests_before_the_search():
+    c = cover_complex(path(14), 4)  # 330 facets; the search alone ran for minutes
+    assert is_fat_forest(c, override=True) == StructureVerdict("fat_forest", False)
+    assert not is_fat_forest(OCTA).holds and not is_fat_forest(clique_complex(cycle(5))).holds
 
 
 def test_froberg_check():
