@@ -38,7 +38,7 @@ facet order is a shelling (stored_order_shells) is CM over every field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -402,7 +402,6 @@ class ReisnerVerdict:
     cm: bool
     field: Field
     witness: tuple[tuple[int, ...], int] | None = None  # (face, offending degree)
-    route: str = dfield(default="sweep", compare=False)  # "simplex", "shelling" or "sweep"
 
 
 def stored_order_shells(c: SimplicialComplex) -> bool:
@@ -418,24 +417,21 @@ def stored_order_shells(c: SimplicialComplex) -> bool:
 def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: bool = False) -> ReisnerVerdict:
     """Cohen-Macaulayness by vanishing of link homology below link dimension.
 
-    A certificate comes first: the full simplex is CM, and so is a pure
-    complex whose stored facet order is a shelling (stored_order_shells), over
-    every field. Any other complex runs Reisner's sweep (_reisner_sweep), which
-    decides exactly and names the first failing face. route records which of
-    the three decided.
+    A certificate comes first: a pure complex whose stored facet order is a
+    shelling (stored_order_shells), the full simplex among them, is CM over
+    every field. Any other complex runs Reisner's sweep (_reisner_sweep),
+    which decides exactly and names the first failing face.
     """
     if c.is_void:
         raise VoidComplexError("void complex")
     check_guard("face-enumeration", c.n, DEFAULT_GROUND_GUARD, override)
-    if alexander_dual(c).is_void:  # the full simplex: every link is a simplex
-        return ReisnerVerdict(True, field, route="simplex")
     if stored_order_shells(c):
-        return ReisnerVerdict(True, field, route="shelling")
+        return ReisnerVerdict(True, field)
     return _reisner_sweep(c, field)
 
 
 def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
-    """Reisner's criterion on a nonvoid complex other than the full simplex.
+    """Reisner's criterion on a nonvoid complex.
 
     All reduced homology of the link of every face sigma (including the empty
     one) must vanish strictly below the link's dimension. A face that is not
@@ -448,8 +444,9 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     using H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
     """
     dual_facets = alexander_dual(c).facets
+    if not dual_facets:  # the full simplex: every link is a simplex
+        return ReisnerVerdict(True, field)
     full = (1 << c.n) - 1
-    pure_top = c.facets[0].bit_count() if is_pure(c) else None  # every facet's size
     cores: dict = {}
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # core -> homology
 
@@ -469,7 +466,7 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
         read = _read(memo[core], u.bit_count(), link)
         degrees = [u.bit_count() - d - 3 for d, _ in read]  # H~_d(dual|u) is H~_{|u|-d-3}(lk sigma)
         if degrees:
-            top = pure_top if pure_top is not None else max(f.bit_count() for f in c.facets if f & sigma == sigma)
+            top = max(f.bit_count() for f in c.facets if f & sigma == sigma)
             low = [i for i in degrees if i < top - sigma.bit_count() - 1]  # below dim lk sigma
             if low:
                 return ReisnerVerdict(False, field, (vertices_of(sigma), min(low)))

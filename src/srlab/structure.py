@@ -104,8 +104,9 @@ def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureV
     dim) data consumable by fat_forest_hilbert. More than
     FAT_FOREST_FACET_GUARD facets raise GuardExceeded unless override is set.
     A complex that is not the clique complex of a chordal graph has no such
-    order (_is_quasi_forest) and is refused before the search, which could
-    otherwise visit exponentially many sets of placed facets.
+    order (_is_quasi_forest) and is refused in polynomial time before the
+    search. On a quasi-forest the search can still visit exponentially many
+    sets of placed facets before it finds an order.
     """
     name = "fat_forest"
     if c.is_void:

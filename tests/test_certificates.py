@@ -49,41 +49,35 @@ def covers_and_duals(max_n: int) -> list[tuple[str, SimplicialComplex]]:
 @pytest.mark.parametrize("field, max_n", [(RATIONALS, 12), (GF2, 11), (Field(3), 11)], ids=["Q", "GF2", "GF3"])
 def test_certificates_match_sweep_and_table_on_family_complexes(field, max_n):
     corpus = covers_and_duals(max_n)  # closed under duality
-    verdicts = {x: is_cm_reisner(x, field) for _, x in corpus}
+    shells = Counter()
     for name, x in corpus:
-        verdict = verdicts[x]
-        if verdict.route == "shelling":
-            assert stored_order_shells(x) and _reisner_sweep(x, field).cm, name
-        else:
-            assert verdict.route == "sweep" and not stored_order_shells(x), name
+        verdict = is_cm_reisner(x, field)
+        shells[stored_order_shells(x)] += 1
+        if stored_order_shells(x):
+            assert verdict.cm and _reisner_sweep(x, field).cm, name
         table = betti_hochster(x, field)
         assert verdict.cm == is_cm_ab(x, field, table=table), name
         dual = alexander_dual(x)
         if stored_order_shells(dual):  # linear quotients: every generator has degree n - |facet of dual|
             assert linear_resolution_degree(table) == x.n - dual.facets[0].bit_count(), name
             er = eagon_reiner_check(x, field, table=table)
-            assert er.consistent and er.dual_cm and verdicts[dual].route == "shelling", name
-    routes = Counter(v.route for v in verdicts.values())
-    assert routes["shelling"] > routes["sweep"] > 0
+            assert er.consistent and er.dual_cm, name
+    assert shells[True] > shells[False] > 0
 
 
 def test_certificate_matches_sweep_on_shuffled_pure_complexes():
     rng = random.Random(13013)
-    routes = Counter()
+    shells = Counter()
     for _ in range(400):
         n = rng.randint(2, 8)
         size = rng.randint(1, n)
         c = make_complex(n, [mask_of(rng.sample(range(1, n + 1), size)) for _ in range(rng.randint(1, 9))])
-        if alexander_dual(c).is_void:
-            continue  # the full simplex has no sweep
         for _ in range(3):
             x = SimplicialComplex(n, tuple(rng.sample(c.facets, len(c.facets))))  # stored in this order
+            shells[stored_order_shells(x)] += 1
             for field in FIELDS:
-                verdict = is_cm_reisner(x, field)
-                routes[verdict.route] += 1
-                assert verdict == _reisner_sweep(x, field), (x, field)
-                assert verdict.route == ("shelling" if is_shelling(x.facets) else "sweep")
-    assert routes["shelling"] and routes["sweep"]
+                assert is_cm_reisner(x, field) == _reisner_sweep(x, field), (x, field)
+    assert shells[True] and shells[False]
 
 
 def test_non_shelling_order_is_no_certificate():
@@ -93,7 +87,7 @@ def test_non_shelling_order_is_no_certificate():
     assert is_cm_reisner(c) == ReisnerVerdict(False, RATIONALS, ((3,), 0))
     # a path of three edges: CM, but this stored order puts the end edges first
     p = SimplicialComplex(4, (mask_of((1, 2)), mask_of((3, 4)), mask_of((2, 3))))
-    assert not stored_order_shells(p) and is_cm_reisner(p).route == "sweep" and is_cm_reisner(p).cm
+    assert not stored_order_shells(p) and is_cm_reisner(p).cm
 
 
 def test_non_pure_complex_is_no_certificate():
@@ -105,11 +99,11 @@ def test_non_pure_complex_is_no_certificate():
     assert eagon_reiner_check(alexander_dual(c)).dual_cm is False
 
 
-def test_routes_are_recorded_and_not_compared():
-    assert is_cm_reisner(simplex_complex(5)).route == "simplex"
-    assert is_cm_reisner(cover_complex(path(12), 4)).route == "shelling"
-    assert is_cm_reisner(cover_complex(cycle(12), 3)).route == "sweep"
-    assert ReisnerVerdict(True, GF2, route="shelling") == ReisnerVerdict(True, GF2)
+def test_stored_orders_of_named_complexes():
+    # the full simplex is certified by its one facet, so the sweep never sees it
+    assert stored_order_shells(simplex_complex(5)) and is_cm_reisner(simplex_complex(5)).cm
+    assert stored_order_shells(cover_complex(path(12), 4))
+    assert not stored_order_shells(cover_complex(cycle(12), 3))
 
 
 def _cells(builder, n_min_of_k, both_sides):

@@ -56,8 +56,7 @@ def test_random_complexes_match_every_link_sweep():
         for field in FIELDS:
             got = is_cm_reisner(c, field)
             assert got == reisner_every_link(c, field), (c, field)
-            if not alexander_dual(c).is_void:  # the sweep skips the full simplex
-                assert _reisner_sweep(c, field) == got, (c, field)
+            assert _reisner_sweep(c, field) == got, (c, field)
             verdicts.append(got)
     # the corpus exercises both verdicts and witnesses above the empty face
     assert any(v.cm for v in verdicts) and any(v.witness and v.witness[0] for v in verdicts)
