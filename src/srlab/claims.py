@@ -28,6 +28,8 @@ from .complexes import (
     cover_complex,
     dual_ideal_generators,
     f_vector,
+    join,
+    make_complex,
     minimal_nonfaces,
     simplex_complex,
     skeleton,
@@ -44,6 +46,7 @@ from .graphs import (
     path_square,
     points,
     star,
+    tree_from_edges,
     wheel,
 )
 from .homology import GF2, RATIONALS, Field
@@ -351,8 +354,6 @@ def _tree_samples(n: int) -> list[Graph]:
     if n >= 6:
         # a spider: one center, one long leg
         edges = [(1, 2), (2, 3)] + [(3, j) for j in range(4, n + 1)]
-        from .graphs import tree_from_edges
-
         out.append(tree_from_edges(n, edges))
     return out
 
@@ -554,8 +555,6 @@ def _prism(field):
     "of two rings with a-linear resolutions (a > 1) is never linear",
 )
 def _join_lemma(field):
-    from .complexes import join, make_complex
-
     pairs = [
         (make_complex(2, [1, 2]), make_complex(2, [1, 2])),
         (clique_complex(path(3)), make_complex(2, [1, 2])),
@@ -1036,7 +1035,7 @@ class ScanReport:
         }
 
 
-def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, override, workers):
+def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, override):
     """One cell per (k, n, field): the linear degree and CM verdict of the
     cover complex c, and of its Alexander dual d when both_sides is set.
 
@@ -1066,11 +1065,11 @@ def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_g
                     dual = (c.n - c.facets[0].bit_count(), True) if both_sides else ()
                     cells.append(ScanCell(k, n, str(f), c.n - d.facets[0].bit_count(), True, *dual))
                     continue
-                t = betti_hochster(c, f, max_ground=max_ground, override=override, workers=workers)
+                t = betti_hochster(c, f, max_ground=max_ground, override=override)
                 lin = linear_resolution_degree(t)
                 cm = is_cm_ab(c, f, table=t)
                 if both_sides:
-                    td = betti_hochster(d, f, max_ground=max_ground, override=override, workers=workers)
+                    td = betti_hochster(d, f, max_ground=max_ground, override=override)
                     cells.append(ScanCell(k, n, str(f), lin, cm, linear_resolution_degree(td), is_cm_ab(d, f, table=td)))
                 else:
                     cells.append(ScanCell(k, n, str(f), lin, cm))
@@ -1085,13 +1084,12 @@ def scan_conjecture_Ln(
     *,
     max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,
-    workers: int = 1,
 ) -> ScanReport:
     """Scan: path cover rings are CM with linear resolutions for n >= 2k-1.
 
-    max_ground, override and workers are passed to betti_hochster.
+    max_ground and override are passed to betti_hochster.
     """
-    cells, cex, secs = _scan(path, lambda k: 2 * k - 1, False, k_range, n_range, fields, max_ground, override, workers)
+    cells, cex, secs = _scan(path, lambda k: 2 * k - 1, False, k_range, n_range, fields, max_ground, override)
     notes = []
     for c in cells:
         if c.k == 3 and c.n == 6 and c.field == "Q":
@@ -1109,13 +1107,12 @@ def scan_conjecture_L2n(
     *,
     max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,
-    workers: int = 1,
 ) -> ScanReport:
     """Scan: squared-path cover rings and their duals are CM with linear resolutions.
 
-    max_ground, override and workers are passed to betti_hochster.
+    max_ground and override are passed to betti_hochster.
     """
-    cells, cex, secs = _scan(path_square, lambda k: 3 * k - 2, True, k_range, n_range, fields, max_ground, override, workers)
+    cells, cex, secs = _scan(path_square, lambda k: 3 * k - 2, True, k_range, n_range, fields, max_ground, override)
     return ScanReport("L2n", cells, cex, [], secs)
 
 

@@ -79,7 +79,6 @@ def _add_report_args(p, formats):
 
 
 def _add_guard_args(p):
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-ground", type=int, default=DEFAULT_HOCHSTER_GUARD)
     p.add_argument("--override-guards", action="store_true")
 
@@ -167,7 +166,7 @@ def _betti_cached(c, field, args, fv):
         t = _read_cached(key, c, field, fv)
         if t is not None:
             return t
-    t = betti_hochster(c, field, max_ground=args.max_ground, override=args.override_guards, workers=args.workers)
+    t = betti_hochster(c, field, max_ground=args.max_ground, override=args.override_guards)
     if key is not None:
         tmp = key.with_name(f"{key.stem}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(t.to_json(), sort_keys=True))
@@ -303,7 +302,6 @@ def cmd_scan(args) -> int:
         fields,
         max_ground=args.max_ground,
         override=args.override_guards,
-        workers=args.workers,
     )
     if args.format == "json":
         _emit(args, json.dumps(rep.to_json(), sort_keys=True))

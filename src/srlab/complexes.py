@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .bitsets import (
@@ -257,7 +258,6 @@ def dual_fvector(f: tuple[int, ...], n: int) -> tuple[int, ...]:
     Entry i of the dual counts i-faces and equals C(n, i+1) - f_{n-i-2}.
     The empty tuple stands for the void complex on either side.
     """
-    from math import comb
 
     def fval(j: int) -> int:
         idx = j + 1

@@ -45,7 +45,7 @@ from math import comb
 from .bitsets import is_shelling, maximal_masks, vertices_of
 from .complexes import DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
 from .errors import VoidComplexError, check_guard
-from .homology import GF2, Field, RATIONALS, _core, _is_cone, homology_dims_from_facets, rational_dims
+from .homology import GF2, Field, RATIONALS, _core, _is_cone, homology_dims_from_facets, parse_field, rational_dims
 
 #: Hochster summation refuses larger ground sets unless overridden.
 DEFAULT_HOCHSTER_GUARD = 22
@@ -133,8 +133,6 @@ class GradedBettiTable:
 
     @staticmethod
     def from_json(obj: dict) -> "GradedBettiTable":
-        from .homology import parse_field
-
         entries = {(int(i), int(j)): int(b) for i, j, b in obj["entries"]}
         return GradedBettiTable(entries, parse_field(obj["field"]), int(obj["n"]))
 
@@ -278,29 +276,15 @@ def _hochster_plan(c: SimplicialComplex) -> _HochsterPlan:
     return _HochsterPlan(uses, {})
 
 
-def _core_dims(core: tuple[int, ...], field: Field, gf2: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Homology of a core over field; over Q, from its GF(2) profile gf2."""
-    return homology_dims_from_facets(core, field) if gf2 is None else rational_dims(core, gf2)
-
-
-def _plan_dims(plan: _HochsterPlan, field: Field, workers: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _plan_dims(plan: _HochsterPlan, field: Field) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The homology over field of every core of plan, computing only what the
     plan does not hold yet. Over Q the GF(2) profiles come first and stay in
     the plan, so Q and GF(2) share them in either order."""
     known = plan.dims.setdefault(field, {})
     todo = [core for core in dict.fromkeys(core for core, _, _ in plan.uses) if core not in known]
-    if not todo:
-        return known
-    gf2 = _plan_dims(plan, GF2, workers) if field.is_rationals else None
-    args = [(core, field, None if gf2 is None else gf2[core]) for core in todo]
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(workers) as pool:
-            found = pool.starmap(_core_dims, args, chunksize=len(args) // (workers * 8) + 1)
-    else:
-        found = [_core_dims(*a) for a in args]
-    known.update(zip(todo, found))
+    gf2 = _plan_dims(plan, GF2) if todo and field.is_rationals else None
+    for core in todo:
+        known[core] = homology_dims_from_facets(core, field) if gf2 is None else rational_dims(core, gf2[core])
     return known
 
 
@@ -310,7 +294,6 @@ def betti_hochster(
     *,
     max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,
-    workers: int = 1,
 ) -> GradedBettiTable:
     """Exact graded Betti table of the face ring of c over the given field.
 
@@ -320,15 +303,12 @@ def betti_hochster(
     field-independent half, the subsets grouped by the relabelled facet list
     they read, is planned once per complex and memoized, so further fields of
     c reuse it and its homology (GF(2) profiles serve Q and GF(2) alike).
-    The homology of the plan's facet lists not yet known over field may be
-    computed in worker processes; the reduction is a plain integer sum, so
-    results do not depend on scheduling.
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
     check_guard("Hochster", c.n, max_ground, override)
     plan = _hochster_plan(c)
-    dims = _plan_dims(plan, field, workers)
+    dims = _plan_dims(plan, field)
     entries: dict[tuple[int, int], int] = {}
     for (core, j, link), mult in plan.uses.items():
         for d, val in _read(dims[core], j, link):
@@ -440,8 +420,9 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     order. They are the complements of the members of the LCM lattice of
     c's own facets other than the empty set and [n]. The first failure
     reports the offending face and homological degree. _side with
-    (c^dual, c) picks whether each link is read from the link itself or from c^dual restricted to U = [n] minus sigma,
-    using H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
+    (c^dual, c) picks whether each link is read from the link itself or
+    from c^dual restricted to U = [n] minus sigma, using
+    H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
     """
     dual_facets = alexander_dual(c).facets
     if not dual_facets:  # the full simplex: every link is a simplex

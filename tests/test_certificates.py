@@ -107,7 +107,7 @@ def test_stored_orders_of_named_complexes():
 
 
 def _cells(builder, n_min_of_k, both_sides):
-    return claims._scan(builder, n_min_of_k, both_sides, (1, 5), (1, 12), FIELDS, 22, False, 1)[:2]
+    return claims._scan(builder, n_min_of_k, both_sides, (1, 5), (1, 12), FIELDS, 22, False)[:2]
 
 
 @pytest.mark.parametrize(

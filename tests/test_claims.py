@@ -150,9 +150,3 @@ def test_scan_l2n_small():
     assert fields == {"Q", "GF(2)"}
     j = rep.to_json()
     assert j["status"] == PARTIAL and j["cells"]
-
-
-def test_scan_workers_deterministic():
-    a = scan_conjecture_Ln((2, 2), (3, 9), (RATIONALS,), workers=1)
-    b = scan_conjecture_Ln((2, 2), (3, 9), (RATIONALS,), workers=2)
-    assert [c.to_json() for c in a.cells] == [c.to_json() for c in b.cells]

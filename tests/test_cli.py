@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,38 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["verify", "--claim", "k44.example", "--workers", "2"]) == 1
     assert cli.main(["verify", "--claim", "k44.example", "--override-guards"]) == 1
     assert cli.main(["invariants", "--family", "C", "--n", "4", "--k", "2", "--format", "tsv"]) == 1
+    assert cli.main(["invariants", "--family", "C", "--n", "4", "--k", "2", "--workers", "2"]) == 1
+    assert cli.main(["scan", "--conjecture", "Ln", "--workers", "2"]) == 1
+
+
+_INPUT = {"--input", "--family", "--n", "--m", "--k", "--dual", "--clique"}
+_GUARD = {"--max-ground", "--override-guards"}
+_REPORT = {"--format", "--field", "-o", "--output"}
+OPTIONS = {
+    "build": _INPUT | {"-o", "--output"},
+    "invariants": _INPUT | _REPORT | _GUARD | {"--cache-dir", "--no-cache"},
+    "verify": _REPORT | {"--claim", "--all"},
+    "scan": _REPORT | _GUARD | {"--conjecture", "--kmin", "--kmax", "--nmin", "--nmax"},
+}
+
+
+def test_each_subcommand_takes_the_pinned_options_and_readme_names_them():
+    """Adding or dropping a flag changes this dict, and the README must follow."""
+    parser = cli.make_parser()
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    got = {
+        name: {s for a in p._actions if a.dest != "help" for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTIONS
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    flag = r"(?<![\w-])--[a-z][a-z-]*"
+    in_backticks = {f for span in re.findall(r"`([^`\n]+)`", cli_section) for f in re.findall(flag, span)}
+    accepted = {f for opts in OPTIONS.values() for f in opts if f.startswith("--")}
+    assert accepted <= in_backticks, accepted - in_backticks
+    named = set(re.findall(flag, cli_section))
+    assert named <= accepted, named - accepted
 
 
 def test_unreadable_input_exits_1(capsys, tmp_path):
