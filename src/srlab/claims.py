@@ -159,10 +159,6 @@ def _claim(claim_id: str, family: str, description: str, expect_confirmed: bool 
 # ---------------------------------------------------------------------------
 # Shared helpers
 
-def _fmt_table(t: GradedBettiTable) -> str:
-    return " ".join(f"b[{i},{j}]={b}" for i, j, b in t.sorted_items())
-
-
 def _fmt_entries(entries: dict) -> str:
     return " ".join(f"b[{i},{j}]={b}" for (i, j), b in sorted(entries.items()))
 
@@ -184,7 +180,7 @@ def _require_tables(pairs: list[tuple[str, GradedBettiTable, dict]]) -> tuple[st
     if bad:
         raise _Refuted(
             "; ".join(f"{l}: {_fmt_entries(e)}" for l, e, _ in bad),
-            "; ".join(f"{l}: {_fmt_table(t)}" for l, _, t in bad),
+            "; ".join(f"{l}: {_fmt_entries(t.entries)}" for l, _, t in bad),
         )
     return "; ".join(l for l, _, _ in pairs), "all tables match"
 
@@ -204,12 +200,12 @@ def _k1(field):
         for g in (cycle(n), star(n)):
             c = cover_complex(g, 1)
             t = betti_hochster(c, field)
-            _require(t.entries == {(0, 0): 1, (1, n): 1}, f"n={n}: b[1,{n}]=1 only", _fmt_table(t))
+            _require(t.entries == {(0, 0): 1, (1, n): 1}, f"n={n}: b[1,{n}]=1 only", _fmt_entries(t.entries))
             d = alexander_dual(c)
             _require(d.is_irrelevant, f"n={n}: dual is the irrelevant complex", "other")
             td = betti_hochster(d, field)
             exp = {(i, i): comb(n, i) for i in range(n + 1)}
-            _require(td.entries == exp, f"n={n}: dual b[i,i]=C(n,i)", _fmt_table(td))
+            _require(td.entries == exp, f"n={n}: dual b[i,i]=C(n,i)", _fmt_entries(td.entries))
             _require(linear_resolution_degree(t) == n and linear_resolution_degree(td) == 1,
                      f"n={n}: linear degrees n and 1", "other")
             _require(is_cm_ab(c, field, table=t) and is_cm_ab(d, field, table=td), f"n={n}: both rings CM", "not CM")
@@ -415,9 +411,9 @@ def _tree_dual_stated(field):
     disc = (
         f"tree-ring Betti closed form, n={n}",
         "(n-2)C(n-2,i+1) + C(n-2,i+1)",
-        f"oracle {_fmt_table(t)} matches n*C(n-1,i) - C(n,i+1) - (n-1)*C(n-2,i-1)",
+        f"oracle {_fmt_entries(t.entries)} matches n*C(n-1,i) - C(n,i+1) - (n-1)*C(n-2,i-1)",
     )
-    return ClaimOutcome(t.entries == stated, "stated additive closed form", _fmt_table(t), (disc,))
+    return ClaimOutcome(t.entries == stated, "stated additive closed form", _fmt_entries(t.entries), (disc,))
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +468,9 @@ def _s6_k2(field):
     disc = (
         "degree index of the six-vertex star example",
         "values (10,15,6) attributed to degree 2",
-        f"degree-2 oracle gives {_fmt_table(t)}; the values match degree 3",
+        f"degree-2 oracle gives {_fmt_entries(t.entries)}; the values match degree 3",
     )
-    return ClaimOutcome(t.entries == exp, "(10,15,6) at degree 2", _fmt_table(t), (disc,))
+    return ClaimOutcome(t.entries == exp, "(10,15,6) at degree 2", _fmt_entries(t.entries), (disc,))
 
 
 @_claim(
@@ -496,12 +492,12 @@ def _l6_stated(field):
         (
             "six-vertex path, degree-3 cover ring Betti",
             "(9,18,15,6,1) in degrees 2..6",
-            f"oracle {_fmt_table(t)}",
+            f"oracle {_fmt_entries(t.entries)}",
         ),
         (
             "six-vertex path, degree-3 dual Betti",
             "b[1,3]=2, b[2,6]=1",
-            f"oracle {_fmt_table(td)}; the path has four independent 3-sets",
+            f"oracle {_fmt_entries(td.entries)}; the path has four independent 3-sets",
         ),
         (
             "six-vertex path, degree-3 cover ring Cohen-Macaulayness",
@@ -510,7 +506,8 @@ def _l6_stated(field):
         ),
     )
     ok = t.entries == stated_primal and td.entries == stated_dual and not cm
-    return ClaimOutcome(ok, "stated path figures", f"primal {_fmt_table(t)}; dual {_fmt_table(td)}; CM={cm}", discs)
+    got = f"primal {_fmt_entries(t.entries)}; dual {_fmt_entries(td.entries)}; CM={cm}"
+    return ClaimOutcome(ok, "stated path figures", got, discs)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +563,7 @@ def _join_lemma(field):
         tj = betti_hochster(j, field)
         prod = betti_product(betti_hochster(a, field), betti_hochster(b, field))
         _require(tj.entries == prod.entries,
-                 "join table equals product", f"{_fmt_table(tj)} vs {_fmt_entries(prod.entries)}")
+                 "join table equals product", f"{_fmt_entries(tj.entries)} vs {_fmt_entries(prod.entries)}")
         sa = linear_resolution_degree(betti_hochster(a, field))
         sb = linear_resolution_degree(betti_hochster(b, field))
         _require(not (sa and sb and sa > 1 and sb > 1 and linear_resolution_degree(tj) is not None),
@@ -627,7 +624,7 @@ def _k44(field):
     td = betti_hochster(d, field)
     factor = betti_hochster(skeleton(simplex_complex(4), 1), field)
     _require(td.entries == betti_product(factor, factor).entries,
-             "dual table is the square of the skeleton table", _fmt_table(td))
+             "dual table is the square of the skeleton table", _fmt_entries(td.entries))
     _require(linear_resolution_degree(td) is None, "dual not linear", "linear")
     return ClaimOutcome(True, "4-linear values and product dual", "confirmed")
 
@@ -735,7 +732,8 @@ def _cycle_stated(field):
     disc = (
         f"assignment of the two cycle Betti formulas, n={n}",
         "(n,n,1) on the cycle ring; binomial formula on the cover side",
-        f"oracle: cycle ring {_fmt_table(t)}; cover side {_fmt_table(tv)}; the assignments are swapped",
+        f"oracle: cycle ring {_fmt_entries(t.entries)}; cover side {_fmt_entries(tv.entries)}; "
+        "the assignments are swapped",
     )
     ok = t.entries == stated_ring and tv.entries == stated_cover
     return ClaimOutcome(ok, "stated assignment", "swapped by oracle", (disc,))
@@ -866,7 +864,7 @@ def _l2n_stated(field):
     disc = (
         f"assignment of the squared-path Betti descriptions, n={n}",
         "clique complex with b[1,n-2]=n-2, b[2,n-1]=n-3; cover side with the quadratic-degree formula",
-        f"oracle: clique side {_fmt_table(tcc)} (degrees i+1); cover side {_fmt_table(tcv)} "
+        f"oracle: clique side {_fmt_entries(tcc.entries)} (degrees i+1); cover side {_fmt_entries(tcv.entries)} "
         f"(values n-2, n-3 at degrees n-3, n-2, one lower than stated)",
     )
     return ClaimOutcome(tcc.entries == stated_clique,
@@ -935,7 +933,7 @@ def _l2_10(field):
     c = cover_complex(path_square(10), 4)
     t = betti_hochster(c, field)
     exp = {(i, i): comb(4, i) for i in range(5)}
-    return ClaimOutcome(t.entries == exp, _fmt_entries(exp), _fmt_table(t))
+    return ClaimOutcome(t.entries == exp, _fmt_entries(exp), _fmt_entries(t.entries))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .complexes import (
     complex_from_json,
     complex_to_json,
     cover_complex,
-    dimension,
     dual_fvector,
     f_vector,
     is_pure,
@@ -93,20 +92,18 @@ def _emit(args, text: str) -> None:
 def _load_complex(args) -> SimplicialComplex:
     if args.input:
         obj = json.loads(Path(args.input).read_text())
-        if "facets" in obj:
-            if args.dual:
-                return alexander_dual(complex_from_json(obj))
-            return complex_from_json(obj)
-        g = graph_from_json(obj)
+        g = None if "facets" in obj else graph_from_json(obj)
     elif args.family:
         g = build_family(FamilySpec(args.family, n=args.n, m=args.m))
     else:
         raise ValueError("need --input FILE or --family ID")
-    if args.clique:
+    if g is None:
+        c = complex_from_json(obj)
+    elif args.clique:
         c = clique_complex(g)
+    elif args.k is None:
+        raise ValueError("need --k for a cover complex (or pass --clique)")
     else:
-        if args.k is None:
-            raise ValueError("need --k for a cover complex (or pass --clique)")
         c = cover_complex(g, args.k)
     return alexander_dual(c) if args.dual else c
 
@@ -179,7 +176,7 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
         raise VoidComplexError("void complex has no ring invariants")
     check_guard("Hochster", c.n, args.max_ground, args.override_guards)  # before any exponential work
     dual = alexander_dual(c)
-    if dual.dim() < c.dim():  # count the faces of the side with the smaller top facet
+    if dual.is_void or dual.dim() < c.dim():  # count the faces of the side with the smaller top facet
         fv = dual_fvector(f_vector(dual, override=args.override_guards), c.n)
     else:
         fv = f_vector(c, override=args.override_guards)
@@ -188,7 +185,7 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
     report = {
         "complex": complex_to_json(c),
         "field": str(field),
-        "dimension": int(dimension(c)),
+        "dimension": c.dim(),
         "pure": is_pure(c),
         "fVector": list(fv),
         "hilbert": hilbert_from_fvector(fv, c.n).to_json(),

@@ -30,8 +30,6 @@ from .bitsets import (
 from .errors import VoidComplexError, check_guard
 from .graphs import Graph, independent_sets, maximal_cliques
 
-NEG_INF = float("-inf")
-
 #: Face enumeration refuses larger ground sets unless explicitly overridden.
 DEFAULT_GROUND_GUARD = 24
 
@@ -51,8 +49,10 @@ class SimplicialComplex:
     def is_irrelevant(self) -> bool:
         return self.facets == (0,)
 
-    def dim(self):
-        return NEG_INF if self.is_void else max(f.bit_count() for f in self.facets) - 1
+    def dim(self) -> int:
+        if self.is_void:
+            raise VoidComplexError("the void complex has no dimension")
+        return max(f.bit_count() for f in self.facets) - 1
 
     def facet_vertices(self) -> list[tuple[int, ...]]:
         return [vertices_of(f) for f in self.facets]
@@ -84,11 +84,6 @@ def irrelevant_complex(n: int) -> SimplicialComplex:
 def simplex_complex(n: int) -> SimplicialComplex:
     """The full simplex on 1..n."""
     return SimplicialComplex(n, (full_mask(n),))
-
-
-def dimension(c: SimplicialComplex):
-    """Dimension; -inf sentinel for VOID, -1 for IRRELEVANT."""
-    return c.dim()
 
 
 def is_pure(c: SimplicialComplex) -> bool:

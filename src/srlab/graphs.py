@@ -23,9 +23,6 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
-    def neighbors(self, v: int) -> int:
-        return self.adj[v - 1]
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u - 1] >> (v - 1) & 1)
 

@@ -368,10 +368,6 @@ class HomologyProfile:
     dims: tuple[int, ...]
     field: Field
 
-    def dim_at(self, i: int) -> int:
-        idx = i + 1
-        return self.dims[idx] if 0 <= idx < len(self.dims) else 0
-
 
 def reduced_homology_dims(c: SimplicialComplex, field: Field = RATIONALS) -> HomologyProfile:
     """Reduced homology dimensions of c over the given field, exactly."""

@@ -23,12 +23,13 @@ squeezed core (_squeezed_core): the facet list is relabelled
 order-preserving onto its own support, cut down once per distinct list to
 its strong-collapse core, and the core is relabelled the same way. So
 translated copies of one complex, and lists with the same core, share an
-entry, and a list that collapses to a point needs none. The Hochster sum
-passes (S, S^dual) and keeps, per complex, a memoized plan: its subsets
-grouped by core, and the homology of each core per field, which every later
-field of S reuses. Reisner's sweep over the faces of S passes (S^dual, S),
-so the link of a face sigma is read either directly or from S^dual
-restricted to [n] minus sigma; its memos live for one sweep. Both take
+entry, and a list that collapses to a point needs none. The homology of a
+core over a field is memoized once for the process (_core_dims), and both
+walks below read it there. The Hochster sum passes (S, S^dual) and keeps,
+per complex, a memoized plan: its subsets grouped by core, which every
+later field of S reuses. Reisner's sweep over the faces of S passes
+(S^dual, S), so the link of a face sigma is read either directly or from
+S^dual restricted to [n] minus sigma; its cores live for one sweep. Both take
 their subsets from _lcm_lattice: the Hochster sum from S^dual's facets,
 Reisner's sweep from S's own, whose lattice members other than the empty
 set and [n] are the complements of the nonempty intersections of facets.
@@ -227,6 +228,19 @@ def _read(dims, j: int, link: bool) -> list[tuple[int, int]]:
     return [(j - 2 - idx if link else idx - 1, val) for idx, val in enumerate(dims) if val]
 
 
+@lru_cache(maxsize=None)
+def _core_dims(core: tuple[int, ...], field: Field) -> tuple[int, ...]:
+    """The homology over field of a squeezed core, memoized for the process.
+
+    Over Q the GF(2) profile comes first and stays in the memo, so Q and
+    GF(2) share it in either order, for every complex and sweep that meets
+    the core.
+    """
+    if field.is_rationals:
+        return rational_dims(core, _core_dims(core, GF2))
+    return homology_dims_from_facets(core, field)
+
+
 # ---------------------------------------------------------------------------
 # The Hochster sum
 
@@ -244,25 +258,16 @@ def _lcm_lattice(facets, n: int) -> list[int]:
     return sorted(masks)
 
 
-@dataclass
-class _HochsterPlan:
-    """The field-independent half of Hochster's sum for one complex.
-
-    uses counts the subsets W of the LCM lattice by (core, |W|, link): core
-    is the squeezed core (_squeezed_core) of the facet list that _side chose
-    for W, the key Reisner's memo uses too, and link says whether that list
-    is the dual's link. A W whose list is a cone or collapses to a point adds
-    nothing and is left out. dims holds, per field, the homology of every
-    core, filled in by the first table asked for over that field.
-    """
-
-    uses: dict[tuple[tuple[int, ...], int, bool], int]
-    dims: dict[Field, dict[tuple[int, ...], tuple[int, ...]]]
-
-
 @lru_cache(maxsize=256)
-def _hochster_plan(c: SimplicialComplex) -> _HochsterPlan:
-    """The plan of c's Hochster sum; memoized, so every field of c shares it."""
+def _hochster_plan(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, bool], int]:
+    """The field-independent half of c's Hochster sum; memoized, so every
+    field of c shares it.
+
+    It counts the subsets W of the LCM lattice by (core, |W|, link): core is
+    the squeezed core (_squeezed_core) of the facet list that _side chose
+    for W, and link says whether that list is the dual's link. A W whose
+    list is a cone or collapses to a point adds nothing and is left out.
+    """
     n = c.n
     dual_facets = alexander_dual(c).facets
     uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
@@ -273,19 +278,7 @@ def _hochster_plan(c: SimplicialComplex) -> _HochsterPlan:
         if core is not None:
             use = (core, w.bit_count(), link)
             uses[use] = uses.get(use, 0) + 1
-    return _HochsterPlan(uses, {})
-
-
-def _plan_dims(plan: _HochsterPlan, field: Field) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The homology over field of every core of plan, computing only what the
-    plan does not hold yet. Over Q the GF(2) profiles come first and stay in
-    the plan, so Q and GF(2) share them in either order."""
-    known = plan.dims.setdefault(field, {})
-    todo = [core for core in dict.fromkeys(core for core, _, _ in plan.uses) if core not in known]
-    gf2 = _plan_dims(plan, GF2) if todo and field.is_rationals else None
-    for core in todo:
-        known[core] = homology_dims_from_facets(core, field) if gf2 is None else rational_dims(core, gf2[core])
-    return known
+    return uses
 
 
 def betti_hochster(
@@ -300,18 +293,17 @@ def betti_hochster(
     Hochster's sum runs over the LCM lattice of the minimal nonfaces (the
     complements of the facets of the memoized Alexander dual) and reads each
     subset from the smaller of its restriction and the dual's link. The
-    field-independent half, the subsets grouped by the relabelled facet list
-    they read, is planned once per complex and memoized, so further fields of
-    c reuse it and its homology (GF(2) profiles serve Q and GF(2) alike).
+    field-independent half, the subsets grouped by the core they read, is
+    planned once per complex and memoized, so further fields of c reuse it;
+    each core's homology comes from _core_dims, shared with every other
+    complex and with Reisner's sweep (GF(2) profiles serve Q and GF(2) alike).
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
     check_guard("Hochster", c.n, max_ground, override)
-    plan = _hochster_plan(c)
-    dims = _plan_dims(plan, field)
     entries: dict[tuple[int, int], int] = {}
-    for (core, j, link), mult in plan.uses.items():
-        for d, val in _read(dims[core], j, link):
+    for (core, j, link), mult in _hochster_plan(c).items():
+        for d, val in _read(_core_dims(core, field), j, link):
             ij = (j - d - 1, j)
             entries[ij] = entries.get(ij, 0) + mult * val
     assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
@@ -429,7 +421,6 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
         return ReisnerVerdict(True, field)
     full = (1 << c.n) - 1
     cores: dict = {}
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}  # core -> homology
 
     def faces():
         yield 0  # first, and before the lattice is built: it is often the witness
@@ -442,9 +433,7 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
         core = _squeezed_core(facets, cores)
         if core is None:
             continue
-        if core not in memo:
-            memo[core] = homology_dims_from_facets(core, field)
-        read = _read(memo[core], u.bit_count(), link)
+        read = _read(_core_dims(core, field), u.bit_count(), link)
         degrees = [u.bit_count() - d - 3 for d, _ in read]  # H~_d(dual|u) is H~_{|u|-d-3}(lk sigma)
         if degrees:
             top = max(f.bit_count() for f in c.facets if f & sigma == sigma)
@@ -465,7 +454,7 @@ def is_cm_ab(
     if table is None:
         table = betti_hochster(c, field)
     pd = table.projective_dimension()
-    return c.n - pd == int(c.dim()) + 1
+    return c.n - pd == c.dim() + 1
 
 
 def is_gorenstein(

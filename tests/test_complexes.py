@@ -5,7 +5,6 @@ import pytest
 
 from srlab.bitsets import mask_of, vertices_of
 from srlab.complexes import (
-    NEG_INF,
     SimplicialComplex,
     alexander_dual,
     all_faces,
@@ -15,7 +14,6 @@ from srlab.complexes import (
     complex_to_json,
     cover_complex,
     deletion,
-    dimension,
     dual_fvector,
     dual_ideal_generators,
     f_vector,
@@ -51,9 +49,11 @@ def test_canonical_form_and_degenerates():
     c2 = C(4, [(1,), (1, 3)])  # maximalize
     assert favs(c2) == [(1, 3)]
     v = void_complex(3)
-    assert v.is_void and f_vector(v) == () and dimension(v) == NEG_INF and is_pure(v)
+    assert v.is_void and f_vector(v) == () and is_pure(v)
+    with pytest.raises(VoidComplexError):
+        v.dim()
     ir = irrelevant_complex(3)
-    assert ir.is_irrelevant and dimension(ir) == -1 and f_vector(ir) == (1,)
+    assert ir.is_irrelevant and ir.dim() == -1 and f_vector(ir) == (1,)
     assert make_complex(3, []) == v
     with pytest.raises(ValueError):
         make_complex(2, [mask_of((3,))])
@@ -95,7 +95,7 @@ def test_clique_complex():
     cc = clique_complex(cycle(4))
     assert favs(cc) == [(1, 2), (1, 4), (2, 3), (3, 4)]
     assert f_vector(clique_complex(cycle_square(6))) == (1, 6, 12, 8)
-    assert dimension(clique_complex(cycle_square(6))) == 2
+    assert clique_complex(cycle_square(6)).dim() == 2
     t = clique_complex(path(5))
     assert favs(t) == [(1, 2), (2, 3), (3, 4), (4, 5)]
     # isolated vertices become vertices of the complex

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +328,15 @@ def test_kunneth_on_joins(random_complexes):
             for k, y in enumerate(pb):
                 conv[i + k] += x * y
         assert list(pj) == conv + [0] * (len(pj) - len(conv)), (a.facets, b.facets)
+
+
+def test_package_sources_use_no_floating_point():
+    """README promises integer arithmetic only: no float literal and no float(...) call."""
+    found = []
+    for src in sorted(Path(homology.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(src.read_text())):
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            call = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+            if literal or call:
+                found.append(f"{src.name}:{node.lineno}")
+    assert found == []

@@ -136,6 +136,7 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
     real = resolution._side
     monkeypatch.setattr(resolution, "_side", lambda *a: read.append(a[3]) or real(*a))
     resolution._hochster_plan.cache_clear()
+    resolution._core_dims.cache_clear()
     for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3), alexander_dual(cover_complex(path(9), 3))):
         oracle = [betti_dual_links(c, f) for f in (RATIONALS, GF2)]
         read.clear()
@@ -158,6 +159,7 @@ def test_second_field_reuses_the_plan(monkeypatch):
     count(resolution, "maximal_masks")
     count(homology, "rank_gf2")
     resolution._hochster_plan.cache_clear()
+    resolution._core_dims.cache_clear()
     c = alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))
     betti_hochster(c, RATIONALS)
     assert calls["_lcm_lattice"] == 1 and calls["maximal_masks"] > 0 and calls["rank_gf2"] > 0
@@ -174,6 +176,7 @@ def test_field_order_with_torsion_matches_direct_sum():
         want = {f: betti_direct(c, f) for f in (RATIONALS, GF2, Field(3))}
         for order in ((RATIONALS, GF2, Field(3)), (GF2, RATIONALS)):
             resolution._hochster_plan.cache_clear()
+            resolution._core_dims.cache_clear()
             for f in order:
                 assert betti_hochster(c, f).entries == want[f], (c, order, f)
 
@@ -185,6 +188,7 @@ def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     alexander_dual.cache_clear()
     resolution._hochster_plan.cache_clear()
+    resolution._core_dims.cache_clear()
     tq = betti_hochster(c, RATIONALS)
     t2 = betti_hochster(c, GF2)
     assert len(calls) == 1
@@ -197,11 +201,29 @@ def test_relabelled_memo_cuts_homology_calls(monkeypatch):
     real = resolution.homology_dims_from_facets
     monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
     resolution._hochster_plan.cache_clear()
+    resolution._core_dims.cache_clear()
     t = betti_hochster(c, RATIONALS)
     # 3198 without the relabelled memo, 358 keyed on relabelled facet lists,
     # 86 keyed on their strong-collapse cores (44 of the 358 collapse to a point)
     assert len(calls) <= 86
     assert t.entries == betti_direct(c, RATIONALS) == betti_dual_links(c, RATIONALS)
+
+
+def test_dual_sweep_after_the_table_computes_no_homology(monkeypatch):
+    # eagon_reiner_check sweeps c's dual after c's table: the same subsets read
+    # by the same side rule, so every core's homology is already in the memo
+    calls = []
+    real = resolution.homology_dims_from_facets
+    monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
+    for spec, k in ((FamilySpec("L", n=9), 3), (FamilySpec("C", n=12), 3), (FamilySpec("Grid", n=4, m=3), 2)):
+        c = cover_complex(build_family(spec), k)
+        for f in (RATIONALS, GF2, Field(3)):
+            resolution._hochster_plan.cache_clear()
+            resolution._core_dims.cache_clear()
+            betti_hochster(c, f)
+            calls.clear()
+            assert resolution._reisner_sweep(alexander_dual(c), f).cm, (spec, k, f)
+            assert calls == [], (spec, k, f)
 
 
 def test_squeezed_facets_relabel_onto_the_support():
