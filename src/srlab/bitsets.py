@@ -46,16 +46,6 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def minimal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-minimal members, deduplicated."""
-    uniq = sorted(set(masks), key=lambda m: m.bit_count())
-    kept: list[int] = []
-    for m in uniq:
-        if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
-    return kept
-
-
 def single_maximal_overlap(f: int, placed: Iterable[int]) -> int | None:
     """Overlap of f with the union of placed simplices, if it is a single face.
 

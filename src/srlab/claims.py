@@ -3,10 +3,12 @@ family, a pair of conjecture scanners, and the discrepancy report.
 
 Every record binds a family of complexes to expected values (stored as
 closed-form evaluators, not literal tables) and checks them against the
-Hochster oracle. Where the recorded material contains two conflicting
-variants of one statement, both variants are kept as separate records that
-point at each other; the oracle adjudicates and the loser feeds the
-discrepancy report. Records whose expected status is "refuted" never fail a
+Hochster oracle (betti_hochster). The scans read those tables too, except
+in a cell whose cover and dual both shell in their stored facet order: the
+shellings settle it (_scan). Where the recorded material contains two
+conflicting variants of one statement, both variants are kept as separate
+records that point at each other; the oracle adjudicates and the loser
+feeds the discrepancy report. Records whose expected status is "refuted" never fail a
 verification run; they exist to document the discrepancy.
 
 A runner takes only the field. A check that fails raises through
@@ -26,7 +28,6 @@ from .complexes import (
     alexander_dual,
     clique_complex,
     cover_complex,
-    dual_ideal_generators,
     f_vector,
     join,
     make_complex,
@@ -208,7 +209,7 @@ def _k1(field):
             _require(td.entries == exp, f"n={n}: dual b[i,i]=C(n,i)", _fmt_entries(td.entries))
             _require(linear_resolution_degree(t) == n and linear_resolution_degree(td) == 1,
                      f"n={n}: linear degrees n and 1", "other")
-            _require(is_cm_ab(c, field, table=t) and is_cm_ab(d, field, table=td), f"n={n}: both rings CM", "not CM")
+            _require(is_cm_ab(c, t) and is_cm_ab(d, td), f"n={n}: both rings CM", "not CM")
     return ClaimOutcome(True, "single-relation ring and field, binomial Betti", "confirmed")
 
 
@@ -227,7 +228,7 @@ def _skel(field):
             t = betti_hochster(sk, field)
             gens = {j for (a, j) in t.entries if a == 1}
             _require(i >= m - 2 or gens == {i + 2}, f"m={m},i={i}: generators in degree i+2", str(sorted(gens)))
-            _require(linear_resolution_degree(t) is not None and is_cm_ab(sk, field, table=t),
+            _require(linear_resolution_degree(t) is not None and is_cm_ab(sk, t),
                      f"m={m},i={i}: CM with linear resolution", "fails")
     return ClaimOutcome(True, "skeleton duality, CM, linearity, generator degree", "confirmed")
 
@@ -295,7 +296,7 @@ def _pn_thm(field):
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
                 t = betti_hochster(cx, field)
-                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, field, table=t),
+                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, t),
                          f"n={n},k={k} {label} CM+linear", "fails")
     return ClaimOutcome(True, "both sides CM with linear resolutions", "confirmed")
 
@@ -369,7 +370,7 @@ def _tree_thm(field):
             tc = clique_complex(tgraph)
             cc = cover_complex(tgraph, 2)
             tt, tv = betti_hochster(tc, field), betti_hochster(cc, field)
-            _require(is_cm_ab(tc, field, table=tt) and is_cm_ab(cc, field, table=tv), f"n={n}: both CM", "not CM")
+            _require(is_cm_ab(tc, tt) and is_cm_ab(cc, tv), f"n={n}: both CM", "not CM")
             _require(linear_resolution_degree(tt) is not None and linear_resolution_degree(tv) is not None,
                      f"n={n}: both linear", "not linear")
             _require_tables([(f"n={n} cover", tv, {(1, n - 2): n - 1, (2, n - 1): n - 2})])
@@ -435,7 +436,7 @@ def _star_thm(field):
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
                 t = betti_hochster(cx, field)
-                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, field, table=t),
+                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, t),
                          f"n={n},k={k} {label} CM+linear", "fails")
     return ClaimOutcome(True, "both sides CM with linear resolutions", "confirmed")
 
@@ -485,7 +486,7 @@ def _l6_stated(field):
     c = cover_complex(path(6), 3)
     d = alexander_dual(c)
     t, td = betti_hochster(c, field), betti_hochster(d, field)
-    cm = is_cm_ab(c, field, table=t)
+    cm = is_cm_ab(c, t)
     stated_primal = _clean({(1, 2): 9, (2, 3): 18, (3, 4): 15, (4, 5): 6, (5, 6): 1})
     stated_dual = _clean({(1, 3): 2, (2, 6): 1})
     discs = (
@@ -536,7 +537,7 @@ def _prism(field):
         d = alexander_dual(c)
         for label, cx in (("primal", c), ("dual", d)):
             t = betti_hochster(cx, field)
-            _require(linear_resolution_degree(t) is None and not is_cm_ab(cx, field, table=t),
+            _require(linear_resolution_degree(t) is None and not is_cm_ab(cx, t),
                      f"n={n} {label} neither CM nor linear", "is CM or linear")
     return ClaimOutcome(True, "2x2 tables and negative verdicts beyond", "confirmed")
 
@@ -582,7 +583,7 @@ def _kmn_adj(field):
         d = alexander_dual(cover_complex(complete_bipartite(m, n), k))
         t = betti_hochster(d, field)
         lin = linear_resolution_degree(t) is not None
-        _require(is_cm_ab(d, field, table=t), f"K({m},{n}) k={k}: dual CM", "not CM")
+        _require(is_cm_ab(d, t), f"K({m},{n}) k={k}: dual CM", "not CM")
         _require(lin == (k > m), f"K({m},{n}) k={k}: linear iff k>m", f"linear={lin}")
     return ClaimOutcome(True, "dual CM always; linear iff k > m", "confirmed")
 
@@ -641,7 +642,7 @@ def _kmn_k2(field):
         t = betti_hochster(c, field)
         exp = {(1, m + n - 2): m * n, (2, m + n - 1): 2 * m * n - m - n, (3, m + n): m * n - m - n + 1}
         _require_tables([(f"K({m},{n})", t, exp)])
-        _require(linear_resolution_degree(t) == m + n - 2 and not is_cm_ab(c, field, table=t),
+        _require(linear_resolution_degree(t) == m + n - 2 and not is_cm_ab(c, t),
                  f"K({m},{n}): (m+n-2)-linear and not CM", "fails")
     return ClaimOutcome(True, "stated degree-2 bipartite values", "confirmed")
 
@@ -660,10 +661,10 @@ def _l2k1(field):
     for k in (2, 3, 4):
         n = 2 * k - 1
         c = cover_complex(path(n), k)
-        gens = [vertices_of(m) for m in dual_ideal_generators(c)]
+        gens = [vertices_of(m) for m in minimal_nonfaces(alexander_dual(c))]
         _require(gens == [tuple(range(1, n + 1, 2))], f"k={k}: single odd-position generator", str(gens))
         t = betti_hochster(c, field)
-        _require(linear_resolution_degree(t) is not None and is_cm_ab(c, field, table=t),
+        _require(linear_resolution_degree(t) is not None and is_cm_ab(c, t),
                  f"k={k}: CM with linear resolution", "fails")
     return ClaimOutcome(True, "principal dual ideal; CM and linear", "confirmed")
 
@@ -706,7 +707,7 @@ def _cycle_adj(field):
         cy = clique_complex(cycle(n))
         t = betti_hochster(cy, field)
         _require_tables([(f"C{n} ring", t, _cycle_binomial(n))])
-        _require(is_gorenstein(cy, field, table=t), f"C{n} Gorenstein", "not Gorenstein")
+        _require(is_gorenstein(cy, t), f"C{n} Gorenstein", "not Gorenstein")
         cv = cover_complex(cycle(n), 2)
         tv = betti_hochster(cv, field)
         _require_tables([(f"C{n} cover", tv, {(1, n - 2): n, (2, n - 1): n, (3, n): 1})])
@@ -755,9 +756,9 @@ def _c2k_adj(field):
                  f"k={k}: alternating-product generators", str(gens))
         td = betti_hochster(d, field)
         t = betti_hochster(c, field)
-        _require(is_cm_ab(d, field, table=td) and linear_resolution_degree(td) is None,
+        _require(is_cm_ab(d, td) and linear_resolution_degree(td) is None,
                  f"k={k}: dual CM and not linear", "fails")
-        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, field, table=t),
+        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, t),
                  f"k={k}: cover linear and not CM", "fails")
     return ClaimOutcome(True, "dual CM-not-linear; cover linear-not-CM", "confirmed")
 
@@ -775,7 +776,7 @@ def _c2k_stated(field):
     d = alexander_dual(cover_complex(cycle(2 * k), k))
     td = betti_hochster(d, field)
     lin = linear_resolution_degree(td) is not None
-    cm = is_cm_ab(d, field, table=td)
+    cm = is_cm_ab(d, td)
     disc = (
         f"which ring of the 2k-cycle pair is linear, k={k}",
         "dual ring linear but not CM",
@@ -812,15 +813,15 @@ def _c2n(field):
     c = cover_complex(cycle_square(6), 2)
     t = betti_hochster(c, field)
     _require_tables([("n=6 cover", t, {(1, 3): 8, (2, 4): 12, (3, 5): 6, (4, 6): 1})])
-    _require(linear_resolution_degree(t) == 3 and not is_cm_ab(c, field, table=t), "n=6: 3-linear and not CM", "fails")
+    _require(linear_resolution_degree(t) == 3 and not is_cm_ab(c, t), "n=6: 3-linear and not CM", "fails")
     octa = clique_complex(cycle_square(6))
     to = betti_hochster(octa, field)
-    _require(is_cm_ab(octa, field, table=to) and linear_resolution_degree(to) is None,
+    _require(is_cm_ab(octa, to) and linear_resolution_degree(to) is None,
              "octahedron CM and not linear", "fails")
     for n in (7, 8):
         c = cover_complex(cycle_square(n), 2)
         t = betti_hochster(c, field)
-        _require(linear_resolution_degree(t) is None and not is_cm_ab(c, field, table=t),
+        _require(linear_resolution_degree(t) is None and not is_cm_ab(c, t),
                  f"n={n}: neither linear nor CM", "fails")
     return ClaimOutcome(True, "six-vertex tables and negative verdicts beyond", "confirmed")
 
@@ -841,7 +842,7 @@ def _l2n_adj(field):
         cv = cover_complex(path_square(n), 2)
         tcv = betti_hochster(cv, field)
         _require_tables([(f"n={n} cover", tcv, {(1, n - 3): n - 2, (2, n - 2): n - 3})])
-        _require(is_cm_ab(cc, field, table=tcc) and is_cm_ab(cv, field, table=tcv), f"n={n}: both CM", "fails")
+        _require(is_cm_ab(cc, tcc) and is_cm_ab(cv, tcv), f"n={n}: both CM", "fails")
         h = fat_forest_hilbert(FatForestDecomposition((2,) * (n - 2), (1,) * (n - 3)), n)
         _require(h == hilbert_from_fvector(f_vector(cc), n), f"n={n}: fat-tree Hilbert series", "mismatch")
     return ClaimOutcome(True, "clique and cover tables, CM, fat-tree series", "confirmed")
@@ -903,9 +904,9 @@ def _thirds(field):
         gens_b = [vertices_of(m) for m in minimal_nonfaces(alexander_dual(b))]
         _require(gens_b == [tuple(range(1, 3 * k - 1, 3))], f"k={k}: principal progression generator", str(gens_b))
         ta, tb = betti_hochster(a, field), betti_hochster(b, field)
-        _require(linear_resolution_degree(ta) is not None and not is_cm_ab(a, field, table=ta),
+        _require(linear_resolution_degree(ta) is not None and not is_cm_ab(a, ta),
                  f"k={k}: squared-cycle ring linear, not CM", "fails")
-        _require(linear_resolution_degree(tb) is not None and is_cm_ab(b, field, table=tb),
+        _require(linear_resolution_degree(tb) is not None and is_cm_ab(b, tb),
                  f"k={k}: squared-path ring linear and CM", "fails")
     return ClaimOutcome(True, "progression ideals; linearity and CM split", "confirmed")
 
@@ -953,11 +954,11 @@ def _grid_adj(field):
         t = betti_hochster(c, field)
         exp = {(1, m * n - 2): 2 * m * n - m - n, (2, m * n - 1): 3 * m * n - 2 * m - 2 * n, (3, m * n): m * n - m - n + 1}
         _require_tables([(f"{m}x{n} cover", t, exp)])
-        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, field, table=t),
+        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, t),
                  f"{m}x{n}: linear and not CM", "fails")
         cc = clique_complex(g)
         tcc = betti_hochster(cc, field)
-        _require(is_cm_ab(cc, field, table=tcc) and linear_resolution_degree(tcc) is None,
+        _require(is_cm_ab(cc, tcc) and linear_resolution_degree(tcc) is None,
                  f"{m}x{n}: grid ring CM and not linear", "fails")
     return ClaimOutcome(True, "grid cover values with b3 = mn-m-n+1", "confirmed")
 
@@ -1065,10 +1066,10 @@ def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_g
                     continue
                 t = betti_hochster(c, f, max_ground=max_ground, override=override)
                 lin = linear_resolution_degree(t)
-                cm = is_cm_ab(c, f, table=t)
+                cm = is_cm_ab(c, t)
                 if both_sides:
                     td = betti_hochster(d, f, max_ground=max_ground, override=override)
-                    cells.append(ScanCell(k, n, str(f), lin, cm, linear_resolution_degree(td), is_cm_ab(d, f, table=td)))
+                    cells.append(ScanCell(k, n, str(f), lin, cm, linear_resolution_degree(td), is_cm_ab(d, td)))
                 else:
                     cells.append(ScanCell(k, n, str(f), lin, cm))
     counterexamples = [c for c in cells if not c.holds(both_sides)]

@@ -192,10 +192,10 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
         "betti": t.to_json(),
         "linearDegree": linear_resolution_degree(t),
         "cmReisner": reisner.cm,
-        "cmAuslanderBuchsbaum": is_cm_ab(c, field, table=t),
-        "gorenstein": is_gorenstein(c, field, table=t),
+        "cmAuslanderBuchsbaum": is_cm_ab(c, t),
+        "gorenstein": is_gorenstein(c, t),
     }
-    er = eagon_reiner_check(c, field, table=t, override=args.override_guards)
+    er = eagon_reiner_check(c, t, override=args.override_guards)
     report["eagonReiner"] = {
         "linearDegree": er.linear_degree,
         "dualCm": er.dual_cm,

@@ -23,7 +23,6 @@ from .bitsets import (
     is_subset,
     mask_of,
     maximal_masks,
-    minimal_masks,
     sort_canonical,
     vertices_of,
 )
@@ -230,23 +229,6 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(c.n, sort_canonical(full ^ m for m in mnf))
 
 
-def dual_ideal_generators(c: SimplicialComplex) -> tuple[int, ...]:
-    """Minimal monomial generators of the dual complex's face ideal.
-
-    Each facet F contributes the product of the variables outside F; the list
-    is reduced to divisibility-minimal members and equals
-    minimal_nonfaces(alexander_dual(c)). For the full simplex the dual is
-    VOID, whose ideal is out of domain; an empty tuple is returned there.
-    """
-    if c.is_void:
-        raise VoidComplexError("void complex")
-    full = full_mask(c.n)
-    gens = [full ^ f for f in c.facets]
-    if any(g == 0 for g in gens):
-        return ()
-    return sort_canonical(minimal_masks(gens))
-
-
 def dual_fvector(f: tuple[int, ...], n: int) -> tuple[int, ...]:
     """f-vector of the Alexander dual from the f-vector of a complex on 1..n.
 
@@ -285,69 +267,6 @@ def skeleton(c: SimplicialComplex, i: int, override: bool = False) -> Simplicial
     keep = faces_of_card(c, i + 1, override=override)
     keep += [f for f in c.facets if f.bit_count() <= i]
     return make_complex(c.n, keep)
-
-
-def link(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
-    """Faces disjoint from sigma whose union with sigma is a face.
-
-    The ground set shrinks to exclude sigma, relabeled order-preserving.
-    """
-    if not c.is_face(sigma):
-        raise ValueError(f"{vertices_of(sigma)} is not a face")
-    if sigma == 0:
-        return c
-    cof = [f ^ sigma for f in c.facets if f & sigma == sigma]
-    return _relabel_excluding(c.n, cof, sigma)
-
-
-def deletion(c: SimplicialComplex, sigma: int) -> SimplicialComplex:
-    """Faces that do not contain sigma.
-
-    For a single vertex the ground set shrinks by that vertex; for larger
-    sigma the ground set is kept, since other vertices of sigma remain faces.
-    Deleting the empty set removes every face and yields VOID.
-    """
-    if sigma & ~full_mask(c.n):
-        raise ValueError("vertex set not within ground set")
-    if c.is_void:
-        return _relabel_excluding(c.n, [], sigma) if sigma.bit_count() == 1 else c
-    if sigma == 0:
-        return void_complex(c.n)
-    cand = []
-    for f in c.facets:
-        if f & sigma != sigma:
-            cand.append(f)
-        else:
-            b = sigma
-            while b:
-                low = b & -b
-                cand.append(f ^ low)
-                b ^= low
-    if sigma.bit_count() == 1:
-        return _relabel_excluding(c.n, maximal_masks(cand), sigma)
-    return make_complex(c.n, cand)
-
-
-def _relabel_excluding(n: int, masks: list[int], dropped: int) -> SimplicialComplex:
-    keep = [v for v in range(1, n + 1) if not dropped >> (v - 1) & 1]
-    newbit = {v: 1 << i for i, v in enumerate(keep)}
-    out = []
-    for m in masks:
-        x = 0
-        for v in vertices_of(m):
-            x |= newbit[v]
-        out.append(x)
-    return make_complex(len(keep), out)
-
-
-def induced_subcomplex(c: SimplicialComplex, w: int | Iterable[int]) -> SimplicialComplex:
-    """Faces of c contained in w, relabeled order-preserving onto 1..|w|."""
-    mask = w if isinstance(w, int) else mask_of(w)
-    if mask & ~full_mask(c.n):
-        raise ValueError("restriction set not within ground set")
-    if c.is_void:
-        return void_complex(mask.bit_count())
-    return _relabel_excluding(c.n, maximal_masks(f & mask for f in c.facets), full_mask(c.n) ^ mask)
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

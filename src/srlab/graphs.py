@@ -101,11 +101,6 @@ def path_square(n: int) -> Graph:
     return graph_from_edges(n, es)
 
 
-def complete(n: int) -> Graph:
-    _require(n >= 1, "n >= 1")
-    return graph_from_edges(n, combinations(range(1, n + 1), 2))
-
-
 def complete_bipartite(m: int, n: int) -> Graph:
     """Sides x_1..x_m = 1..m and y_1..y_n = m+1..m+n."""
     _require(m >= 1 and n >= 1, "m, n >= 1")
@@ -231,17 +226,8 @@ def graph_from_json(obj: dict) -> Graph:
     raise ValueError('graph JSON needs either "family" or both "n" and "edges"')
 
 
-def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-
-
 # ---------------------------------------------------------------------------
 # Predicates
-
-
-def complement(g: Graph) -> Graph:
-    full = full_mask(g.n)
-    return Graph(g.n, tuple((full & ~a & ~(1 << i)) for i, a in enumerate(g.adj)))
 
 
 def is_independent(g: Graph, s: int | Iterable[int]) -> bool:

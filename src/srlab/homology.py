@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import maximal_masks
-from .complexes import SimplicialComplex, _faces_by_card
-from .errors import VoidComplexError
+from .complexes import _faces_by_card
 
 # ---------------------------------------------------------------------------
 # Coefficient fields
@@ -356,21 +355,3 @@ def rational_dims(facets, gf2: tuple[int, ...]) -> tuple[int, ...]:
 
     return tuple(len(by[c]) - q_rank(c) - q_rank(c + 1) if d else 0 for c, d in enumerate(gf2))
 
-
-# ---------------------------------------------------------------------------
-# Public operations
-
-
-@dataclass(frozen=True)
-class HomologyProfile:
-    """dims[k] is the dimension of H~_{k-1}; starts at homological degree -1."""
-
-    dims: tuple[int, ...]
-    field: Field
-
-
-def reduced_homology_dims(c: SimplicialComplex, field: Field = RATIONALS) -> HomologyProfile:
-    """Reduced homology dimensions of c over the given field, exactly."""
-    if c.is_void:
-        raise VoidComplexError("void complex has no homology profile")
-    return HomologyProfile(homology_dims_from_facets(c.facets, field), field)

@@ -5,11 +5,12 @@ field k,
 
     beta_{i,j} = sum over j-subsets W of dim_k H~_{j-i-1}(S restricted to W).
 
-Closed-form expectations elsewhere in the package are always checked against
-this sum, never trusted on their own. A W that is not a union of minimal
-nonfaces restricts to a cone (a vertex of W lies in no minimal nonface inside
-W), so the sum runs over the LCM lattice: the empty set and every union of
-minimal nonfaces.
+The claim records check their closed forms against this sum; a scan cell
+whose cover and dual both shell in their stored facet order is settled by
+those shellings instead, with no table (claims._scan). A W that is not a
+union of minimal nonfaces restricts to a cone (a vertex of W lies in no
+minimal nonface inside W), so the sum runs over the LCM lattice: the empty
+set and every union of minimal nonfaces.
 
 Both the Hochster sum and Reisner's criterion choose what to read for W by
 one side rule (_side) on a pair (A, B = A^dual). When U = [n] minus W is a
@@ -334,37 +335,6 @@ def linear_resolution_degree(t: GradedBettiTable):
     return s
 
 
-def betti_from_linear_hilbert(h: HilbertSeries, s: int, field: Field = RATIONALS) -> GradedBettiTable:
-    """Read the Betti table off a Hilbert numerator, assuming s-linearity.
-
-    The numerator of an s-linear quotient is 1 - b_1 t^s + b_2 t^{s+1} - ...;
-    any other sign or support pattern raises ValueError.
-    """
-    num = h.numerator
-    if not num or num[0] != 1:
-        raise ValueError(f"numerator must have constant term 1: {num}")
-    entries = {(0, 0): 1}
-    if len(num) == 1:
-        return GradedBettiTable(entries, field, h.denom_power)
-    if s < 1:
-        raise ValueError("generator degree s must be >= 1")
-    if any(num[j] != 0 for j in range(1, min(s, len(num)))):
-        raise ValueError(f"numerator has support below degree {s}: {num}")
-    ended = False
-    for j in range(s, len(num)):
-        i = j - s + 1
-        b = (-1) ** i * num[j]
-        if b < 0:
-            raise ValueError(f"coefficient of t^{j} violates the s-linear sign pattern: {num}")
-        if b == 0:
-            ended = True
-            continue
-        if ended:
-            raise ValueError(f"gap in numerator support is inconsistent with s-linearity: {num}")
-        entries[(i, j)] = b
-    return GradedBettiTable(entries, field, h.denom_power)
-
-
 # ---------------------------------------------------------------------------
 # Cohen-Macaulay and Gorenstein verdicts
 
@@ -443,30 +413,17 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     return ReisnerVerdict(True, field)
 
 
-def is_cm_ab(
-    c: SimplicialComplex,
-    field: Field = RATIONALS,
-    *,
-    table: GradedBettiTable | None = None,
-) -> bool:
-    """Cohen-Macaulayness from the Betti table: the resolution length must
+def is_cm_ab(c: SimplicialComplex, table: GradedBettiTable) -> bool:
+    """Cohen-Macaulayness from c's Betti table: the resolution length must
     equal ground size minus Krull dimension (Auslander-Buchsbaum)."""
-    if table is None:
-        table = betti_hochster(c, field)
     pd = table.projective_dimension()
     return c.n - pd == c.dim() + 1
 
 
-def is_gorenstein(
-    c: SimplicialComplex,
-    field: Field = RATIONALS,
-    *,
-    table: GradedBettiTable | None = None,
-) -> bool:
-    """Cohen-Macaulay of type 1: the last total Betti number equals 1."""
-    if table is None:
-        table = betti_hochster(c, field)
-    return is_cm_ab(c, field, table=table) and table.total(table.projective_dimension()) == 1
+def is_gorenstein(c: SimplicialComplex, table: GradedBettiTable) -> bool:
+    """Cohen-Macaulay of type 1, read off c's Betti table: the last total
+    Betti number equals 1."""
+    return is_cm_ab(c, table) and table.total(table.projective_dimension()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +476,9 @@ class EagonReinerReport:
     consistent: bool
 
 
-def eagon_reiner_check(
-    c: SimplicialComplex,
-    field: Field = RATIONALS,
-    *,
-    table: GradedBettiTable | None = None,
-    override: bool = False,
-) -> EagonReinerReport:
-    """Linearity of k[c] against Cohen-Macaulayness of the dual face ring.
+def eagon_reiner_check(c: SimplicialComplex, table: GradedBettiTable, *, override: bool = False) -> EagonReinerReport:
+    """Linearity of k[c], read off c's Betti table, against Cohen-Macaulayness
+    of the dual face ring over the table's field.
 
     The two verdicts must agree; a full simplex (whose dual is void) is
     vacuously consistent. override lifts the face-enumeration guard of the
@@ -534,8 +486,7 @@ def eagon_reiner_check(
     """
     if c.is_void:
         raise VoidComplexError("void complex")
-    if table is None:
-        table = betti_hochster(c, field)
+    field = table.field
     s = linear_resolution_degree(table)
     dual = alexander_dual(c)
     if dual.is_void:

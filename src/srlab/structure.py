@@ -10,7 +10,7 @@ overlap for fat forests, bitsets.shells_onto for shellings, which makes the
 replay of a shelling O(F^2) bit operations on F facets. The fat-forest search
 only runs on clique complexes of chordal graphs (_is_quasi_forest), the
 complexes that have such an order. Link and deletion of a vertex come from
-one helper, _shed.
+one helper, _shed, which the tests' replay of a shedding tree also uses.
 """
 
 from __future__ import annotations
@@ -196,9 +196,10 @@ def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> S
     if not is_pure(c):
         raise ValueError("vertex decomposability is only defined here for pure complexes")
     check_guard("vertex-decomposability", c.n, VD_GROUND_GUARD, override)
-    # Memo entries are stored in canonical (dense, order-preserving) labels
-    # and translated back, so isomorphic subcomplexes met under different
-    # labelings share one verdict without leaking wrong vertex names.
+    # Memo entries are keyed by the facets relabelled order-preserving onto
+    # their own support (_squeezed), with witnesses stored in those labels
+    # and translated back, so translated copies of one subcomplex share one
+    # verdict without leaking wrong vertex names.
     memo: dict[tuple[int, ...], Any] = {}
 
     def relabel(w, m: dict[int, int]):
@@ -215,9 +216,8 @@ def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> S
         for f in facets:
             support |= f
         verts = vertices_of(support)
-        to_canon = {v: i + 1 for i, v in enumerate(verts)}
-        from_canon = {i + 1: v for i, v in enumerate(verts)}
-        key = tuple(sorted(sum(1 << (to_canon[v] - 1) for v in vertices_of(f)) for f in facets))
+        key = _squeezed(facets)
+        from_canon = dict(enumerate(verts, 1))
         if key in memo:
             return relabel(memo[key], from_canon)
         d1 = facets[0].bit_count()  # facet size, pure by construction
@@ -234,44 +234,13 @@ def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> S
                 continue
             result = {"vertex": v, "link": wl, "del": wd}
             break
-        memo[key] = relabel(result, to_canon)
+        memo[key] = relabel(result, {v: i for i, v in from_canon.items()})
         return result
 
     witness = rec(tuple(c.facets))
     if witness is None:
         return StructureVerdict(name, False)
     return StructureVerdict(name, True, witness)
-
-
-def check_vd_witness(c: SimplicialComplex, witness) -> bool:
-    """Replay a shedding tree against c; independent of the search."""
-
-    def rec(facets: tuple[int, ...], w) -> bool:
-        if "simplex" in w:
-            return len(facets) == 1 and set(vertices_of(facets[0])) == set(w["simplex"])
-        linkf, delf = _shed(facets, w["vertex"])
-        if not linkf:
-            return False
-        d1 = facets[0].bit_count()
-        if any(f.bit_count() != d1 for f in facets + delf):
-            return False
-        return rec(linkf, w["link"]) and rec(delf, w["del"])
-
-    return bool(c.facets) and rec(tuple(c.facets), witness)
-
-
-def shelling_order_from_vd(c: SimplicialComplex, witness) -> list[int]:
-    """Build a shelling order from a shedding tree: deletion facets first,
-    then the cone of a shelling of the link."""
-
-    def rec(facets: tuple[int, ...], w) -> list[int]:
-        if "simplex" in w:
-            return [facets[0]]
-        b = 1 << (w["vertex"] - 1)
-        linkf, delf = _shed(facets, w["vertex"])
-        return rec(delf, w["del"]) + [m | b for m in rec(linkf, w["link"])]
-
-    return rec(tuple(c.facets), witness)
 
 
 # ---------------------------------------------------------------------------

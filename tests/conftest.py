@@ -83,7 +83,7 @@ class Bundle:
         return self.cm_reisner_q if field.is_rationals else self.cm_reisner_gf2
 
     def cm_ab(self, field):
-        return is_cm_ab(self.c, field, table=self.table(field))
+        return is_cm_ab(self.c, self.table(field))
 
 
 def family_graphs(max_n: int = 9) -> list[tuple[str, Graph]]:

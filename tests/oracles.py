@@ -1,10 +1,16 @@
-"""Brute-force oracles that only the tests call.
+"""Oracles that only the tests call.
 
-Each recomputes a fast path of the package the slow, obvious way, so a test
+Most recompute a fast path of the package the slow, obvious way, so a test
 can compare the two. The Betti oracles take none of the Hochster sum's
 shortcuts: no LCM lattice, no memo, no choice of side. Their homology,
 homology_all_ranks, takes none of the homology shortcuts either: no cone
 test, no strong-collapse core, no GF(2) closure for Q.
+
+The rest are independent readings of a package result: the replay of a
+vertex decomposition's shedding tree (check_vd_witness), the shelling order
+that tree yields (shelling_order_from_vd), both on the package's own link
+and deletion of a vertex (structure._shed), and the Betti table read off the
+Hilbert numerator of an s-linear ring (betti_from_linear_hilbert).
 """
 
 from itertools import combinations
@@ -13,7 +19,17 @@ from srlab.bitsets import iter_vertices, mask_of, maximal_masks, sort_canonical,
 from srlab.complexes import SimplicialComplex, _faces_by_card, alexander_dual, all_faces, faces_of_card
 from srlab.errors import VoidComplexError
 from srlab.graphs import Graph
-from srlab.homology import Field, _boundary_cols_gf2, _boundary_cols_signed, rank_gf2, rank_gfp, rank_int_exact
+from srlab.homology import (
+    RATIONALS,
+    Field,
+    _boundary_cols_gf2,
+    _boundary_cols_signed,
+    rank_gf2,
+    rank_gfp,
+    rank_int_exact,
+)
+from srlab.resolution import GradedBettiTable, HilbertSeries
+from srlab.structure import _shed
 
 
 def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
@@ -152,3 +168,65 @@ def is_valid_shelling_pairwise(c: SimplicialComplex, order: list[int]) -> bool:
             if not any((x & ~(fi & order[l]) == 0) and (fi & order[l]).bit_count() == want for l in range(i)):
                 return False
     return True
+
+
+def check_vd_witness(c: SimplicialComplex, witness) -> bool:
+    """Replay a shedding tree against c; independent of the search."""
+
+    def rec(facets: tuple[int, ...], w) -> bool:
+        if "simplex" in w:
+            return len(facets) == 1 and set(vertices_of(facets[0])) == set(w["simplex"])
+        linkf, delf = _shed(facets, w["vertex"])
+        if not linkf:
+            return False
+        d1 = facets[0].bit_count()
+        if any(f.bit_count() != d1 for f in facets + delf):
+            return False
+        return rec(linkf, w["link"]) and rec(delf, w["del"])
+
+    return bool(c.facets) and rec(tuple(c.facets), witness)
+
+
+def shelling_order_from_vd(c: SimplicialComplex, witness) -> list[int]:
+    """Build a shelling order from a shedding tree: deletion facets first,
+    then the cone of a shelling of the link."""
+
+    def rec(facets: tuple[int, ...], w) -> list[int]:
+        if "simplex" in w:
+            return [facets[0]]
+        b = 1 << (w["vertex"] - 1)
+        linkf, delf = _shed(facets, w["vertex"])
+        return rec(delf, w["del"]) + [m | b for m in rec(linkf, w["link"])]
+
+    return rec(tuple(c.facets), witness)
+
+
+def betti_from_linear_hilbert(h: HilbertSeries, s: int, field: Field = RATIONALS) -> GradedBettiTable:
+    """Read the Betti table off a Hilbert numerator, assuming s-linearity.
+
+    The numerator of an s-linear quotient is 1 - b_1 t^s + b_2 t^{s+1} - ...;
+    any other sign or support pattern raises ValueError.
+    """
+    num = h.numerator
+    if not num or num[0] != 1:
+        raise ValueError(f"numerator must have constant term 1: {num}")
+    entries = {(0, 0): 1}
+    if len(num) == 1:
+        return GradedBettiTable(entries, field, h.denom_power)
+    if s < 1:
+        raise ValueError("generator degree s must be >= 1")
+    if any(num[j] != 0 for j in range(1, min(s, len(num)))):
+        raise ValueError(f"numerator has support below degree {s}: {num}")
+    ended = False
+    for j in range(s, len(num)):
+        i = j - s + 1
+        b = (-1) ** i * num[j]
+        if b < 0:
+            raise ValueError(f"coefficient of t^{j} violates the s-linear sign pattern: {num}")
+        if b == 0:
+            ended = True
+            continue
+        if ended:
+            raise ValueError(f"gap in numerator support is inconsistent with s-linearity: {num}")
+        entries[(i, j)] = b
+    return GradedBettiTable(entries, field, h.denom_power)

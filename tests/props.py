@@ -6,29 +6,13 @@ of violation strings; an empty list means the property held everywhere.
 
 from __future__ import annotations
 
-from srlab.complexes import (
-    alexander_dual,
-    cover_complex,
-    dual_fvector,
-    dual_ideal_generators,
-    f_vector,
-    minimal_nonfaces,
-)
+from oracles import betti_from_linear_hilbert, shelling_order_from_vd
+from srlab.bitsets import full_mask, sort_canonical
+from srlab.complexes import alexander_dual, cover_complex, dual_fvector, f_vector, minimal_nonfaces
 from srlab.graphs import independent_sets
-from srlab.homology import GF2, RATIONALS, reduced_homology_dims
-from srlab.resolution import (
-    betti_from_linear_hilbert,
-    hilbert_from_fvector,
-    kpolynomial,
-    linear_resolution_degree,
-)
-from srlab.structure import (
-    froberg_check,
-    is_pure_shellable,
-    is_valid_shelling,
-    is_vertex_decomposable,
-    shelling_order_from_vd,
-)
+from srlab.homology import GF2, RATIONALS, homology_dims_from_facets
+from srlab.resolution import hilbert_from_fvector, kpolynomial, linear_resolution_degree
+from srlab.structure import froberg_check, is_pure_shellable, is_valid_shelling, is_vertex_decomposable
 
 FIELDS = (RATIONALS, GF2)
 
@@ -42,13 +26,13 @@ def check_dual_fvector(bundles):
 
 
 def check_dual_generators(bundles):
+    """The minimal nonfaces of the dual are the inclusion-minimal complements
+    of the facets; the dual is void exactly when a complement is empty."""
     out = []
     for b in bundles:
-        if b.dual.is_void:
-            if dual_ideal_generators(b.c) != ():
-                out.append(b.name)
-            continue
-        if dual_ideal_generators(b.c) != minimal_nonfaces(b.dual):
+        comps = {full_mask(b.c.n) ^ f for f in b.c.facets}
+        gens = sort_canonical(m for m in comps if not any(k != m and k & ~m == 0 for k in comps))
+        if gens != ((0,) if b.dual.is_void else minimal_nonfaces(b.dual)):
             out.append(b.name)
     return out
 
@@ -145,8 +129,8 @@ def check_field_independence(bundles):
     for b in bundles:
         if b.c.is_void:
             continue
-        q = reduced_homology_dims(b.c, RATIONALS).dims
-        f2 = reduced_homology_dims(b.c, GF2).dims
+        q = homology_dims_from_facets(b.c.facets, RATIONALS)
+        f2 = homology_dims_from_facets(b.c.facets, GF2)
         if q != f2:
             out.append(f"{b.name}: Q={q} GF2={f2}")
     return out

@@ -87,7 +87,7 @@ def test_c02_isolated_points():
             assert linear_resolution_degree(t) == n - 1
             td = table(alexander_dual(c))
             assert linear_resolution_degree(td) == 2  # point ideals are quadratic
-            assert is_cm_ab(c, table=t) and is_cm_ab(alexander_dual(c), table=td)
+            assert is_cm_ab(c, t) and is_cm_ab(alexander_dual(c), td)
 
 
 def test_c03_all_trees():
@@ -101,7 +101,7 @@ def test_c03_all_trees():
                 tc = clique_complex(tg)
                 cc = cover_complex(tg, 2)
                 tt, tv = table(tc), table(cc)
-                assert is_cm_ab(tc, table=tt) and is_cm_ab(cc, table=tv), n
+                assert is_cm_ab(tc, tt) and is_cm_ab(cc, tv), n
                 assert linear_resolution_degree(tt) is not None
                 assert linear_resolution_degree(tv) is not None
                 entries_equal(tv, {(1, n - 2): n - 1, (2, n - 1): n - 2})
@@ -133,7 +133,7 @@ def test_c05_prism():
             d = alexander_dual(c)
             for cx in (c, d):
                 t = table(cx)
-                assert not is_cm_ab(cx, table=t), n
+                assert not is_cm_ab(cx, t), n
                 assert linear_resolution_degree(t) is None, n
 
 
@@ -153,7 +153,7 @@ def test_c07_cycles():
         for n in range(4, 9):
             cy = clique_complex(cycle(n))
             t = table(cy)
-            assert is_gorenstein(cy, table=t), n
+            assert is_gorenstein(cy, t), n
             tv = table(cover_complex(cycle(n), 2))
             entries_equal(tv, {(1, n - 2): n, (2, n - 1): n, (3, n): 1})
         subjects = " | ".join(x.subject for x in discrepancy_report())
@@ -162,9 +162,9 @@ def test_c07_cycles():
             c = cover_complex(cycle(2 * k), k)
             d = alexander_dual(c)
             t, td = table(c), table(d)
-            assert is_cm_ab(d, table=td) and linear_resolution_degree(td) is None, k
-            assert linear_resolution_degree(t) is not None and not is_cm_ab(c, table=t), k
-            assert eagon_reiner_check(c).consistent and eagon_reiner_check(d).consistent
+            assert is_cm_ab(d, td) and linear_resolution_degree(td) is None, k
+            assert linear_resolution_degree(t) is not None and not is_cm_ab(c, t), k
+            assert eagon_reiner_check(c, t).consistent and eagon_reiner_check(d, td).consistent
 
 
 def test_c08_cycle_squared():
@@ -172,15 +172,15 @@ def test_c08_cycle_squared():
         c = cover_complex(cycle_square(6), 2)
         t = table(c)
         entries_equal(t, {(1, 3): 8, (2, 4): 12, (3, 5): 6, (4, 6): 1})
-        assert linear_resolution_degree(t) == 3 and not is_cm_ab(c, table=t)
+        assert linear_resolution_degree(t) == 3 and not is_cm_ab(c, t)
         octa = clique_complex(cycle_square(6))
         to = table(octa)
-        assert is_cm_ab(octa, table=to) and is_cm_reisner(octa).cm
+        assert is_cm_ab(octa, to) and is_cm_reisner(octa).cm
         assert linear_resolution_degree(to) is None
         for n in (7, 8):
             c = cover_complex(cycle_square(n), 2)
             t = table(c)
-            assert linear_resolution_degree(t) is None and not is_cm_ab(c, table=t), n
+            assert linear_resolution_degree(t) is None and not is_cm_ab(c, t), n
 
 
 def test_c09_path_squared():
@@ -193,7 +193,7 @@ def test_c09_path_squared():
             tv = table(cv)
             # values n-2 and n-3 at the oracle-adjudicated degrees n-3, n-2
             entries_equal(tv, {(1, n - 3): n - 2, (2, n - 2): n - 3})
-            assert linear_resolution_degree(tv) is not None and is_cm_ab(cv, table=tv), n
+            assert linear_resolution_degree(tv) is not None and is_cm_ab(cv, tv), n
         c = cover_complex(path_square(8), 3)
         entries_equal(table(c), {(1, 2): 6, (2, 3): 8, (3, 4): 3})
         entries_equal(table(alexander_dual(c)), {(1, 3): 4, (2, 4): 3})
@@ -215,10 +215,10 @@ def test_c10_grids():
                     (3, m * n): m * n - m - n + 1,
                 },
             )
-            assert linear_resolution_degree(t) is not None and not is_cm_ab(c, table=t)
+            assert linear_resolution_degree(t) is not None and not is_cm_ab(c, t)
             cc = clique_complex(g)
             tcc = table(cc)
-            assert is_cm_ab(cc, table=tcc) and linear_resolution_degree(tcc) is None
+            assert is_cm_ab(cc, tcc) and linear_resolution_degree(tcc) is None
         subjects = " | ".join(x.subject for x in discrepancy_report())
         assert "third Betti number" in subjects
 

@@ -18,8 +18,8 @@ from srlab.complexes import (
     simplex_complex,
 )
 from srlab.errors import GuardExceeded
-from srlab.graphs import path
-from srlab.resolution import DEFAULT_HOCHSTER_GUARD, betti_hochster
+from srlab.graphs import path, path_square
+from srlab.resolution import DEFAULT_HOCHSTER_GUARD, betti_hochster, stored_order_shells
 from srlab.structure import is_fat_forest, is_pure_shellable, is_vertex_decomposable
 
 DATA = Path(__file__).parent / "data"
@@ -152,6 +152,17 @@ def test_scan_override_guards(capsys):
     code, stock = run(capsys, *argv, "--max-ground", "22")
     assert code == 0
     assert json.loads(out)["cells"] == json.loads(stock)["cells"] != []
+
+
+@pytest.mark.parametrize("conjecture, graph", [("Ln", path), ("L2n", path_square)], ids=["Ln", "L2n"])
+def test_scan_hochster_guard_stops_a_scan_whose_cells_are_all_certified(capsys, conjecture, graph):
+    c = cover_complex(graph(6), 2)
+    assert stored_order_shells(c) and stored_order_shells(alexander_dual(c))  # no table would be computed
+    argv = ["scan", "--conjecture", conjecture, "--kmin", "2", "--kmax", "2", "--nmin", "6", "--nmax", "6"]
+    assert cli.main([*argv, "--max-ground", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "guard: ground set 6 exceeds Hochster guard 5" in captured.err
 
 
 def test_override_guards_reaches_every_guard(capsys, tmp_path):

@@ -13,16 +13,12 @@ from srlab.complexes import (
     complex_from_json,
     complex_to_json,
     cover_complex,
-    deletion,
     dual_fvector,
-    dual_ideal_generators,
     f_vector,
     faces_of_card,
-    induced_subcomplex,
     irrelevant_complex,
     is_pure,
     join,
-    link,
     make_complex,
     minimal_nonfaces,
     simplex_complex,
@@ -189,16 +185,14 @@ def test_alexander_dual_against_bruteforce():
 def test_dual_ideal_generators():
     g = cycle_square(9)
     c = cover_complex(g, 3)
-    gens = dual_ideal_generators(c)
+    gens = minimal_nonfaces(alexander_dual(c))
     # generators are supported on the independent 3-sets
     from srlab.graphs import independent_sets
 
     assert set(gens) == set(independent_sets(g, 3))
-    assert gens == minimal_nonfaces(alexander_dual(c))
-    assert dual_ideal_generators(simplex_complex(3)) == ()
-    # the squared path at its top degree: one generator
+    # the path at its top degree: one generator
     c2 = cover_complex(path(5), 3)
-    assert [vertices_of(m) for m in dual_ideal_generators(c2)] == [(1, 3, 5)]
+    assert [vertices_of(m) for m in minimal_nonfaces(alexander_dual(c2))] == [(1, 3, 5)]
 
 
 def test_dual_fvector():
@@ -227,40 +221,21 @@ def test_skeleton():
     assert cover_complex(cycle(6), 1) == skeleton(simplex_complex(6), 4)
 
 
-def _complete(n):
-    from srlab.graphs import complete
-
-    return complete(n)
-
-
 def test_link_and_deletion():
+    from srlab.structure import _shed
+
+    def shed(c, v):  # the link and deletion facets of vertex v, in the labels of c
+        return tuple(sorted(vertices_of(f) for f in part) for part in _shed(c.facets, v))
+
     c4 = C(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    lk = link(c4, mask_of((1,)))
-    assert lk.n == 3 and favs(lk) == [(1,), (3,)]  # vertices 2, 4 relabeled
-    assert link(c4, 0) == c4
-    with pytest.raises(ValueError):
-        link(c4, mask_of((1, 3)))
-    # link of an edge in the octahedron: two points
+    lk, d = shed(c4, 1)
+    assert lk == [(2,), (4,)]
+    assert d == [(2, 3), (3, 4)]  # the path 2-3-4
+    # the link of a vertex of the octahedron is a 4-cycle
     octa = clique_complex(cycle_square(6))
-    lk2 = link(octa, mask_of((1, 2)))
-    assert lk2.n == 4 and len(lk2.facets) == 2 and all(f.bit_count() == 1 for f in lk2.facets)
-    # deletions
+    assert shed(octa, 1)[0] == [(2, 3), (2, 6), (3, 5), (5, 6)]
     S = simplex_complex(4)
-    assert deletion(S, mask_of((4,))) == simplex_complex(3)
-    d = deletion(c4, mask_of((1,)))
-    assert d.n == 3 and favs(d) == [(1, 2), (2, 3)]  # path on old 2,3,4
-    d2 = deletion(S, mask_of((1, 2)))
-    assert d2.n == 4 and favs(d2) == [(1, 3, 4), (2, 3, 4)]
-    assert deletion(c4, 0).is_void
-
-
-def test_induced_subcomplex():
-    c4 = C(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    r = induced_subcomplex(c4, mask_of((1, 2, 3)))
-    assert r.n == 3 and favs(r) == [(1, 2), (2, 3)]
-    assert induced_subcomplex(c4, 0) == irrelevant_complex(0)
-    facet = c4.facets[0]
-    assert induced_subcomplex(c4, facet) == simplex_complex(2)
+    assert shed(S, 4) == ([(1, 2, 3)], [(1, 2, 3)])
 
 
 def test_join():

@@ -13,7 +13,6 @@ from srlab.complexes import (
     clique_complex,
     cover_complex,
     f_vector,
-    induced_subcomplex,
     irrelevant_complex,
     join,
     make_complex,
@@ -34,7 +33,6 @@ from srlab.homology import (
     rank_gf2,
     rank_gfp,
     rank_int_exact,
-    reduced_homology_dims,
 )
 from srlab.resolution import is_cm_reisner
 
@@ -187,44 +185,42 @@ def _rank_modp_oracle(rows, p):
 
 
 def test_known_homology_profiles():
-    assert reduced_homology_dims(C4, RATIONALS).dims == (0, 0, 1)  # circle
-    assert reduced_homology_dims(OCTA, RATIONALS).dims == (0, 0, 0, 1)  # 2-sphere
+    assert homology_dims_from_facets(C4.facets, RATIONALS) == (0, 0, 1)  # circle
+    assert homology_dims_from_facets(OCTA.facets, RATIONALS) == (0, 0, 0, 1)  # 2-sphere
     two_pts = C(2, [(1,), (2,)])
-    assert reduced_homology_dims(two_pts, RATIONALS).dims == (0, 1)
-    assert reduced_homology_dims(irrelevant_complex(3), RATIONALS).dims == (1,)
-    assert reduced_homology_dims(simplex_complex(4), RATIONALS).dims == (0, 0, 0, 0, 0)
+    assert homology_dims_from_facets(two_pts.facets, RATIONALS) == (0, 1)
+    assert homology_dims_from_facets(irrelevant_complex(3).facets, RATIONALS) == (1,)
+    assert homology_dims_from_facets(simplex_complex(4).facets, RATIONALS) == (0, 0, 0, 0, 0)
     pts5 = clique_complex(points(5))
-    assert reduced_homology_dims(pts5, RATIONALS).dims == (0, 4)
-    with pytest.raises(VoidComplexError):
-        reduced_homology_dims(void_complex(3), RATIONALS)
+    assert homology_dims_from_facets(pts5.facets, RATIONALS) == (0, 4)
     # profile length is dim + 2
     for c in (C4, OCTA, simplex_complex(4)):
-        assert len(reduced_homology_dims(c, RATIONALS).dims) == int(c.dim()) + 2
+        assert len(homology_dims_from_facets(c.facets, RATIONALS)) == int(c.dim()) + 2
 
 
 def test_field_dependence_on_torsion():
-    assert reduced_homology_dims(RP2, RATIONALS).dims == (0, 0, 0, 0)
-    assert reduced_homology_dims(RP2, GF2).dims == (0, 0, 1, 1)
-    assert reduced_homology_dims(RP2, Field(3)).dims == (0, 0, 0, 0)
-    assert reduced_homology_dims(RP2, Field(7)).dims == (0, 0, 0, 0)
+    assert homology_dims_from_facets(RP2.facets, RATIONALS) == (0, 0, 0, 0)
+    assert homology_dims_from_facets(RP2.facets, GF2) == (0, 0, 1, 1)
+    assert homology_dims_from_facets(RP2.facets, Field(3)) == (0, 0, 0, 0)
+    assert homology_dims_from_facets(RP2.facets, Field(7)) == (0, 0, 0, 0)
 
 
 def test_euler_characteristic_consistency(random_complexes):
     for b in random_complexes[:80]:
         fv = f_vector(b.c)
         chi = sum((-1) ** i * fv[i] for i in range(len(fv)))  # reduced: starts at the empty face
-        dims = reduced_homology_dims(b.c, RATIONALS).dims
+        dims = homology_dims_from_facets(b.c.facets, RATIONALS)
         chi_h = sum((-1) ** i * dims[i] for i in range(len(dims)))
         assert chi == chi_h, b.name
-        dims2 = reduced_homology_dims(b.c, GF2).dims
+        dims2 = homology_dims_from_facets(b.c.facets, GF2)
         chi_h2 = sum((-1) ** i * dims2[i] for i in range(len(dims2)))
         assert chi == chi_h2, b.name
 
 
 def test_gf2_bounds_rational_dims(random_complexes):
     for b in random_complexes[:80]:
-        q = reduced_homology_dims(b.c, RATIONALS).dims
-        f2 = reduced_homology_dims(b.c, GF2).dims
+        q = homology_dims_from_facets(b.c.facets, RATIONALS)
+        f2 = homology_dims_from_facets(b.c.facets, GF2)
         assert all(a <= bb for a, bb in zip(q, f2)), b.name
 
 
@@ -294,21 +290,16 @@ def test_one_degree_gf2_profile_settles_q_without_exact_ranks(monkeypatch):
     c6k2 = cover_complex(cycle(6), 2)
     cm = is_cm_reisner(c6k2, RATIONALS).cm
     monkeypatch.setattr(homology, "rank_int_exact", _unreachable)
-    assert reduced_homology_dims(OCTA, RATIONALS).dims == (0, 0, 0, 1)
+    assert homology_dims_from_facets(OCTA.facets, RATIONALS) == (0, 0, 0, 1)
     assert is_cm_reisner(c6k2, RATIONALS).cm == cm
     with pytest.raises(AssertionError):  # torsion still needs exact ranks
-        reduced_homology_dims(RP2, RATIONALS)
+        homology_dims_from_facets(RP2.facets, RATIONALS)
 
 
 def test_odd_prime_uses_gfp_ranks_only(monkeypatch):
     monkeypatch.setattr(homology, "rank_gf2", _unreachable)
-    assert reduced_homology_dims(RP2, Field(3)).dims == (0, 0, 0, 0)
+    assert homology_dims_from_facets(RP2.facets, Field(3)) == (0, 0, 0, 0)
     assert homology_dims_from_facets(RP2_PLUS_POINT, Field(3)) == (0, 1, 0, 0)
-
-
-def test_induced_subcomplex_degenerates():
-    assert induced_subcomplex(C4, 0) == irrelevant_complex(0)
-    assert induced_subcomplex(void_complex(4), mask_of((1, 2))) == void_complex(2)
 
 
 def test_kunneth_on_joins(random_complexes):

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import betti_direct, betti_dual_links, minimal_nonfaces_bruteforce
+from oracles import betti_direct, betti_dual_links, betti_from_linear_hilbert, minimal_nonfaces_bruteforce
 from srlab import complexes, homology, resolution
 from srlab.bitsets import mask_of
 from srlab.complexes import (
@@ -34,7 +34,6 @@ from srlab.resolution import (
     FatForestDecomposition,
     GradedBettiTable,
     HilbertSeries,
-    betti_from_linear_hilbert,
     betti_hochster,
     betti_product,
     eagon_reiner_check,
@@ -282,20 +281,25 @@ def test_cm_verdicts():
     two_edges = C(4, [(1, 2), (3, 4)])
     v = is_cm_reisner(two_edges)
     assert not v.cm and v.witness == ((), 0)  # disconnected at the empty face
-    assert not is_cm_ab(two_edges)
-    assert is_cm_ab(simplex_complex(4)) and is_cm_reisner(simplex_complex(4)).cm
+    assert not is_cm_ab(two_edges, betti_hochster(two_edges))
+    s4 = simplex_complex(4)
+    assert is_cm_ab(s4, betti_hochster(s4)) and is_cm_reisner(s4).cm
     c26 = cover_complex(cycle_square(6), 2)
-    assert not is_cm_ab(c26)  # pd 4 vs 6 - 4
+    assert not is_cm_ab(c26, betti_hochster(c26))  # pd 4 vs 6 - 4
     assert betti_hochster(c26).projective_dimension() == 4
-    assert is_cm_ab(C4, table=betti_hochster(C4))
-    assert is_cm_reisner(irrelevant_complex(3)).cm and is_cm_ab(irrelevant_complex(3))
+    assert is_cm_ab(C4, betti_hochster(C4))
+    ir = irrelevant_complex(3)
+    assert is_cm_reisner(ir).cm and is_cm_ab(ir, betti_hochster(ir))
 
 
 def test_gorenstein():
-    assert is_gorenstein(clique_complex(cycle(5)))
-    assert is_gorenstein(simplex_complex(4))
-    assert not is_gorenstein(clique_complex(points(3)))  # CM of type 2
-    assert is_gorenstein(clique_complex(cycle_square(6)))  # the octahedron sphere
+    def gorenstein(c):
+        return is_gorenstein(c, betti_hochster(c))
+
+    assert gorenstein(clique_complex(cycle(5)))
+    assert gorenstein(simplex_complex(4))
+    assert not gorenstein(clique_complex(points(3)))  # CM of type 2
+    assert gorenstein(clique_complex(cycle_square(6)))  # the octahedron sphere
 
 
 def test_fat_forest_hilbert():
@@ -314,16 +318,21 @@ def test_fat_forest_hilbert():
 
 
 def test_eagon_reiner():
-    r = eagon_reiner_check(clique_complex(path_square(6)))  # chordal: linear, dual CM
+    def check(c):
+        return eagon_reiner_check(c, betti_hochster(c))
+
+    r = check(clique_complex(path_square(6)))  # chordal: linear, dual CM
     assert r.consistent and r.linear_degree == 2 and r.dual_cm
-    r2 = eagon_reiner_check(C4)
+    r2 = check(C4)
     assert r2.consistent and r2.linear_degree is None and not r2.dual_cm
-    r3 = eagon_reiner_check(simplex_complex(3))
+    r3 = check(simplex_complex(3))
     assert r3.consistent and r3.dual_void
     # top-degree even cycle: cover linear but dual ring not linear
     c = cover_complex(cycle(6), 3)
-    assert eagon_reiner_check(c).consistent
-    assert eagon_reiner_check(alexander_dual(c)).consistent
+    assert check(c).consistent
+    assert check(alexander_dual(c)).consistent
+    # the field comes from the table
+    assert eagon_reiner_check(C4, betti_hochster(C4, GF2)).field == GF2
 
 
 def test_betti_product_matches_join():

@@ -1,11 +1,12 @@
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from conftest import family_complexes, family_graphs
-from oracles import is_valid_shelling_pairwise
+from oracles import check_vd_witness, is_valid_shelling_pairwise, shelling_order_from_vd
 from srlab.bitsets import mask_of, single_maximal_overlap, vertices_of
 from srlab.complexes import (
     alexander_dual,
@@ -19,7 +20,7 @@ from srlab.complexes import (
     void_complex,
 )
 from srlab.errors import GuardExceeded
-from srlab.graphs import complete, cycle, cycle_square, path, path_square, star
+from srlab.graphs import cycle, cycle_square, graph_from_edges, path, path_square, star
 from srlab.homology import GF2
 from srlab.resolution import fat_forest_hilbert, hilbert_from_fvector
 from srlab.structure import (
@@ -27,13 +28,11 @@ from srlab.structure import (
     StructureVerdict,
     _facet_order,
     _is_quasi_forest,
-    check_vd_witness,
     froberg_check,
     is_fat_forest,
     is_pure_shellable,
     is_valid_shelling,
     is_vertex_decomposable,
-    shelling_order_from_vd,
     verify_fat_forest_order,
 )
 
@@ -120,7 +119,7 @@ def test_froberg_check():
     assert r2.consistent and not r2.chordal and not r2.two_linear and not r2.fat_forest
     r3 = froberg_check(cycle_square(7))
     assert r3.consistent and not r3.chordal
-    r4 = froberg_check(complete(5))  # zero ideal counts as trivially 2-linear
+    r4 = froberg_check(graph_from_edges(5, combinations(range(1, 6), 2)))  # K5: the zero ideal is trivially 2-linear
     assert r4.consistent and r4.chordal and r4.two_linear and r4.fat_forest
     r5 = froberg_check(path_square(7), GF2)
     assert r5.consistent
