@@ -63,26 +63,59 @@ def single_maximal_overlap(f: int, placed: Iterable[int]) -> int | None:
     return u if u in hits else None
 
 
-def shells_onto(f: int, placed: Sequence[int]) -> bool:
-    """The shelling step: whether f meets the union of the placed facets in a
-    pure subcomplex of codimension one, so that f may follow them.
+def facet_columns(facets: Sequence[int]) -> list[int]:
+    """The vertex -> facet incidence table: entry v-1 is the mask of the
+    indices j with v in facets[j]."""
+    col = [0] * max(facets, default=0).bit_length()
+    for j, f in enumerate(facets):
+        bit = 1 << j
+        for v in iter_vertices(f):
+            col[v - 1] |= bit
+    return col
 
-    With R the vertices v of f such that f minus v lies in a placed facet,
-    that holds iff f minus p meets R for every placed p: then f meets p
-    inside some f minus v with v in R. O(|placed|) bit operations.
+
+def restriction(f: int, col: Sequence[int], placed: int) -> int | None:
+    """The restriction R of f in a shelling step onto the facets whose indices
+    are in the mask placed, or None when f does not shell onto them.
+
+    col is the incidence table of the facets (facet_columns). v lies in R
+    when f minus v lies in a placed facet: the AND of col over f minus v
+    meets placed. f meets the union of the placed facets in a pure
+    subcomplex of codimension one unless some placed facet contains R: the
+    AND of col over R meets placed. Prefix and suffix ANDs make this O(|f|)
+    big-int operations.
     """
+    vs = list(iter_vertices(f))
+    cols = [col[v - 1] for v in vs]
+    suffix = [placed]
+    for x in reversed(cols):
+        suffix.append(suffix[-1] & x)
+    suffix.reverse()  # suffix[i]: placed AND col over the vertices from the i-th on
     r = 0
-    for p in placed:
-        x = f & ~p
-        if x & (x - 1) == 0:  # f minus p is one vertex
-            r |= x
-    return all(f & ~p & r for p in placed)
+    prefix = -1  # all ones: col ANDed over the vertices before the i-th
+    for i, v in enumerate(vs):
+        if prefix & suffix[i + 1]:
+            r |= 1 << (v - 1)
+        prefix &= cols[i]
+    held = placed
+    for v in iter_vertices(r):
+        held &= col[v - 1]
+    return None if held else r
 
 
-def is_shelling(order: Sequence[int]) -> bool:
-    """Whether each facet of order shells onto those before it (shells_onto):
-    O(F^2) bit operations on F facets. For a pure complex this is a shelling."""
-    return all(shells_onto(f, order[:i]) for i, f in enumerate(order))
+def shelling_restrictions(order: Sequence[int]) -> list[int] | None:
+    """The restriction R_j of each facet of order, or None when some facet
+    does not shell onto those before it (restriction). For a pure complex
+    this decides a shelling, in O(d) big-int operations per facet of size d.
+    """
+    col = facet_columns(order)
+    out = []
+    for j, f in enumerate(order):
+        r = restriction(f, col, (1 << j) - 1)
+        if r is None:
+            return None
+        out.append(r)
+    return out
 
 
 def sort_canonical(masks: Iterable[int]) -> tuple[int, ...]:

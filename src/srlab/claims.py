@@ -3,12 +3,12 @@ family, a pair of conjecture scanners, and the discrepancy report.
 
 Every record binds a family of complexes to expected values (stored as
 closed-form evaluators, not literal tables) and checks them against the
-Hochster oracle (betti_hochster). The scans read those tables too, except
-in a cell whose cover and dual both shell in their stored facet order: the
-shellings settle it (_scan). Where the recorded material contains two
-conflicting variants of one statement, both variants are kept as separate
-records that point at each other; the oracle adjudicates and the loser
-feeds the discrepancy report. Records whose expected status is "refuted" never fail a
+exact Betti tables of betti_hochster: read off a shelling of the Alexander
+dual where its stored facet order shells, and Hochster's sum elsewhere. The
+scans read those tables too (_scan). Where the recorded material contains
+two conflicting variants of one statement, both variants are kept as
+separate records that point at each other; the tables adjudicate and the
+loser feeds the discrepancy report. Records whose expected status is "refuted" never fail a
 verification run; they exist to document the discrepancy.
 
 A runner takes only the field. A check that fails raises through
@@ -35,7 +35,6 @@ from .complexes import (
     simplex_complex,
     skeleton,
 )
-from .errors import check_guard
 from .graphs import (
     Graph,
     complete_bipartite,
@@ -62,7 +61,6 @@ from .resolution import (
     is_cm_ab,
     is_gorenstein,
     linear_resolution_degree,
-    stored_order_shells,
 )
 from .structure import froberg_check, is_fat_forest
 
@@ -1036,15 +1034,8 @@ class ScanReport:
 
 def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, override):
     """One cell per (k, n, field): the linear degree and CM verdict of the
-    cover complex c, and of its Alexander dual d when both_sides is set.
-
-    After the Hochster guard, shellings of the stored facet orders come first
-    (stored_order_shells). A shelling of c proves k[c] CM over every field; a
-    shelling of d gives c's face ideal linear quotients, so an s-linear
-    resolution with s = n - |facet of d|. Since d's dual is c, the same two
-    shellings settle d's pair. A cell with any verdict left uncertified,
-    including a void d (the zero ideal), reads every verdict off the Betti
-    tables.
+    cover complex c, and of its Alexander dual d when both_sides is set,
+    read off their Betti tables (betti_hochster).
     """
     t0 = time.time()
     cells: list[ScanCell] = []
@@ -1056,18 +1047,12 @@ def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_g
             c = cover_complex(g, k)
             if c.is_void:
                 continue
-            check_guard("Hochster", c.n, max_ground, override)
-            d = alexander_dual(c)
-            certified = stored_order_shells(c) and stored_order_shells(d)
             for f in fields:
-                if certified:
-                    dual = (c.n - c.facets[0].bit_count(), True) if both_sides else ()
-                    cells.append(ScanCell(k, n, str(f), c.n - d.facets[0].bit_count(), True, *dual))
-                    continue
                 t = betti_hochster(c, f, max_ground=max_ground, override=override)
                 lin = linear_resolution_degree(t)
                 cm = is_cm_ab(c, t)
                 if both_sides:
+                    d = alexander_dual(c)
                     td = betti_hochster(d, f, max_ground=max_ground, override=override)
                     cells.append(ScanCell(k, n, str(f), lin, cm, linear_resolution_degree(td), is_cm_ab(d, td)))
                 else:

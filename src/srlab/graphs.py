@@ -26,14 +26,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u - 1] >> (v - 1) & 1)
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(1, self.n + 1):
-            for v in iter_vertices(self.adj[u - 1]):
-                if v > u:
-                    out.append((u, v))
-        return out
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 

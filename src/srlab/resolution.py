@@ -1,16 +1,18 @@
 """Hilbert series, graded Betti tables, and Cohen-Macaulay / linearity verdicts.
 
-Betti numbers come from Hochster's formula: for a complex S on 1..n and a
-field k,
+A Betti table is read off a certificate where there is one: when the
+Alexander dual of S is pure and its stored facet order is a shelling, the
+face ideal of S has linear quotients (Herzog-Hibi-Zheng 2004) and its
+mapping-cone resolution is minimal (Herzog-Takayama 2002), so the table
+follows from the sizes of the shelling restrictions over every field
+(betti_hochster). Every other table comes from Hochster's formula: for a
+complex S on 1..n and a field k,
 
     beta_{i,j} = sum over j-subsets W of dim_k H~_{j-i-1}(S restricted to W).
 
-The claim records check their closed forms against this sum; a scan cell
-whose cover and dual both shell in their stored facet order is settled by
-those shellings instead, with no table (claims._scan). A W that is not a
-union of minimal nonfaces restricts to a cone (a vertex of W lies in no
-minimal nonface inside W), so the sum runs over the LCM lattice: the empty
-set and every union of minimal nonfaces.
+A W that is not a union of minimal nonfaces restricts to a cone (a vertex
+of W lies in no minimal nonface inside W), so the sum (_hochster_sum) runs
+over the LCM lattice: the empty set and every union of minimal nonfaces.
 
 Both the Hochster sum and Reisner's criterion choose what to read for W by
 one side rule (_side) on a pair (A, B = A^dual). When U = [n] minus W is a
@@ -40,11 +42,12 @@ facet order is a shelling (stored_order_shells) is CM over every field.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .bitsets import is_shelling, maximal_masks, vertices_of
+from .bitsets import maximal_masks, shelling_restrictions, vertices_of
 from .complexes import DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
 from .errors import VoidComplexError, check_guard
 from .homology import GF2, Field, RATIONALS, _core, _is_cone, homology_dims_from_facets, parse_field, rational_dims
@@ -282,6 +285,26 @@ def _hochster_plan(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, boo
     return uses
 
 
+def _hochster_sum(c: SimplicialComplex, field: Field) -> GradedBettiTable:
+    """The Betti table of a nonvoid c by Hochster's sum.
+
+    The sum runs over the LCM lattice of the minimal nonfaces (the
+    complements of the facets of the memoized Alexander dual) and reads each
+    subset from the smaller of its restriction and the dual's link. The
+    field-independent half, the subsets grouped by the core they read, is
+    planned once per complex and memoized, so further fields of c reuse it;
+    each core's homology comes from _core_dims, shared with every other
+    complex and with Reisner's sweep (GF(2) profiles serve Q and GF(2) alike).
+    """
+    entries: dict[tuple[int, int], int] = {}
+    for (core, j, link), mult in _hochster_plan(c).items():
+        for d, val in _read(_core_dims(core, field), j, link):
+            ij = (j - d - 1, j)
+            entries[ij] = entries.get(ij, 0) + mult * val
+    assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
+    return GradedBettiTable(entries, field, c.n)
+
+
 def betti_hochster(
     c: SimplicialComplex,
     field: Field = RATIONALS,
@@ -291,23 +314,32 @@ def betti_hochster(
 ) -> GradedBettiTable:
     """Exact graded Betti table of the face ring of c over the given field.
 
-    Hochster's sum runs over the LCM lattice of the minimal nonfaces (the
-    complements of the facets of the memoized Alexander dual) and reads each
-    subset from the smaller of its restriction and the dual's link. The
-    field-independent half, the subsets grouped by the core they read, is
-    planned once per complex and memoized, so further fields of c reuse it;
-    each core's homology comes from _core_dims, shared with every other
-    complex and with Reisner's sweep (GF(2) profiles serve Q and GF(2) alike).
+    After the Hochster guard, a certificate comes first. When the Alexander
+    dual of c is nonvoid and pure and its stored facet order F_1, ..., F_m
+    is a shelling with restrictions R_j (_stored_restrictions), the face
+    ideal of c has linear quotients in the order of the generators
+    x^([n] minus F_j), whose colon ideals are generated by the |R_j|
+    variables of R_j (Herzog-Hibi-Zheng 2004). Its mapping-cone resolution
+    is then minimal (Herzog-Takayama 2002), so over every field
+
+        beta_{0,0} = 1, beta_{i,i+s-1} = sum over j of C(|R_j|, i-1) (i >= 1),
+
+    with s = n - |F_1|. Every other complex, a nonpure dual among them (the
+    formula needs generator degrees that never decrease), takes Hochster's
+    sum (_hochster_sum).
     """
     if c.is_void:
         raise VoidComplexError("the void complex has no Betti table here")
     check_guard("Hochster", c.n, max_ground, override)
-    entries: dict[tuple[int, int], int] = {}
-    for (core, j, link), mult in _hochster_plan(c).items():
-        for d, val in _read(_core_dims(core, field), j, link):
-            ij = (j - d - 1, j)
-            entries[ij] = entries.get(ij, 0) + mult * val
-    assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
+    dual = alexander_dual(c)
+    restrictions = _stored_restrictions(dual)
+    if restrictions is None:
+        return _hochster_sum(c, field)
+    s = c.n - dual.facets[0].bit_count()
+    entries = {(0, 0): 1}
+    for r, mult in Counter(r.bit_count() for r in restrictions).items():
+        for i in range(r + 1):
+            entries[(i + 1, i + s)] = entries.get((i + 1, i + s), 0) + mult * comb(r, i)
     return GradedBettiTable(entries, field, c.n)
 
 
@@ -346,14 +378,24 @@ class ReisnerVerdict:
     witness: tuple[tuple[int, ...], int] | None = None  # (face, offending degree)
 
 
+def _stored_restrictions(c: SimplicialComplex) -> list[int] | None:
+    """The restriction of each facet in c's stored facet order when c is
+    nonvoid and pure and that order is a shelling, else None
+    (bitsets.shelling_restrictions: O(d) big-int operations per facet of
+    size d)."""
+    if c.is_void or not is_pure(c):
+        return None
+    return shelling_restrictions(c.facets)
+
+
 def stored_order_shells(c: SimplicialComplex) -> bool:
     """Whether c is nonvoid and pure and its stored facet order is a shelling.
 
     Then k[c] is Cohen-Macaulay over every field (Stanley, ch. III), and the
     face ideal of c's Alexander dual has linear quotients, so a linear
-    resolution (Herzog-Hibi-Zheng 2004). O(F^2) bit operations on F facets.
+    resolution (Herzog-Hibi-Zheng 2004).
     """
-    return not c.is_void and is_pure(c) and is_shelling(c.facets)
+    return _stored_restrictions(c) is not None
 
 
 def is_cm_reisner(c: SimplicialComplex, field: Field = RATIONALS, *, override: bool = False) -> ReisnerVerdict:

@@ -6,8 +6,9 @@ replay in polynomial time: a facet ordering for fat forests and shellings,
 a shedding tree for vertex decompositions. Fat forests and shellings share
 one backtracking search over facet orders (_facet_order); each witness has
 one step rule, used by both its search and its replay: a single maximal
-overlap for fat forests, bitsets.shells_onto for shellings, which makes the
-replay of a shelling O(F^2) bit operations on F facets. The fat-forest search
+overlap for fat forests, and for shellings bitsets.restriction on the
+vertex -> facet incidence table, which makes the replay of a shelling O(d)
+big-int operations per facet of size d. The fat-forest search
 only runs on clique complexes of chordal graphs (_is_quasi_forest), the
 complexes that have such an order. Link and deletion of a vertex come from
 one helper, _shed, which the tests' replay of a shedding tree also uses.
@@ -18,7 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .bitsets import is_shelling, iter_vertices, maximal_masks, shells_onto, single_maximal_overlap, vertices_of
+from .bitsets import (
+    facet_columns,
+    iter_vertices,
+    maximal_masks,
+    restriction,
+    shelling_restrictions,
+    single_maximal_overlap,
+    vertices_of,
+)
 from .complexes import SimplicialComplex, clique_complex, is_pure
 from .errors import check_guard
 from .graphs import Graph, is_chordal
@@ -46,8 +55,10 @@ class StructureVerdict:
 
 
 def _facet_order(facets: list[int], fits, prefer=None) -> list[int] | None:
-    """Indices of an order of facets in which each facet fits(facet, placed)
-    onto the facets placed before it, or None if there is none.
+    """Indices of an order of facets in which each facet fits onto the facets
+    placed before it, or None if there is none. fits(i, used, placed) is
+    asked of facet i, with used the mask of the placed indices and placed
+    their facets in order.
 
     Backtracking tries the unplaced facets that fit in index order, stably
     sorted by prefer(facet, placed) descending when prefer is given. A set of
@@ -63,7 +74,7 @@ def _facet_order(facets: list[int], fits, prefer=None) -> list[int] | None:
         if used_bits in dead:
             return None
         placed = [facets[i] for i in order]
-        cands = [i for i in range(k) if not used_bits >> i & 1 and fits(facets[i], placed)]
+        cands = [i for i in range(k) if not used_bits >> i & 1 and fits(i, used_bits, placed)]
         if prefer is not None:
             cands.sort(key=lambda i: -prefer(facets[i], placed))
         for idx in cands:
@@ -115,7 +126,7 @@ def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureV
     check_guard("fat-forest search", len(facets), FAT_FOREST_FACET_GUARD, override, facets=True)
     if not _is_quasi_forest(facets):
         return StructureVerdict(name, False)
-    order = _facet_order(facets, lambda f, placed: single_maximal_overlap(f, placed) is not None)
+    order = _facet_order(facets, lambda i, _, placed: single_maximal_overlap(facets[i], placed) is not None)
     assert order is not None, "a quasi-forest has a fat-forest order"
     masks = [facets[i] for i in order]
     decomp = verify_fat_forest_order(c, masks)
@@ -256,11 +267,12 @@ def _overlap(f: int, placed: list[int]) -> int:
 
 def is_valid_shelling(c: SimplicialComplex, order: list[int]) -> bool:
     """Check a facet order: each facet must meet the union of its
-    predecessors in a pure subcomplex of codimension one (bitsets.shells_onto),
-    so the whole order costs O(F^2) bit operations."""
+    predecessors in a pure subcomplex of codimension one, in one pass of
+    O(d) big-int operations per facet of size d
+    (bitsets.shelling_restrictions)."""
     if sorted(order) != sorted(c.facets) or not order:
         return False
-    return is_shelling(order)
+    return shelling_restrictions(order) is not None
 
 
 def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
@@ -277,7 +289,8 @@ def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> Struct
         raise ValueError("shellability is only tested here for pure complexes")
     facets = list(c.facets)
     check_guard("shelling search", len(facets), SHELLING_FACET_GUARD, override, facets=True)
-    order = _facet_order(facets, shells_onto, _overlap)
+    col = facet_columns(facets)
+    order = _facet_order(facets, lambda i, used, _: restriction(facets[i], col, used) is not None, _overlap)
     if order is None:
         return StructureVerdict(name, False)
     assert is_valid_shelling(c, [facets[i] for i in order])

@@ -170,6 +170,20 @@ def is_valid_shelling_pairwise(c: SimplicialComplex, order: list[int]) -> bool:
     return True
 
 
+def shelling_restrictions_pairwise(order: list[int]) -> list[int]:
+    """The restriction of each facet of an order: the vertices v of F_j such
+    that F_j minus v lies in some earlier facet."""
+    out = []
+    for j, f in enumerate(order):
+        r = 0
+        for v in vertices_of(f):
+            b = 1 << (v - 1)
+            if any(f & ~b & ~p == 0 for p in order[:j]):
+                r |= b
+        out.append(r)
+    return out
+
+
 def check_vd_witness(c: SimplicialComplex, witness) -> bool:
     """Replay a shedding tree against c; independent of the search."""
 

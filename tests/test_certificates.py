@@ -1,5 +1,6 @@
 """Shelling certificates against the exact routes they stand in for: Reisner's
-sweep for CM verdicts, and the Betti table for linear degrees and scan cells."""
+sweep for CM verdicts, and the Hochster sum for Betti tables, linear degrees
+and scan cells."""
 
 import random
 from collections import Counter
@@ -7,8 +8,8 @@ from collections import Counter
 import pytest
 
 from conftest import family_graphs
-from srlab import claims
-from srlab.bitsets import is_shelling, mask_of
+from srlab import claims, resolution
+from srlab.bitsets import mask_of, shelling_restrictions
 from srlab.complexes import SimplicialComplex, alexander_dual, cover_complex, make_complex, simplex_complex
 from srlab.graphs import cycle, path, path_square
 from srlab.homology import GF2, RATIONALS, Field
@@ -94,7 +95,7 @@ def test_non_pure_complex_is_no_certificate():
     # a triangle with a whisker: its stored order shells in the nonpure sense,
     # which proves only sequential Cohen-Macaulayness
     c = C(4, [(1, 2, 3), (3, 4)])
-    assert is_shelling(c.facets) and not stored_order_shells(c)
+    assert shelling_restrictions(c.facets) is not None and not stored_order_shells(c)
     assert is_cm_reisner(c) == ReisnerVerdict(False, RATIONALS, ((3,), 0))
     d = alexander_dual(c)
     assert eagon_reiner_check(d, betti_hochster(d)).dual_cm is False
@@ -119,10 +120,28 @@ def _cells(builder, n_min_of_k, both_sides):
 @pytest.mark.parametrize("both_sides", [False, True])
 def test_scan_cells_match_the_tables(monkeypatch, builder, n_min_of_k, both_sides):
     calls = []
-    hochster = claims.betti_hochster
-    monkeypatch.setattr(claims, "betti_hochster", lambda *a, **kw: calls.append(a) or hochster(*a, **kw))
+    summed = resolution._hochster_sum
+    monkeypatch.setattr(resolution, "_hochster_sum", lambda *a: calls.append(a) or summed(*a))
     certified = _cells(builder, n_min_of_k, both_sides)
-    # Ln and L2n cells are all certified; cycle covers above k = 1 are not CM
-    assert (not calls) == (builder is not cycle)
-    monkeypatch.setattr(claims, "stored_order_shells", lambda c: False)
+    # every cover's dual here shells, so the cover tables are certified; the
+    # covers shell too except cycle covers above k = 1, which are not CM, so
+    # the tables of those covers' duals are sums
+    assert (not calls) == (builder is not cycle or not both_sides)
+    monkeypatch.setattr(claims, "betti_hochster", lambda c, f, **kw: summed(c, f))
     assert certified == _cells(builder, n_min_of_k, both_sides)
+
+
+def test_certified_tables_match_the_hochster_sum(monkeypatch):
+    calls = []
+    summed = resolution._hochster_sum
+    monkeypatch.setattr(resolution, "_hochster_sum", lambda *a: calls.append(a) or summed(*a))
+    certified = 0
+    for name, x in covers_and_duals(11):
+        if not stored_order_shells(alexander_dual(x)):
+            continue
+        certified += 1
+        for field in FIELDS:
+            table = betti_hochster(x, field)
+            assert not calls, name
+            assert table.entries == summed(x, field).entries, (name, field)
+    assert certified > 400

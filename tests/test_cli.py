@@ -157,7 +157,7 @@ def test_scan_override_guards(capsys):
 @pytest.mark.parametrize("conjecture, graph", [("Ln", path), ("L2n", path_square)], ids=["Ln", "L2n"])
 def test_scan_hochster_guard_stops_a_scan_whose_cells_are_all_certified(capsys, conjecture, graph):
     c = cover_complex(graph(6), 2)
-    assert stored_order_shells(c) and stored_order_shells(alexander_dual(c))  # no table would be computed
+    assert stored_order_shells(c) and stored_order_shells(alexander_dual(c))  # both tables are certified
     argv = ["scan", "--conjecture", conjecture, "--kmin", "2", "--kmax", "2", "--nmin", "6", "--nmax", "6"]
     assert cli.main([*argv, "--max-ground", "5"]) == 2
     captured = capsys.readouterr()

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from oracles import betti_direct, betti_dual_links, betti_from_linear_hilbert, minimal_nonfaces_bruteforce
-from srlab import complexes, homology, resolution
+from srlab import cli, complexes, homology, resolution
 from srlab.bitsets import mask_of
 from srlab.complexes import (
     alexander_dual,
@@ -139,11 +139,11 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
     for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3), alexander_dual(cover_complex(path(9), 3))):
         oracle = [betti_dual_links(c, f) for f in (RATIONALS, GF2)]
         read.clear()
-        assert [betti_hochster(c, f).entries for f in (RATIONALS, GF2)] == oracle, c
+        assert [resolution._hochster_sum(c, f).entries for f in (RATIONALS, GF2)] == oracle, c
         expect = _unions_of_minimal_nonfaces(c)
         assert len(read) == len(expect) and set(read) == expect, c  # once for both fields
     read.clear()
-    assert betti_hochster(simplex_complex(23), override=True).entries == {(0, 0): 1}
+    assert resolution._hochster_sum(simplex_complex(23), RATIONALS).entries == {(0, 0): 1}
     assert read == [0]
 
 
@@ -188,8 +188,8 @@ def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     alexander_dual.cache_clear()
     resolution._hochster_plan.cache_clear()
     resolution._core_dims.cache_clear()
-    tq = betti_hochster(c, RATIONALS)
-    t2 = betti_hochster(c, GF2)
+    tq = resolution._hochster_sum(c, RATIONALS)
+    t2 = resolution._hochster_sum(c, GF2)
     assert len(calls) == 1
     assert tq.entries == t2.entries == betti_dual_links(c, RATIONALS)
 
@@ -201,7 +201,7 @@ def test_relabelled_memo_cuts_homology_calls(monkeypatch):
     monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
     resolution._hochster_plan.cache_clear()
     resolution._core_dims.cache_clear()
-    t = betti_hochster(c, RATIONALS)
+    t = resolution._hochster_sum(c, RATIONALS)
     # 3198 without the relabelled memo, 358 keyed on relabelled facet lists,
     # 86 keyed on their strong-collapse cores (44 of the 358 collapse to a point)
     assert len(calls) <= 86
@@ -219,10 +219,23 @@ def test_dual_sweep_after_the_table_computes_no_homology(monkeypatch):
         for f in (RATIONALS, GF2, Field(3)):
             resolution._hochster_plan.cache_clear()
             resolution._core_dims.cache_clear()
-            betti_hochster(c, f)
+            resolution._hochster_sum(c, f)
             calls.clear()
             assert resolution._reisner_sweep(alexander_dual(c), f).cm, (spec, k, f)
             assert calls == [], (spec, k, f)
+
+
+def test_guard_stops_before_any_dual_is_built(monkeypatch, capsys):
+    c = cover_complex(points(17), 2)
+    calls = []
+    real = complexes.minimal_nonfaces
+    monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    alexander_dual.cache_clear()
+    with pytest.raises(GuardExceeded):
+        betti_hochster(c, max_ground=16)
+    assert calls == []
+    assert cli.main(["invariants", "--family", "P", "--n", "17", "--k", "2", "--max-ground", "16"]) == 2
+    assert capsys.readouterr().out == "" and calls == []
 
 
 def test_squeezed_facets_relabel_onto_the_support():

@@ -1,13 +1,14 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from conftest import family_complexes, family_graphs
-from oracles import check_vd_witness, is_valid_shelling_pairwise, shelling_order_from_vd
-from srlab.bitsets import mask_of, single_maximal_overlap, vertices_of
+from oracles import check_vd_witness, is_valid_shelling_pairwise, shelling_order_from_vd, shelling_restrictions_pairwise
+from srlab.bitsets import mask_of, shelling_restrictions, single_maximal_overlap, vertices_of
 from srlab.complexes import (
     alexander_dual,
     clique_complex,
@@ -86,7 +87,8 @@ def test_quasi_forest_test_matches_the_search():
     # Herzog-Hibi-Zheng: fat forests (quasi-forests) are exactly the clique
     # complexes of chordal graphs; the search alone is the reference here
     def search_finds_order(c):
-        return _facet_order(list(c.facets), lambda f, placed: single_maximal_overlap(f, placed) is not None) is not None
+        facets = list(c.facets)
+        return _facet_order(facets, lambda i, _, placed: single_maximal_overlap(facets[i], placed) is not None) is not None
 
     rng = random.Random(20261020)
     corpus = []
@@ -193,6 +195,27 @@ def test_shelling_checker_matches_pairwise_rule():
         verdicts.append(is_valid_shelling(b.c, order))
         assert verdicts[-1] == is_valid_shelling_pairwise(b.c, order), b
     assert 0.2 < sum(verdicts) / len(verdicts) < 0.8  # both verdicts are exercised
+
+
+def test_shelling_pass_matches_pairwise_rule_and_restrictions():
+    # pure and nonpure random complexes, three shuffled orders each
+    rng = random.Random(17017)
+    verdicts = Counter()
+    for trial in range(3000):
+        n = rng.randint(3, 9)
+        size = rng.randint(1, n - 1)
+        pure = trial % 2 == 0
+        picks = [rng.sample(range(1, n + 1), size if pure else rng.randint(1, n - 1)) for _ in range(rng.randint(2, 12))]
+        c = make_complex(n, [mask_of(p) for p in picks])
+        assert is_pure(c) or not pure
+        for _ in range(3):
+            order = rng.sample(c.facets, len(c.facets))
+            rs = shelling_restrictions(order)
+            verdicts[rs is not None, is_pure(c)] += 1
+            assert (rs is not None) == is_valid_shelling_pairwise(c, order), (c, order)
+            if rs is not None:
+                assert rs == shelling_restrictions_pairwise(order), (c, order)
+    assert all(verdicts[v, p] > 500 for v in (True, False) for p in (True, False)), verdicts
 
 
 def _vd_preorder(w) -> list[int]:
