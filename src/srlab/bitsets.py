@@ -32,10 +32,6 @@ def iter_vertices(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def maximal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal members, deduplicated."""
     uniq = sorted(set(masks), key=lambda m: -m.bit_count())

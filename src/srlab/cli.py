@@ -92,6 +92,8 @@ def _emit(args, text: str) -> None:
 def _load_complex(args) -> SimplicialComplex:
     if args.input:
         obj = json.loads(Path(args.input).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"{args.input}: the input JSON must be an object")
         g = None if "facets" in obj else graph_from_json(obj)
     elif args.family:
         g = build_family(FamilySpec(args.family, n=args.n, m=args.m))
@@ -284,9 +286,11 @@ def cmd_verify(args) -> int:
         rows += [f"{r.claim_id}\t{r.field}\t{r.status}\t{r.seconds:.3f}" for r in results]
         _emit(args, "\n".join(rows))
     else:
+        rows = []
         for r in results:
             expect = "" if claims.CLAIMS[r.claim_id].expect_confirmed else "  (refutation on record)"
-            _emit(args, f"{r.status:10s} [{r.field:5s}] {r.claim_id}{expect}")
+            rows.append(f"{r.status:10s} [{r.field:5s}] {r.claim_id}{expect}")
+        _emit(args, "\n".join(rows))
     return EXIT_REFUTED if claims.has_unexpected_refutation(results) else EXIT_OK
 
 
@@ -310,10 +314,9 @@ def cmd_scan(args) -> int:
             )
         _emit(args, "\n".join(rows))
     else:
-        _emit(args, f"conjecture {rep.conjecture}: {rep.status}, {len(rep.cells)} cells, "
-                    f"{len(rep.counterexamples)} counterexamples, {rep.seconds:.1f}s")
-        for note in rep.notes:
-            _emit(args, f"note: {note}")
+        head = (f"conjecture {rep.conjecture}: {rep.status}, {len(rep.cells)} cells, "
+                f"{len(rep.counterexamples)} counterexamples, {rep.seconds:.1f}s")
+        _emit(args, "\n".join([head] + [f"note: {note}" for note in rep.notes]))
     return EXIT_OK  # conjecture scans never affect the exit code
 
 

@@ -20,14 +20,13 @@ from typing import Iterable
 
 from .bitsets import (
     full_mask,
-    is_subset,
     mask_of,
     maximal_masks,
     sort_canonical,
     vertices_of,
 )
 from .errors import VoidComplexError, check_guard
-from .graphs import Graph, independent_sets, maximal_cliques
+from .graphs import Graph, independent_sets, json_int, json_vertex_lists, maximal_cliques
 
 #: Face enumeration refuses larger ground sets unless explicitly overridden.
 DEFAULT_GROUND_GUARD = 24
@@ -55,9 +54,6 @@ class SimplicialComplex:
 
     def facet_vertices(self) -> list[tuple[int, ...]]:
         return [vertices_of(f) for f in self.facets]
-
-    def is_face(self, sigma: int) -> bool:
-        return any(is_subset(sigma, f) for f in self.facets)
 
 
 def make_complex(n: int, facets: Iterable[int]) -> SimplicialComplex:
@@ -292,9 +288,10 @@ def complex_to_json(c: SimplicialComplex) -> dict:
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex:
-    n = int(obj["n"])
-    facets = [mask_of(f) for f in obj["facets"]]
-    c = make_complex(n, facets)
+    n = json_int(obj, "n")
+    if n is None:
+        raise ValueError('complex JSON needs "n" and "facets"')
+    c = make_complex(n, [mask_of(f) for f in json_vertex_lists(obj, "facets", n)])
     void_flag = bool(obj.get("void", False))
     if void_flag != c.is_void:
         raise ValueError("void flag inconsistent with facet list")

@@ -23,9 +23,6 @@ class Graph:
     n: int
     adj: tuple[int, ...]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u - 1] >> (v - 1) & 1)
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 
@@ -202,19 +199,32 @@ def build_family(spec: FamilySpec) -> Graph:
     return builder(spec.n)
 
 
+def json_int(obj: dict, key: str) -> int | None:
+    """obj[key] if it is an int (a bool is not one), None if it is absent or null."""
+    v = obj.get(key)
+    if v is not None and type(v) is not int:
+        raise ValueError(f'"{key}" must be an integer, got {v!r}')
+    return v
+
+
+def json_vertex_lists(obj: dict, key: str, n: int) -> list[list[int]]:
+    """obj[key] if it is a list of lists of vertices, each an int (not a bool) in 1..n."""
+    items = obj[key]
+    if not isinstance(items, list) or not all(
+        isinstance(s, list) and all(type(v) is int and 1 <= v <= n for v in s) for s in items
+    ):
+        raise ValueError(f'"{key}" must be a list of lists of vertices in 1..{n}')
+    return items
+
+
 def graph_from_json(obj: dict) -> Graph:
     """Accepts {"n":…, "edges":[[u,v],…]} or {"family":…, "n":…, "m":…, "edges":…}."""
+    n = json_int(obj, "n")
     if "family" in obj:
-        edges = obj.get("edges")
-        spec = FamilySpec(
-            family=obj["family"],
-            n=obj.get("n"),
-            m=obj.get("m"),
-            edges=tuple((int(u), int(v)) for u, v in edges) if edges is not None else None,
-        )
-        return build_family(spec)
-    if "n" in obj and "edges" in obj:
-        return graph_from_edges(int(obj["n"]), obj["edges"])
+        edges = None if n is None or "edges" not in obj else tuple(map(tuple, json_vertex_lists(obj, "edges", n)))
+        return build_family(FamilySpec(obj["family"], n, json_int(obj, "m"), edges))
+    if n is not None and "edges" in obj:
+        return graph_from_edges(n, json_vertex_lists(obj, "edges", n))
     raise ValueError('graph JSON needs either "family" or both "n" and "edges"')
 
 
@@ -275,22 +285,10 @@ def maximal_cliques(g: Graph) -> list[int]:
 # Chordality
 
 
-@dataclass(frozen=True)
-class ChordalityCertificate:
-    chordal: bool
-    elimination_order: tuple[int, ...] | None
-    chordless_cycle: tuple[int, ...] | None
-
-
-def is_chordal(g: Graph) -> ChordalityCertificate:
-    """Maximum cardinality search plus a simplicial check on the resulting order.
-
-    A positive answer carries a perfect elimination ordering; a negative one
-    carries a chordless cycle of length at least 4.
-    """
+def is_chordal(g: Graph) -> bool:
+    """Maximum cardinality search; g is chordal exactly when the reversed
+    visit order is a perfect elimination order (Tarjan-Yannakakis 1984)."""
     n = g.n
-    if n == 0:
-        return ChordalityCertificate(True, (), None)
     weight = [0] * (n + 1)
     visited = 0
     visit_order = []
@@ -303,12 +301,7 @@ def is_chordal(g: Graph) -> ChordalityCertificate:
         visited |= 1 << (best_v - 1)
         for u in iter_vertices(g.adj[best_v - 1] & ~visited):
             weight[u] += 1
-    peo = tuple(reversed(visit_order))
-    if is_perfect_elimination_order(g, peo):
-        return ChordalityCertificate(True, peo, None)
-    cyc = _find_chordless_cycle(g)
-    assert cyc is not None, "simplicial check failed but no chordless cycle found"
-    return ChordalityCertificate(False, None, cyc)
+    return is_perfect_elimination_order(g, visit_order[::-1])
 
 
 def is_perfect_elimination_order(g: Graph, order: Sequence[int]) -> bool:
@@ -325,50 +318,3 @@ def is_perfect_elimination_order(g: Graph, order: Sequence[int]) -> bool:
             if rest & ~g.adj[u - 1]:
                 return False
     return True
-
-
-def is_chordless_cycle(g: Graph, cyc: Sequence[int]) -> bool:
-    k = len(cyc)
-    if k < 4 or len(set(cyc)) != k:
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = (j - i == 1) or (i == 0 and j == k - 1)
-            if g.has_edge(cyc[i], cyc[j]) != adjacent:
-                return False
-    return True
-
-
-def _find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
-    # For any chordless cycle v,u,...,w the internal vertices avoid N[v], so a
-    # shortest u-w path outside N[v] closes a chordless cycle through v.
-    for v in range(1, g.n + 1):
-        nb = list(iter_vertices(g.adj[v - 1]))
-        for u, w in combinations(nb, 2):
-            if g.has_edge(u, w):
-                continue
-            allowed = (full_mask(g.n) & ~g.adj[v - 1] & ~(1 << (v - 1))) | (1 << (u - 1)) | (1 << (w - 1))
-            mid = _shortest_path(g, u, w, allowed)
-            if mid is not None:
-                cyc = (v, *mid)
-                if is_chordless_cycle(g, cyc):
-                    return cyc
-    return None
-
-
-def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> tuple[int, ...] | None:
-    prev = {src: 0}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        if x == dst:
-            out = []
-            while x:
-                out.append(x)
-                x = prev[x]
-            return tuple(reversed(out))
-        for y in iter_vertices(g.adj[x - 1] & allowed):
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    return None

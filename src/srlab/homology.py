@@ -29,6 +29,7 @@ prime field only the GF(p) ranks are computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .bitsets import maximal_masks
 from .complexes import _faces_by_card
@@ -38,27 +39,8 @@ from .complexes import _faces_by_card
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if p % q == 0:
-            return p == q
-    # deterministic Miller-Rabin for p < 3,215,031,751 with bases 2,3,5,7
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: about 46,000 steps for the largest Field modulus, 2^31 - 1."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 @dataclass(frozen=True)

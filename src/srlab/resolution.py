@@ -70,10 +70,6 @@ class HilbertSeries:
     def to_json(self) -> dict:
         return {"numerator": list(self.numerator), "denomPower": self.denom_power}
 
-    @staticmethod
-    def from_json(obj: dict) -> "HilbertSeries":
-        return HilbertSeries(tuple(int(x) for x in obj["numerator"]), int(obj["denomPower"]))
-
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:

@@ -34,7 +34,6 @@ from .graphs import Graph, is_chordal
 from .homology import Field, RATIONALS
 from .resolution import (
     FatForestDecomposition,
-    GradedBettiTable,
     _squeezed,
     betti_hochster,
     linear_resolution_degree,
@@ -48,7 +47,6 @@ VD_GROUND_GUARD = 16
 
 @dataclass(frozen=True)
 class StructureVerdict:
-    property_name: str
     holds: bool
     witness: Any = None
     note: str | None = None
@@ -104,7 +102,7 @@ def _is_quasi_forest(facets) -> bool:
         for v in iter_vertices(f):
             adj[v - 1] |= f
     g = Graph(len(adj), tuple(a & ~(1 << i) for i, a in enumerate(adj)))
-    return is_chordal(g).chordal and set(clique_complex(g).facets) == set(squeezed)
+    return is_chordal(g) and set(clique_complex(g).facets) == set(squeezed)
 
 
 def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureVerdict:
@@ -119,19 +117,18 @@ def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureV
     search. On a quasi-forest the search can still visit exponentially many
     sets of placed facets before it finds an order.
     """
-    name = "fat_forest"
     if c.is_void:
-        return StructureVerdict(name, False, note="void complex")
+        return StructureVerdict(False, note="void complex")
     facets = list(c.facets)
     check_guard("fat-forest search", len(facets), FAT_FOREST_FACET_GUARD, override, facets=True)
     if not _is_quasi_forest(facets):
-        return StructureVerdict(name, False)
+        return StructureVerdict(False)
     order = _facet_order(facets, lambda i, _, placed: single_maximal_overlap(facets[i], placed) is not None)
     assert order is not None, "a quasi-forest has a fat-forest order"
     masks = [facets[i] for i in order]
     decomp = verify_fat_forest_order(c, masks)
     assert decomp is not None
-    return StructureVerdict(name, True, (masks, decomp))
+    return StructureVerdict(True, (masks, decomp))
 
 
 def verify_fat_forest_order(c: SimplicialComplex, order: list[int]) -> FatForestDecomposition | None:
@@ -160,7 +157,6 @@ class FrobergReport:
     two_linear: bool
     fat_forest: bool
     consistent: bool
-    betti: GradedBettiTable
 
 
 def froberg_check(g: Graph, field: Field = RATIONALS) -> FrobergReport:
@@ -170,13 +166,11 @@ def froberg_check(g: Graph, field: Field = RATIONALS) -> FrobergReport:
     The zero ideal (complete graph) counts as trivially 2-linear.
     """
     cc = clique_complex(g)
-    cert = is_chordal(g)
-    table = betti_hochster(cc, field)
-    s = linear_resolution_degree(table)
+    chordal = is_chordal(g)
+    s = linear_resolution_degree(betti_hochster(cc, field))
     two_linear = s is not None and s in (0, 2)
     ff = is_fat_forest(cc, override=True)
-    consistent = cert.chordal == two_linear == ff.holds
-    return FrobergReport(cert.chordal, s, two_linear, ff.holds, consistent, table)
+    return FrobergReport(chordal, s, two_linear, ff.holds, chordal == two_linear == ff.holds)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,8 @@ def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> S
     for the link is needed. A ground set above VD_GROUND_GUARD raises
     GuardExceeded unless override is set.
     """
-    name = "vertex_decomposable"
     if c.is_void:
-        return StructureVerdict(name, False, note="void complex")
+        return StructureVerdict(False, note="void complex")
     if not is_pure(c):
         raise ValueError("vertex decomposability is only defined here for pure complexes")
     check_guard("vertex-decomposability", c.n, VD_GROUND_GUARD, override)
@@ -250,8 +243,8 @@ def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> S
 
     witness = rec(tuple(c.facets))
     if witness is None:
-        return StructureVerdict(name, False)
-    return StructureVerdict(name, True, witness)
+        return StructureVerdict(False)
+    return StructureVerdict(True, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +275,8 @@ def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> Struct
     More than SHELLING_FACET_GUARD facets raise GuardExceeded unless override
     is set.
     """
-    name = "pure_shellable"
     if c.is_void:
-        return StructureVerdict(name, False, note="void complex")
+        return StructureVerdict(False, note="void complex")
     if not is_pure(c):
         raise ValueError("shellability is only tested here for pure complexes")
     facets = list(c.facets)
@@ -292,6 +284,6 @@ def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> Struct
     col = facet_columns(facets)
     order = _facet_order(facets, lambda i, used, _: restriction(facets[i], col, used) is not None, _overlap)
     if order is None:
-        return StructureVerdict(name, False)
+        return StructureVerdict(False)
     assert is_valid_shelling(c, [facets[i] for i in order])
-    return StructureVerdict(name, True, order)
+    return StructureVerdict(True, order)

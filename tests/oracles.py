@@ -11,6 +11,9 @@ vertex decomposition's shedding tree (check_vd_witness), the shelling order
 that tree yields (shelling_order_from_vd), both on the package's own link
 and deletion of a vertex (structure._shed), and the Betti table read off the
 Hilbert numerator of an s-linear ring (betti_from_linear_hilbert).
+
+Two plain readers serve the tests as well: face membership (is_face) and
+adjacency (has_edge).
 """
 
 from itertools import combinations
@@ -32,6 +35,15 @@ from srlab.resolution import GradedBettiTable, HilbertSeries
 from srlab.structure import _shed
 
 
+def is_face(c: SimplicialComplex, sigma: int) -> bool:
+    """Whether the vertex set sigma lies in some facet of c."""
+    return any(sigma & ~f == 0 for f in c.facets)
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u - 1] >> (v - 1) & 1)
+
+
 def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
     """Levelwise scan over all subsets."""
     if c.is_void:
@@ -40,15 +52,15 @@ def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
     for card in range(1, c.n + 1):
         for combo in combinations(range(1, c.n + 1), card):
             m = mask_of(combo)
-            if c.is_face(m):
+            if is_face(c, m):
                 continue
-            if all(c.is_face(m ^ (1 << (v - 1))) for v in combo):
+            if all(is_face(c, m ^ (1 << (v - 1))) for v in combo):
                 out.append(m)
     return sort_canonical(out)
 
 
 def find_chordless_cycle_bruteforce(g: Graph) -> tuple[int, ...] | None:
-    """Exhaustive induced-cycle search, for is_chordal."""
+    """A chordless cycle of length at least 4 by exhaustive induced-cycle search, or None; for is_chordal."""
     for size in range(4, g.n + 1):
         for combo in combinations(range(1, g.n + 1), size):
             cyc = _as_induced_cycle(g, combo)
@@ -76,7 +88,7 @@ def _as_induced_cycle(g: Graph, verts: tuple[int, ...]) -> tuple[int, ...] | Non
             return None
         cyc.append(nxt)
         prev, cur = cur, nxt
-    if not g.has_edge(cyc[-1], start) or len(cyc) != len(verts):
+    if not has_edge(g, cyc[-1], start) or len(cyc) != len(verts):
         return None
     return tuple(cyc)
 

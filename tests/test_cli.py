@@ -117,6 +117,45 @@ def test_unreadable_input_exits_1(capsys, tmp_path):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":3,"facets":[["1"]]}',
+        '{"n":3,"facets":5}',
+        '{"n":3,"edges":[["1","2"]]}',
+        '{"family":"L","n":"4"}',
+        "5",
+        "null",
+        '{"n":3,"facets":[[0]]}',
+        '{"n":true,"facets":[[1]]}',
+        '{"n":3,"facets":[[true]]}',
+    ],
+)
+def test_malformed_input_json_exits_1(capsys, tmp_path, text):
+    f = tmp_path / "input.json"
+    f.write_text(text)
+    assert cli.main(["invariants", "--input", str(f), "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--claim", "k1.theorem", "--field", "both", "--format", "pretty"],
+        ["scan", "--conjecture", "Ln", "--kmax", "3", "--nmax", "7", "--format", "pretty"],
+    ],
+)
+def test_output_file_holds_all_of_stdout(capsys, tmp_path, argv):
+    def timeless(text):  # the scan header reports its own run time
+        return re.sub(r"\d+\.\ds$", "", text, flags=re.M)
+
+    code, out = run(capsys, *argv)
+    f = tmp_path / "out.txt"
+    assert run(capsys, *argv, "-o", str(f)) == (code, "")
+    assert len(out.splitlines()) >= 2 and timeless(f.read_text()) == timeless(out)
+
+
 def test_guard_exit_2(capsys):
     assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2"]) == 2
 

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,7 +16,6 @@ from srlab.graphs import (
     grid,
     independent_sets,
     is_chordal,
-    is_chordless_cycle,
     is_independent,
     is_perfect_elimination_order,
     maximal_cliques,
@@ -28,11 +27,11 @@ from srlab.graphs import (
     wheel,
 )
 from conftest import random_graph_sample
-from oracles import find_chordless_cycle_bruteforce
+from oracles import find_chordless_cycle_bruteforce, has_edge
 
 
 def edges(g):
-    return [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if g.has_edge(u, v)]
+    return [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if has_edge(g, u, v)]
 
 
 def edge_set(g):
@@ -50,7 +49,7 @@ def test_cycle_c4_edges():
 
 def test_cycle_square_c2_6_edges():
     g = cycle_square(6)
-    assert g.has_edge(1, 3) and g.has_edge(1, 2) and not g.has_edge(1, 4)
+    assert has_edge(g, 1, 3) and has_edge(g, 1, 2) and not has_edge(g, 1, 4)
     # complete graph minus the perfect matching of antipodes
     assert edge_set(g) == edge_set(complement(graph_from_edges(6, [(1, 4), (2, 5), (3, 6)])))
 
@@ -64,20 +63,20 @@ def test_grid_2x2_is_a_4cycle():
 
 
 def test_family_labelings():
-    assert star(5).has_edge(1, 5) and not star(5).has_edge(1, 2)
+    assert has_edge(star(5), 1, 5) and not has_edge(star(5), 1, 2)
     w = wheel(4)
-    assert w.n == 5 and all(w.has_edge(i, 5) for i in range(1, 5))
+    assert w.n == 5 and all(has_edge(w, i, 5) for i in range(1, 5))
     p = complete_prism(3)
-    assert p.has_edge(1, 2) and p.has_edge(4, 5) and p.has_edge(1, 4) and not p.has_edge(1, 5)
+    assert has_edge(p, 1, 2) and has_edge(p, 4, 5) and has_edge(p, 1, 4) and not has_edge(p, 1, 5)
     kb = complete_bipartite(2, 3)
-    assert kb.has_edge(1, 3) and not kb.has_edge(1, 2) and not kb.has_edge(3, 4)
+    assert has_edge(kb, 1, 3) and not has_edge(kb, 1, 2) and not has_edge(kb, 3, 4)
     g = grid(2, 3)
-    assert g.has_edge(1, 2) and g.has_edge(1, 4) and not g.has_edge(1, 5)
+    assert has_edge(g, 1, 2) and has_edge(g, 1, 4) and not has_edge(g, 1, 5)
 
 
 def test_build_family_and_json():
     g = build_family(FamilySpec("C2", n=9))
-    assert g.n == 9 and g.has_edge(9, 2)
+    assert g.n == 9 and has_edge(g, 9, 2)
     g2 = graph_from_json({"family": "C2", "n": 9})
     assert g2 == g
     g3 = graph_from_json({"n": 3, "edges": [[1, 2], [2, 3]]})
@@ -159,25 +158,18 @@ def test_maximal_cliques():
 
 
 def test_chordal_basics():
-    r = is_chordal(cycle(4))
-    assert not r.chordal and is_chordless_cycle(cycle(4), r.chordless_cycle)
-    assert is_chordal(path(7)).chordal
-    assert is_chordal(cycle(3)).chordal
-    assert is_chordal(star(6)).chordal
-    r2 = is_chordal(path_square(8))
-    assert r2.chordal and is_perfect_elimination_order(path_square(8), r2.elimination_order)
-    assert not is_chordal(grid(2, 3)).chordal
+    assert not is_chordal(cycle(4))
+    assert is_chordal(path(7)) and is_chordal(cycle(3)) and is_chordal(star(6))
+    assert is_chordal(path_square(8)) and is_chordal(Graph(0, ()))
+    assert not is_chordal(grid(2, 3))
+    assert is_perfect_elimination_order(path_square(8), range(1, 9))
+    assert not is_perfect_elimination_order(path_square(8), [2, 1, *range(3, 9)])
+    assert not any(is_perfect_elimination_order(cycle(4), order) for order in permutations(range(1, 5)))
 
 
 def test_chordal_matches_bruteforce_on_random_graphs():
     for name, g in random_graph_sample(60, 8, seed=777):
-        res = is_chordal(g)
-        brute = find_chordless_cycle_bruteforce(g)
-        assert res.chordal == (brute is None), name
-        if res.chordal:
-            assert is_perfect_elimination_order(g, res.elimination_order), name
-        else:
-            assert is_chordless_cycle(g, res.chordless_cycle), name
+        assert is_chordal(g) == (find_chordless_cycle_bruteforce(g) is None), name
 
 
 def test_graph_validation_bounds():

@@ -62,6 +62,14 @@ def test_field_parsing_and_validation():
         parse_field("R")
 
 
+def test_prime_check_matches_sympy():
+    from sympy import isprime
+
+    assert all(homology._is_prime(p) == isprime(p) for p in range(30001))
+    assert not any(homology._is_prime(p) for p in (2047, 1373653, 25326001))  # strong pseudoprimes
+    assert homology._is_prime(2**31 - 1) and Field(2**31 - 1).p == 2**31 - 1
+
+
 def test_boundary_matrix_shapes_and_signs():
     m0 = boundary_matrix(C4, 0)
     assert m0 == [[1, 1, 1, 1]]  # augmentation row

@@ -5,20 +5,34 @@ from pathlib import Path
 
 import srlab
 
+SOURCES = sorted(Path(srlab.__file__).parent.glob("*.py"))
+
 #: Module-level names that no package code reads, each kept on purpose: the
 #: README's entry point to the discrepancy list, and the face enumerator the
 #: benchmark's tracer binds.
 KEPT_UNREAD = ["claims.discrepancy_report", "complexes.all_faces"]
+
+#: Class members that no package code reads by name, each kept on purpose:
+#: argparse calls the parser's error hook, and README and the claim tests
+#: read a claim record's description and counterpart.
+KEPT_UNREAD_MEMBERS = ["claims.ClaimRecord.counterpart", "claims.ClaimRecord.description", "cli._Parser.error"]
+
+
+def _attribute_names(trees) -> set[str]:
+    return {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _parse(sources) -> dict[str, ast.Module]:
+    return {src.stem: ast.parse(src.read_text()) for src in sources}
 
 
 def unread_definitions(sources) -> list[str]:
     """Undecorated module-level functions and classes, as "module.name", that
     no package module reads: never loaded as a name outside their own body,
     never read as an attribute, never imported by another module."""
-    defined, used, attributes = [], set(), set()
-    for src in sources:
-        mod = src.stem
-        tree = ast.parse(src.read_text())
+    trees = _parse(sources)
+    defined, used = [], set()
+    for mod, tree in trees.items():
         for stmt in tree.body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -28,13 +42,40 @@ def unread_definitions(sources) -> list[str]:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
                     used.add(f"{mod}.{node.id}")
-                elif isinstance(node, ast.Attribute):
-                    attributes.add(node.attr)
                 elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                     used.update(f"{node.module}.{alias.name}" for alias in node.names)
+    attributes = _attribute_names(trees)
     return [d for d in defined if d not in used and d.split(".")[1] not in attributes]
 
 
+def unread_members(sources) -> list[str]:
+    """Non-dunder methods and annotated fields of module-level classes, as
+    "module.Class.name", whose name no package module reads as an attribute.
+
+    The check goes by name only, so a member that shares its name with a read
+    member of another class passes unseen."""
+    trees = _parse(sources)
+    attributes = _attribute_names(trees)
+    out = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                if name not in attributes:
+                    out.append(f"{mod}.{cls.name}.{name}")
+    return sorted(out)
+
+
 def test_package_has_no_unread_definitions():
-    sources = sorted(Path(srlab.__file__).parent.glob("*.py"))
-    assert unread_definitions(sources) == KEPT_UNREAD
+    assert unread_definitions(SOURCES) == KEPT_UNREAD
+
+
+def test_package_classes_have_no_unread_members():
+    assert unread_members(SOURCES) == KEPT_UNREAD_MEMBERS
