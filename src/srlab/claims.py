@@ -19,9 +19,8 @@ a `ClaimOutcome`; `verify_claim` turns either into the `ClaimResult`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dfield
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bitsets import vertices_of
 from .complexes import (
@@ -69,8 +68,7 @@ REFUTED = "REFUTED"
 PARTIAL = "PARTIAL"
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     claim_id: str
     subject: str
     reference: str
@@ -85,15 +83,14 @@ class Discrepancy:
         }
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     status: str
     field: str
     expected: str
     got: str
     seconds: float
-    discrepancies: list[Discrepancy] = dfield(default_factory=list)
+    discrepancies: tuple[Discrepancy, ...] = ()
     note: str | None = None
 
     def to_json(self) -> dict:
@@ -109,8 +106,7 @@ class ClaimResult:
         }
 
 
-@dataclass(frozen=True)
-class ClaimOutcome:
+class ClaimOutcome(NamedTuple):
     """What a runner returns when it gets to its end.
 
     ok is None for finite evidence only (PARTIAL); discrepancies are
@@ -134,8 +130,7 @@ def _require(ok: bool, expected: str, got: str) -> None:
         raise _Refuted(expected, got)
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     claim_id: str
     family: str
     description: str
@@ -985,8 +980,7 @@ def _grid_stated(field):
 # Conjecture scanners
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     k: int
     n: int
     field: str
@@ -1009,8 +1003,7 @@ class ScanCell:
         return out
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     conjecture: str
     cells: list[ScanCell]
     counterexamples: list[ScanCell]
@@ -1139,7 +1132,7 @@ def verify_claim(claim_id: str, field: Field = RATIONALS) -> ClaimResult:
         out = ClaimOutcome(False, *refuted.args)
     secs = time.time() - t0
     status = PARTIAL if out.ok is None else (CONFIRMED if out.ok else REFUTED)
-    discs = [Discrepancy(claim_id, *d) for d in out.discrepancies]
+    discs = tuple(Discrepancy(claim_id, *d) for d in out.discrepancies)
     return ClaimResult(claim_id, status, str(field), out.expected, out.got, secs, discs, out.note)
 
 

@@ -9,7 +9,6 @@ grids). Exit codes: 0 ok, 1 usage, 2 guard violation, 3 void result,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -149,6 +148,8 @@ def _read_cached(key: Path, c: SimplicialComplex, field: Field, fv) -> GradedBet
 
 def _source_digest() -> str:
     """sha256 of srlab's own *.py sources, so a table is served only to the code that wrote it."""
+    import hashlib  # loads OpenSSL, so only the cache path pays for it
+
     h = hashlib.sha256()
     for src in sorted(Path(__file__).parent.glob("*.py")):
         data = src.read_bytes()
@@ -160,6 +161,8 @@ def _betti_cached(c, field, args, fv):
     cache = _cache_dir(args)
     key = None
     if cache is not None:
+        import hashlib
+
         digest = hashlib.sha256(f"{canonical_json(c)}|{field}|{_source_digest()}".encode()).hexdigest()
         key = cache / f"{digest}.json"
         t = _read_cached(key, c, field, fv)

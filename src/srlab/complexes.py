@@ -12,11 +12,10 @@ lexicographically by vertex tuple) so outputs are deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .bitsets import (
     full_mask,
@@ -32,8 +31,7 @@ from .graphs import Graph, independent_sets, json_int, json_vertex_lists, maxima
 DEFAULT_GROUND_GUARD = 24
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Facets as bitmasks over ground set 1..n. Empty facet tuple means VOID."""
 
     n: int
@@ -291,8 +289,14 @@ def complex_from_json(obj: dict) -> SimplicialComplex:
     n = json_int(obj, "n")
     if n is None:
         raise ValueError('complex JSON needs "n" and "facets"')
-    c = make_complex(n, [mask_of(f) for f in json_vertex_lists(obj, "facets", n)])
-    void_flag = bool(obj.get("void", False))
+    void_flag = obj.get("void", False)
+    if type(void_flag) is not bool:
+        raise ValueError(f'"void" must be true or false, got {void_flag!r}')
+    facets = json_vertex_lists(obj, "facets", n)
+    for f in facets:
+        if len(set(f)) != len(f):
+            raise ValueError(f"facet {f} repeats a vertex")
+    c = make_complex(n, [mask_of(f) for f in facets])
     if void_flag != c.is_void:
         raise ValueError("void flag inconsistent with facet list")
     return c

@@ -9,15 +9,13 @@ the wheel hub is the last vertex.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitsets import full_mask, iter_vertices, mask_of, sort_canonical
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Undirected simple graph; adj[i] is the neighbor bitmask of vertex i+1."""
 
     n: int
@@ -162,8 +160,7 @@ def _is_connected(g: Graph) -> bool:
 FAMILY_IDS = ("P", "L", "S", "C", "W", "C2", "L2", "Kmn", "K2xKn", "Grid", "TreeEdges", "ExplicitEdges")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     family: str
     n: int | None = None
     m: int | None = None
@@ -221,6 +218,9 @@ def graph_from_json(obj: dict) -> Graph:
     """Accepts {"n":…, "edges":[[u,v],…]} or {"family":…, "n":…, "m":…, "edges":…}."""
     n = json_int(obj, "n")
     if "family" in obj:
+        for key, families in (("m", ("Kmn", "Grid")), ("edges", ("TreeEdges", "ExplicitEdges"))):
+            if key in obj and obj["family"] not in families:
+                raise ValueError(f'"{key}" is only for families {" and ".join(families)}, not {obj["family"]!r}')
         edges = None if n is None or "edges" not in obj else tuple(map(tuple, json_vertex_lists(obj, "edges", n)))
         return build_family(FamilySpec(obj["family"], n, json_int(obj, "m"), edges))
     if n is not None and "edges" in obj:

@@ -28,8 +28,8 @@ prime field only the GF(p) ranks are computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .bitsets import maximal_masks
 from .complexes import _faces_by_card
@@ -43,16 +43,19 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
-@dataclass(frozen=True)
-class Field:
-    """Coefficient field: p=None for the rationals, otherwise GF(p)."""
-
+class _Field(NamedTuple):
     p: int | None = None
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not (2 <= self.p < 2**31 and _is_prime(self.p)):
-                raise ValueError(f"modulus must be a prime below 2^31, got {self.p}")
+
+class Field(_Field):
+    """Coefficient field: p=None for the rationals, otherwise GF(p)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int | None = None):
+        if p is not None and not (2 <= p < 2**31 and _is_prime(p)):
+            raise ValueError(f"modulus must be a prime below 2^31, got {p}")
+        return super().__new__(cls, p)
 
     @property
     def is_rationals(self) -> bool:

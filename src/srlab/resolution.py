@@ -43,9 +43,9 @@ facet order is a shelling (stored_order_shells) is CM over every field.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .bitsets import maximal_masks, shelling_restrictions, vertices_of
 from .complexes import DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
@@ -60,8 +60,7 @@ DEFAULT_HOCHSTER_GUARD = 22
 # Hilbert series
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """numerator(t) / (1-t)^denom_power with integer coefficients."""
 
     numerator: tuple[int, ...]
@@ -104,8 +103,7 @@ def hilbert_from_fvector(f: tuple[int, ...], n: int) -> HilbertSeries:
 # Graded Betti tables
 
 
-@dataclass
-class GradedBettiTable:
+class GradedBettiTable(NamedTuple):
     """Map (homological degree i, internal degree j) -> beta, with its field."""
 
     entries: dict[tuple[int, int], int]
@@ -367,8 +365,7 @@ def linear_resolution_degree(t: GradedBettiTable):
 # Cohen-Macaulay and Gorenstein verdicts
 
 
-@dataclass(frozen=True)
-class ReisnerVerdict:
+class ReisnerVerdict(NamedTuple):
     cm: bool
     field: Field
     witness: tuple[tuple[int, ...], int] | None = None  # (face, offending degree)
@@ -468,23 +465,27 @@ def is_gorenstein(c: SimplicialComplex, table: GradedBettiTable) -> bool:
 # Fat-forest Hilbert series
 
 
-@dataclass(frozen=True)
-class FatForestDecomposition:
-    """Simplex dimensions d_1..d_k and overlap dimensions r_2..r_k."""
-
+class _FatForestDecomposition(NamedTuple):
     simplex_dims: tuple[int, ...]
     overlap_dims: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.simplex_dims) == 0:
+
+class FatForestDecomposition(_FatForestDecomposition):
+    """Simplex dimensions d_1..d_k and overlap dimensions r_2..r_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, simplex_dims: tuple[int, ...], overlap_dims: tuple[int, ...]):
+        if len(simplex_dims) == 0:
             raise ValueError("decomposition needs at least one simplex")
-        if len(self.overlap_dims) != len(self.simplex_dims) - 1:
+        if len(overlap_dims) != len(simplex_dims) - 1:
             raise ValueError("need one overlap dimension per simplex after the first")
-        for j, r in enumerate(self.overlap_dims):
-            dj = self.simplex_dims[j + 1]
-            prior = max(self.simplex_dims[: j + 1])
+        for j, r in enumerate(overlap_dims):
+            dj = simplex_dims[j + 1]
+            prior = max(simplex_dims[: j + 1])
             if r < -1 or r > min(dj, prior):
                 raise ValueError(f"overlap dimension r_{j + 2} = {r} out of range")
+        return super().__new__(cls, simplex_dims, overlap_dims)
 
 
 def fat_forest_hilbert(d: FatForestDecomposition, n: int) -> HilbertSeries:
@@ -505,8 +506,7 @@ def fat_forest_hilbert(d: FatForestDecomposition, n: int) -> HilbertSeries:
 # Eagon-Reiner consistency
 
 
-@dataclass(frozen=True)
-class EagonReinerReport:
+class EagonReinerReport(NamedTuple):
     field: Field
     linear_degree: int | None
     dual_cm: bool | None

@@ -16,8 +16,7 @@ one helper, _shed, which the tests' replay of a shedding tree also uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .bitsets import (
     facet_columns,
@@ -45,11 +44,9 @@ SHELLING_FACET_GUARD = 12
 VD_GROUND_GUARD = 16
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
+class StructureVerdict(NamedTuple):
     holds: bool
     witness: Any = None
-    note: str | None = None
 
 
 def _facet_order(facets: list[int], fits, prefer=None) -> list[int] | None:
@@ -118,7 +115,7 @@ def is_fat_forest(c: SimplicialComplex, *, override: bool = False) -> StructureV
     sets of placed facets before it finds an order.
     """
     if c.is_void:
-        return StructureVerdict(False, note="void complex")
+        return StructureVerdict(False)
     facets = list(c.facets)
     check_guard("fat-forest search", len(facets), FAT_FOREST_FACET_GUARD, override, facets=True)
     if not _is_quasi_forest(facets):
@@ -150,8 +147,7 @@ def verify_fat_forest_order(c: SimplicialComplex, order: list[int]) -> FatForest
 # Chordality / linearity / fat-forest equivalence
 
 
-@dataclass(frozen=True)
-class FrobergReport:
+class FrobergReport(NamedTuple):
     chordal: bool
     linear_degree: int | None
     two_linear: bool
@@ -196,7 +192,7 @@ def is_vertex_decomposable(c: SimplicialComplex, *, override: bool = False) -> S
     GuardExceeded unless override is set.
     """
     if c.is_void:
-        return StructureVerdict(False, note="void complex")
+        return StructureVerdict(False)
     if not is_pure(c):
         raise ValueError("vertex decomposability is only defined here for pure complexes")
     check_guard("vertex-decomposability", c.n, VD_GROUND_GUARD, override)
@@ -276,7 +272,7 @@ def is_pure_shellable(c: SimplicialComplex, *, override: bool = False) -> Struct
     is set.
     """
     if c.is_void:
-        return StructureVerdict(False, note="void complex")
+        return StructureVerdict(False)
     if not is_pure(c):
         raise ValueError("shellability is only tested here for pure complexes")
     facets = list(c.facets)

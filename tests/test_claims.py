@@ -114,10 +114,7 @@ def test_cross_field_summary():
     summary = cross_field_summary(results)
     assert summary == [{"claim": "k1.theorem", "status": CONFIRMED, "fields": {"Q": CONFIRMED, "GF(2)": CONFIRMED}}]
     # a synthetic disagreement downgrades to PARTIAL
-    import copy
-
-    fake = copy.deepcopy(results)
-    fake[1].status = REFUTED
+    fake = [results[0], results[1]._replace(status=REFUTED)]
     assert cross_field_summary(fake)[0]["status"] == PARTIAL
 
 

@@ -118,25 +118,32 @@ def test_unreadable_input_exits_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, problem",
     [
-        '{"n":3,"facets":[["1"]]}',
-        '{"n":3,"facets":5}',
-        '{"n":3,"edges":[["1","2"]]}',
-        '{"family":"L","n":"4"}',
-        "5",
-        "null",
-        '{"n":3,"facets":[[0]]}',
-        '{"n":true,"facets":[[1]]}',
-        '{"n":3,"facets":[[true]]}',
+        pytest.param(text, problem, id=text)
+        for text, problem in [
+            ('{"n":3,"facets":[["1"]]}', '"facets" must be'),
+            ('{"n":3,"facets":5}', '"facets" must be'),
+            ('{"n":3,"edges":[["1","2"]]}', '"edges" must be'),
+            ('{"family":"L","n":"4"}', '"n" must be'),
+            ("5", "must be an object"),
+            ("null", "must be an object"),
+            ('{"n":3,"facets":[[0]]}', '"facets" must be'),
+            ('{"n":true,"facets":[[1]]}', '"n" must be'),
+            ('{"n":3,"facets":[[true]]}', '"facets" must be'),
+            ('{"n":3,"facets":[[1]],"void":"no"}', '"void" must be true or false'),
+            ('{"n":3,"facets":[[1,1]]}', "facet [1, 1] repeats a vertex"),
+            ('{"family":"L","n":4,"m":7}', '"m" is only for families Kmn and Grid'),
+        ]
     ],
 )
-def test_malformed_input_json_exits_1(capsys, tmp_path, text):
+def test_malformed_input_json_exits_1(capsys, tmp_path, text, problem):
     f = tmp_path / "input.json"
     f.write_text(text)
     assert cli.main(["invariants", "--input", str(f), "--k", "2"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err and captured.out == ""
+    assert captured.err.startswith("error:") and problem in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

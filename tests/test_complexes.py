@@ -53,6 +53,8 @@ def test_canonical_form_and_degenerates():
     assert make_complex(3, []) == v
     with pytest.raises(ValueError):
         make_complex(2, [mask_of((3,))])
+    with pytest.raises(AttributeError):  # records are immutable
+        c.n = 5
 
 
 def test_cover_complex_examples():

@@ -1,6 +1,8 @@
 """Checks on the package sources themselves."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import srlab
@@ -79,3 +81,13 @@ def test_package_has_no_unread_definitions():
 
 def test_package_classes_have_no_unread_members():
     assert unread_members(SOURCES) == KEPT_UNREAD_MEMBERS
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Every srlab process imports the CLI; its records are NamedTuples, so
+    it never pays for dataclasses and the inspect, ast and dis imports behind
+    it (about 13 ms per process). -S keeps site-packages hooks out of the check."""
+    code = "import srlab.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {"PYTHONPATH": str(Path(srlab.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
