@@ -1,6 +1,7 @@
 """Checks on the package sources themselves."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,6 @@ def test_cli_import_skips_dataclasses_and_inspect():
     it never pays for dataclasses and the inspect, ast and dis imports behind
     it (about 13 ms per process). -S keeps site-packages hooks out of the check."""
     code = "import srlab.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    env = {"PYTHONPATH": str(Path(srlab.__file__).parent.parent)}
+    env = {**os.environ, "PYTHONPATH": str(Path(srlab.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
