@@ -33,11 +33,17 @@ def iter_vertices(mask: int) -> Iterator[int]:
 
 
 def maximal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-maximal members, deduplicated."""
-    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
+    """Inclusion-maximal members, deduplicated, by descending cardinality;
+    members of one cardinality keep the order of their first occurrence.
+
+    Each candidate is tested against the members kept so far, all at least
+    as large, and stops at the first that contains it."""
     kept: list[int] = []
-    for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
+    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+        for k in kept:
+            if m | k == k:
+                break
+        else:
             kept.append(m)
     return kept
 

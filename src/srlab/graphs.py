@@ -158,6 +158,8 @@ def _is_connected(g: Graph) -> bool:
 
 
 FAMILY_IDS = ("P", "L", "S", "C", "W", "C2", "L2", "Kmn", "K2xKn", "Grid", "TreeEdges", "ExplicitEdges")
+M_FAMILIES = ("Kmn", "Grid")  # the families that read m
+EDGE_FAMILIES = ("TreeEdges", "ExplicitEdges")  # the families that read an edge list
 
 
 class FamilySpec(NamedTuple):
@@ -171,13 +173,16 @@ def build_family(spec: FamilySpec) -> Graph:
     fam = spec.family
     if fam not in FAMILY_IDS:
         raise ValueError(f"unknown family {fam!r}; expected one of {FAMILY_IDS}")
-    if fam in ("TreeEdges", "ExplicitEdges"):
+    for key, value, families in (("m", spec.m, M_FAMILIES), ("edges", spec.edges, EDGE_FAMILIES)):
+        if value is not None and fam not in families:
+            raise ValueError(f'"{key}" is only for families {" and ".join(families)}, not {fam!r}')
+    if fam in EDGE_FAMILIES:
         if spec.n is None or spec.edges is None:
             raise ValueError(f"family {fam} needs n and an edge list")
         if fam == "TreeEdges":
             return tree_from_edges(spec.n, spec.edges)
         return graph_from_edges(spec.n, spec.edges)
-    if fam in ("Kmn", "Grid"):
+    if fam in M_FAMILIES:
         if spec.m is None or spec.n is None:
             raise ValueError(f"family {fam} needs both m and n")
         return complete_bipartite(spec.m, spec.n) if fam == "Kmn" else grid(spec.m, spec.n)
@@ -215,17 +220,13 @@ def json_vertex_lists(obj: dict, key: str, n: int) -> list[list[int]]:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    """Accepts {"n":…, "edges":[[u,v],…]} or {"family":…, "n":…, "m":…, "edges":…}."""
+    """Accepts {"n":…, "edges":[[u,v],…]}, read as family ExplicitEdges, or
+    {"family":…, "n":…, "m":…, "edges":…}."""
     n = json_int(obj, "n")
-    if "family" in obj:
-        for key, families in (("m", ("Kmn", "Grid")), ("edges", ("TreeEdges", "ExplicitEdges"))):
-            if key in obj and obj["family"] not in families:
-                raise ValueError(f'"{key}" is only for families {" and ".join(families)}, not {obj["family"]!r}')
-        edges = None if n is None or "edges" not in obj else tuple(map(tuple, json_vertex_lists(obj, "edges", n)))
-        return build_family(FamilySpec(obj["family"], n, json_int(obj, "m"), edges))
-    if n is not None and "edges" in obj:
-        return graph_from_edges(n, json_vertex_lists(obj, "edges", n))
-    raise ValueError('graph JSON needs either "family" or both "n" and "edges"')
+    if "family" not in obj and (n is None or "edges" not in obj):
+        raise ValueError('graph JSON needs either "family" or both "n" and "edges"')
+    edges = None if n is None or "edges" not in obj else tuple(map(tuple, json_vertex_lists(obj, "edges", n)))
+    return build_family(FamilySpec(obj.get("family", "ExplicitEdges"), n, json_int(obj, "m"), edges))
 
 
 # ---------------------------------------------------------------------------

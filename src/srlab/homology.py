@@ -57,6 +57,8 @@ class Field(_Field):
             raise ValueError(f"modulus must be a prime below 2^31, got {p}")
         return super().__new__(cls, p)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: check it too
+
     @property
     def is_rationals(self) -> bool:
         return self.p is None
@@ -208,14 +210,14 @@ def rank_gfp(cols: list[dict[int, int]], p: int) -> int:
 
 
 def _boundary_cols_gf2(lower: list[int], upper: list[int]) -> list[int]:
-    idx = {m: i for i, m in enumerate(lower)}
+    row = {m: 1 << i for i, m in enumerate(lower)}
     cols = []
     for m in upper:
         x = 0
         mm = m
         while mm:
             b = mm & -mm
-            x |= 1 << idx[m ^ b]
+            x |= row[m ^ b]
             mm ^= b
         cols.append(x)
     return cols
@@ -250,22 +252,25 @@ def _core(facets) -> list[int]:
 
     A vertex v is dominated by w when every facet through v contains w;
     deleting v then keeps the homotopy type (Barmak-Minian). A round ANDs
-    the facets through each vertex and, in vertex order, deletes every vertex
-    whose AND holds a vertex other than itself that the round has not deleted
-    yet. The dominators of a deleted vertex are dominators of the vertices it
-    dominates, so each deleted vertex keeps a dominator that survives the
-    round, and no edge loses both ends. Only the facets that lost a vertex
-    can stop being maximal. Rounds repeat until no vertex can go.
+    the facets through each vertex it checks and, in vertex order, deletes
+    every vertex whose AND holds a vertex other than itself that the round
+    has not deleted yet. The dominators of a deleted vertex are dominators
+    of the vertices it dominates, so each deleted vertex keeps a dominator
+    that survives the round, and no edge loses both ends. Only the facets
+    that lost a vertex can stop being maximal, and only a vertex of such a
+    facet can become dominated: every other vertex keeps its facets, and
+    was not dominated the round before. So the next round checks only
+    those vertices. Rounds repeat until no vertex can go.
     """
     facets = list(facets)
+    check = 0
+    for f in facets:
+        check |= f
     while True:
-        support = 0
-        for f in facets:
-            support |= f
         gone = 0
-        while support:
-            b = support & -support
-            support ^= b
+        while check:
+            b = check & -check
+            check ^= b
             meet = -1
             for f in facets:
                 if f & b:
@@ -274,9 +279,11 @@ def _core(facets) -> list[int]:
                 gone |= b
         if not gone:
             return facets
-        kept = [f for f in facets if not f & gone]
-        cut = maximal_masks(f & ~gone for f in facets if f & gone)
-        facets = kept + [g for g in cut if not any(g & ~k == 0 for k in kept)]
+        for f in facets:
+            if f & gone:
+                check |= f
+        check &= ~gone
+        facets = maximal_masks([f & ~gone for f in facets])
 
 
 def homology_dims_from_facets(facets, field: Field) -> tuple[int, ...]:

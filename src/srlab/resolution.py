@@ -163,26 +163,22 @@ def betti_product(a: GradedBettiTable, b: GradedBettiTable) -> GradedBettiTable:
 
 def _squeezed(facets) -> tuple[int, ...]:
     """The facets relabelled order-preserving onto bits 0..s-1 of their s-vertex
-    support, sorted; the support is moved run by run of consecutive bits."""
+    support, sorted. Relabelling keeps the order of masks inside the support,
+    so the facets are sorted first; then each gap below the top of the
+    support is closed in one pass over the list, the highest gap first.
+    """
     support = 0
     for f in facets:
         support |= f
-    runs = []  # (source shift, run mask, destination shift)
-    moved = 0
-    while support:
-        low = (support & -support).bit_length() - 1
-        t = support >> low
-        run = (1 << ((t ^ (t + 1)).bit_length() - 1)) - 1
-        runs.append((low, run, moved))
-        moved += run.bit_length()
-        support ^= run << low
-    out = []
-    for f in facets:
-        x = 0
-        for low, run, dest in runs:
-            x |= ((f >> low) & run) << dest
-        out.append(x)
-    return tuple(sorted(out))
+    out = sorted(facets)
+    gaps = ~support & ((1 << support.bit_length()) - 1)
+    while gaps:
+        top = gaps.bit_length()  # the highest gap is the bits low..top-1
+        low = (~gaps & ((1 << top) - 1)).bit_length()
+        keep = (1 << low) - 1
+        out = [(f & keep) | (f >> top << low) for f in out]
+        gaps &= keep
+    return tuple(out)
 
 
 def _squeezed_core(facets, cores: dict) -> tuple[int, ...] | None:
@@ -214,10 +210,11 @@ def _side(a_facets, b_facets, n: int, w: int) -> tuple[list[int], bool]:
     u = ((1 << n) - 1) ^ w
     linkf = [f ^ u for f in b_facets if f & u == u]
     if linkf:
-        top = max(f.bit_count() for f in linkf)
-        if any((f & w).bit_count() >= top for f in a_facets):
-            return linkf, True
-    return maximal_masks(f & w for f in a_facets), False
+        top = max(map(int.bit_count, linkf))
+        for f in a_facets:
+            if (f & w).bit_count() >= top:
+                return linkf, True
+    return maximal_masks([f & w for f in a_facets]), False
 
 
 def _read(dims, j: int, link: bool) -> list[tuple[int, int]]:
@@ -371,14 +368,17 @@ class ReisnerVerdict(NamedTuple):
     witness: tuple[tuple[int, ...], int] | None = None  # (face, offending degree)
 
 
-def _stored_restrictions(c: SimplicialComplex) -> list[int] | None:
+@lru_cache(maxsize=256)
+def _stored_restrictions(c: SimplicialComplex) -> tuple[int, ...] | None:
     """The restriction of each facet in c's stored facet order when c is
     nonvoid and pure and that order is a shelling, else None
     (bitsets.shelling_restrictions: O(d) big-int operations per facet of
-    size d)."""
+    size d). Memoized like alexander_dual, as a tuple that no caller can
+    change: betti_hochster and stored_order_shells ask for it."""
     if c.is_void or not is_pure(c):
         return None
-    return shelling_restrictions(c.facets)
+    restrictions = shelling_restrictions(c.facets)
+    return None if restrictions is None else tuple(restrictions)
 
 
 def stored_order_shells(c: SimplicialComplex) -> bool:
@@ -486,6 +486,8 @@ class FatForestDecomposition(_FatForestDecomposition):
             if r < -1 or r > min(dj, prior):
                 raise ValueError(f"overlap dimension r_{j + 2} = {r} out of range")
         return super().__new__(cls, simplex_dims, overlap_dims)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through _make: check it too
 
 
 def fat_forest_hilbert(d: FatForestDecomposition, n: int) -> HilbertSeries:

@@ -4,7 +4,9 @@ Most recompute a fast path of the package the slow, obvious way, so a test
 can compare the two. The Betti oracles take none of the Hochster sum's
 shortcuts: no LCM lattice, no memo, no choice of side. Their homology,
 homology_all_ranks, takes none of the homology shortcuts either: no cone
-test, no strong-collapse core, no GF(2) closure for Q.
+test, no strong-collapse core, no GF(2) closure for Q. The facets of each
+restriction come from maximal_bruteforce, not from the package's
+bitsets.maximal_masks.
 
 The rest are independent readings of a package result: the replay of a
 vertex decomposition's shedding tree (check_vd_witness), the shelling order
@@ -18,7 +20,7 @@ adjacency (has_edge).
 
 from itertools import combinations
 
-from srlab.bitsets import iter_vertices, mask_of, maximal_masks, sort_canonical, vertices_of
+from srlab.bitsets import iter_vertices, mask_of, sort_canonical, vertices_of
 from srlab.complexes import SimplicialComplex, _faces_by_card, alexander_dual, all_faces, faces_of_card
 from srlab.errors import VoidComplexError
 from srlab.graphs import Graph
@@ -42,6 +44,15 @@ def is_face(c: SimplicialComplex, sigma: int) -> bool:
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u - 1] >> (v - 1) & 1)
+
+
+def maximal_bruteforce(masks) -> list[int]:
+    """The inclusion-maximal masks, deduplicated, each compared with every
+    other; ordered by descending cardinality, ties in order of first
+    occurrence, as bitsets.maximal_masks promises."""
+    uniq = list(dict.fromkeys(masks))
+    tops = [m for m in uniq if not any(m != k and m & k == m for k in uniq)]
+    return sorted(tops, key=lambda m: -m.bit_count())
 
 
 def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
@@ -142,7 +153,7 @@ def betti_direct(c: SimplicialComplex, field: Field) -> dict[tuple[int, int], in
     entries: dict[tuple[int, int], int] = {}
     for w in range(1 << c.n):
         j = w.bit_count()
-        dims = homology_all_ranks(maximal_masks(f & w for f in c.facets), field)
+        dims = homology_all_ranks(maximal_bruteforce(f & w for f in c.facets), field)
         for idx, val in enumerate(dims):  # idx is the degree d plus one
             if val:
                 key = (j - idx, j)

@@ -50,6 +50,14 @@ def test_build_family(capsys):
     assert obj["facets"] == [[1, 3], [2, 4]] and not obj["void"]
 
 
+def test_m_for_a_family_that_never_reads_it_exits_1(capsys):
+    assert cli.main(["build", "--family", "L", "--n", "4", "--m", "7", "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and '"m" is only for families Kmn and Grid' in captured.err
+    assert captured.out == ""
+    assert run(capsys, "build", "--family", "Grid", "--n", "4", "--m", "3", "--k", "2")[0] == 0
+
+
 def test_build_void_exit_code(capsys):
     code, out = run(capsys, "build", "--family", "C", "--n", "4", "--k", "3")
     assert code == 3
@@ -134,6 +142,7 @@ def test_unreadable_input_exits_1(capsys, tmp_path):
             ('{"n":3,"facets":[[1]],"void":"no"}', '"void" must be true or false'),
             ('{"n":3,"facets":[[1,1]]}', "facet [1, 1] repeats a vertex"),
             ('{"family":"L","n":4,"m":7}', '"m" is only for families Kmn and Grid'),
+            ('{"n":3,"edges":[[1,2]],"m":5}', '"m" is only for families Kmn and Grid'),
         ]
     ],
 )

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from srlab.bitsets import mask_of, vertices_of
+from srlab.bitsets import mask_of, maximal_masks, vertices_of
 from srlab.complexes import (
     SimplicialComplex,
     alexander_dual,
@@ -28,7 +28,7 @@ from srlab.complexes import (
 from srlab.errors import GuardExceeded, VoidComplexError
 from srlab.graphs import complete_prism, cycle, cycle_square, path, points, star
 from conftest import random_complex_sample
-from oracles import is_face, minimal_nonfaces_bruteforce
+from oracles import is_face, maximal_bruteforce, minimal_nonfaces_bruteforce
 
 
 def C(n, facets):
@@ -174,14 +174,29 @@ def test_alexander_dual_examples_and_involution():
 
 
 def test_alexander_dual_against_bruteforce():
-    from srlab.bitsets import full_mask, maximal_masks, sort_canonical
+    from srlab.bitsets import full_mask, sort_canonical
 
     for b in random_complex_sample(40, 7, seed=6):
         c = b.c
         full = full_mask(c.n)
         dual_faces = [s for s in range(1 << c.n) if not is_face(c, full ^ s)]
-        expect = SimplicialComplex(c.n, sort_canonical(maximal_masks(dual_faces)))
+        expect = SimplicialComplex(c.n, sort_canonical(maximal_bruteforce(dual_faces)))
         assert alexander_dual(c) == expect, b.name
+
+
+def test_maximal_masks_against_bruteforce():
+    # same members in the same order: descending cardinality, ties in order of first occurrence
+    rng = random.Random(2020)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        masks = [rng.getrandbits(n) for _ in range(rng.randint(0, 14))]
+        masks += [m & rng.getrandbits(n) for m in masks[:4]]  # nested in earlier members
+        masks += rng.sample(masks, min(4, len(masks))) + [0]  # duplicates and the empty mask
+        rng.shuffle(masks)
+        assert maximal_masks(iter(masks)) == maximal_bruteforce(masks), masks
+    assert maximal_masks([]) == [] and maximal_masks([0, 0]) == [0]
+    assert maximal_masks([0b100, 0b001, 0b110, 0b010, 0b001]) == [0b110, 0b001]
+    assert maximal_masks([0b100, 0b001, 0b010, 0b100]) == [0b100, 0b001, 0b010]
 
 
 def test_dual_ideal_generators():

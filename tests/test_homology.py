@@ -62,6 +62,14 @@ def test_field_parsing_and_validation():
         parse_field("R")
 
 
+def test_field_replace_runs_the_constructor_checks():
+    assert GF2._replace(p=3) == Field(3) and Field._make([5]) == Field(5)
+    with pytest.raises(ValueError):
+        GF2._replace(p=4)
+    with pytest.raises(ValueError):
+        Field._make([1])
+
+
 def test_prime_check_matches_sympy():
     from sympy import isprime
 

@@ -329,6 +329,15 @@ def test_fat_forest_hilbert():
         FatForestDecomposition((), ())
 
 
+def test_fat_forest_decomposition_replace_runs_the_constructor_checks():
+    d = FatForestDecomposition((1, 2), (0,))
+    assert d._replace(overlap_dims=(1,)) == FatForestDecomposition((1, 2), (1,))
+    with pytest.raises(ValueError):
+        d._replace(overlap_dims=(2,))  # r_2 above min(d_2, d_1)
+    with pytest.raises(ValueError):
+        d._replace(simplex_dims=(1,))  # one overlap too many
+
+
 def test_eagon_reiner():
     def check(c):
         return eagon_reiner_check(c, betti_hochster(c))
