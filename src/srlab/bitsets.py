@@ -36,11 +36,17 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal members, deduplicated, by descending cardinality;
     members of one cardinality keep the order of their first occurrence.
 
-    Each candidate is tested against the members kept so far, all at least
-    as large, and stops at the first that contains it."""
+    Each candidate is tested against the members kept so far that are
+    larger (a distinct member of its own size cannot contain it), and stops
+    at the first that contains it. So a list of one size costs no tests."""
     kept: list[int] = []
+    larger: list[int] = []
+    size = -1
     for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
-        for k in kept:
+        if m.bit_count() != size:
+            size = m.bit_count()
+            larger = kept[:]
+        for k in larger:
             if m | k == k:
                 break
         else:

@@ -205,6 +205,11 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[int, ...]:
     return sort_canonical(trans)
 
 
+#: The complex whose dual alexander_dual is computing, keyed by that dual;
+#: set only for the nested call that records the involution.
+_DUAL_OF: dict[SimplicialComplex, SimplicialComplex] = {}
+
+
 @lru_cache(maxsize=256)
 def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     """Sets whose ground-set complements are nonfaces of c.
@@ -213,14 +218,23 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     the void complex is the full simplex and vice versa; the operation is an
     involution. Results are memoized for as many complexes as the Hochster
     plan holds: each field's table and Reisner's sweep ask for the same dual.
+    The dual's facets are canonical and maximal, so when c's are too, the
+    dual of the dual is c, and the memo records that direction as well.
     """
+    if c in _DUAL_OF:
+        return _DUAL_OF[c]
     if c.is_void:
-        return simplex_complex(c.n)
-    mnf = minimal_nonfaces(c)
-    if not mnf:
-        return void_complex(c.n)
-    full = full_mask(c.n)
-    return SimplicialComplex(c.n, sort_canonical(full ^ m for m in mnf))
+        d = simplex_complex(c.n)
+    else:
+        mnf = minimal_nonfaces(c)
+        d = void_complex(c.n) if not mnf else SimplicialComplex(c.n, sort_canonical(full_mask(c.n) ^ m for m in mnf))
+    if c.facets == sort_canonical(maximal_masks(c.facets)):
+        _DUAL_OF[d] = c
+        try:
+            alexander_dual(d)
+        finally:
+            del _DUAL_OF[d]
+    return d
 
 
 def dual_fvector(f: tuple[int, ...], n: int) -> tuple[int, ...]:

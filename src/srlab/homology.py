@@ -7,23 +7,23 @@ elimination core, parameterized by the field: it pivots on unit entries
 unit entry left goes through a fraction-free (Bareiss) dense core, so every
 reported dimension is exact.
 
-Two exact steps come before any boundary matrix is built. A complex whose
-facets share a vertex is a cone (no reduced homology). Any other complex is
-cut down to its strong-collapse core (_core): a vertex whose facets all
-contain some other vertex is deleted, round after round, which keeps the
-homotopy type and so the homology over every field. A core of k single
-vertices has H~_0 of dimension k - 1 and nothing else; any other core is
-eliminated, and its profile is padded to the length of the input's.
+A facet list is one chain complex (homology_dims_from_facets): its faces
+are enumerated once, and its boundary maps are reduced from the top
+cardinality down with clearing (_cleared_ranks; Chen-Kerber 2011,
+Bauer-Kerber-Reininghaus 2014). The faces that carry the pivots of one map
+are left out of the columns of the next, which keeps every rank. The list
+is read as given: cutting it down to its strong-collapse core first is the
+caller's business (resolution._squeezed_core).
 
 For coefficients in Q the GF(2) profile comes first and closes most cases
 exactly. By universal coefficients dim H~_i(K; Q) <= dim H~_i(K; GF(2)) in
 every degree, and the reduced Euler characteristic sum (-1)^i dim H~_i is
 the same over every field. So when the GF(2) profile is nonzero in at most
 one degree, the rational profile equals it and no rational rank is computed.
-Only a profile with two or more nonzero degrees (torsion, as in RP^2) falls
-back to exact rational ranks, and only in those degrees; rational_dims
-applies this rule to a GF(2) profile the caller already holds. Over an odd
-prime field only the GF(p) ranks are computed.
+Only a profile with two or more nonzero degrees (torsion, as in RP^2) takes
+exact rational ranks, only in those degrees, and on the same faces and
+cleared columns as the GF(2) pass. Over an odd prime field only the GF(p)
+ranks are computed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .bitsets import maximal_masks
 from .complexes import _faces_by_card
 
 # ---------------------------------------------------------------------------
@@ -86,20 +85,25 @@ def parse_field(s: str) -> Field:
 # Rank engines
 
 
-def rank_gf2(cols: list[int]) -> int:
-    """Rank over GF(2) of a matrix given as column bitmasks over row indices."""
+def rank_gf2(cols: list[int], pivot_rows: set[int] | None = None) -> int:
+    """Rank over GF(2) of a matrix given as column bitmasks over row indices.
+
+    Each column is reduced on its highest row (bit_length, which costs no
+    big-int operation) until that row is new; when pivot_rows is a set, the
+    rows of the pivots are added to it.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for col in cols:
         while col:
-            low = col & -col
-            p = pivots.get(low)
+            high = col.bit_length()
+            p = pivots.get(high)
             if p is None:
-                pivots[low] = col
-                rank += 1
+                pivots[high] = col
                 break
             col ^= p
-    return rank
+    if pivot_rows is not None:
+        pivot_rows.update(high - 1 for high in pivots)
+    return len(pivots)
 
 
 def bareiss_rank(rows: list[list[int]]) -> int:
@@ -136,14 +140,15 @@ def bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _rank_sparse(cols: list[dict[int, int]], p: int | None) -> int:
+def _rank_sparse(cols: list[dict[int, int]], p: int | None, pivot_rows: set[int] | None = None) -> int:
     """Rank over GF(p), or over Q when p is None, of sparse integer columns.
 
     Columns are eliminated in index order, each on a unit entry in its
     shortest row: over GF(p) every nonzero entry is a unit, over Q only +-1
     is, and a Q column without one is skipped. Each pivot is a row operation,
     so the rank is the pivot count plus the rank of the rows left over, which
-    over Q go through dense Bareiss elimination.
+    over Q go through dense Bareiss elimination. When pivot_rows is a set,
+    the rows of the sparse phase's pivots are added to it.
     """
     rows: dict[int, dict[int, int]] = {}
     colsup: list[set[int]] = [set() for _ in cols]
@@ -160,6 +165,8 @@ def _rank_sparse(cols: list[dict[int, int]], p: int | None) -> int:
         if not units:
             continue
         i0 = min(units, key=lambda i: len(rows[i]))
+        if pivot_rows is not None:
+            pivot_rows.add(i0)
         prow = rows.pop(i0)
         for jj in prow:
             colsup[jj].discard(i0)
@@ -200,9 +207,10 @@ def rank_int_exact(cols: list[dict[int, int]]) -> int:
     return _rank_sparse(cols, None)
 
 
-def rank_gfp(cols: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of a sparse integer matrix (column dicts row->value)."""
-    return _rank_sparse(cols, p)
+def rank_gfp(cols: list[dict[int, int]], p: int, pivot_rows: set[int] | None = None) -> int:
+    """Rank over GF(p) of a sparse integer matrix (column dicts row->value);
+    pivot_rows as in _rank_sparse."""
+    return _rank_sparse(cols, p, pivot_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -239,111 +247,70 @@ def _boundary_cols_signed(lower: list[int], upper: list[int]) -> list[dict[int, 
     return cols
 
 
-def _is_cone(facets) -> bool:
-    """Whether the facets share a vertex; a cone has no reduced homology."""
-    acc = facets[0]
-    for f in facets[1:]:
-        acc &= f
-    return acc != 0
+def _cleared_ranks(by: dict[int, list[int]], p: int) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Ranks over GF(p) of the boundary maps d_c (c-faces to (c-1)-faces) of
+    the faces by, from the top cardinality down, and the c-faces each d_c
+    kept as columns.
 
-
-def _core(facets) -> list[int]:
-    """The facets left after repeated rounds of strong collapses, maximal.
-
-    A vertex v is dominated by w when every facet through v contains w;
-    deleting v then keeps the homotopy type (Barmak-Minian). A round ANDs
-    the facets through each vertex it checks and, in vertex order, deletes
-    every vertex whose AND holds a vertex other than itself that the round
-    has not deleted yet. The dominators of a deleted vertex are dominators
-    of the vertices it dominates, so each deleted vertex keeps a dominator
-    that survives the round, and no edge loses both ends. Only the facets
-    that lost a vertex can stop being maximal, and only a vertex of such a
-    facet can become dominated: every other vertex keeps its facets, and
-    was not dominated the round before. So the next round checks only
-    those vertices. Rounds repeat until no vertex can go.
+    Clearing: the c-faces that carry the pivots of d_{c+1} are left out of
+    d_c's columns, and rank d_c stays the same. Those rows of d_{c+1} are
+    independent, so for each of them, i, some boundary b is 1 at i and 0 at
+    the others; d_c b = 0 puts column i of d_c in the span of the columns
+    left in. This holds for the pivots of any elimination over any field,
+    and for any subset of them. It holds over Q for GF(2)'s pivots too: rows
+    independent mod 2 have an odd minor, so they are independent over Q.
     """
-    facets = list(facets)
-    check = 0
-    for f in facets:
-        check |= f
-    while True:
-        gone = 0
-        while check:
-            b = check & -check
-            check ^= b
-            meet = -1
-            for f in facets:
-                if f & b:
-                    meet &= f
-            if meet & ~(b | gone):
-                gone |= b
-        if not gone:
-            return facets
-        for f in facets:
-            if f & gone:
-                check |= f
-        check &= ~gone
-        facets = maximal_masks([f & ~gone for f in facets])
+    ranks: dict[int, int] = {}
+    kept: dict[int, list[int]] = {}
+    pivot_rows: set[int] = set()
+    for c in range(max(by), 0, -1):
+        cols = [m for i, m in enumerate(by[c]) if i not in pivot_rows]
+        kept[c] = cols
+        pivot_rows = set()
+        if p == 2:
+            ranks[c] = rank_gf2(_boundary_cols_gf2(by[c - 1], cols), pivot_rows)
+        else:
+            ranks[c] = rank_gfp(_boundary_cols_signed(by[c - 1], cols), p, pivot_rows)
+    return ranks, kept
 
 
-def homology_dims_from_facets(facets, field: Field) -> tuple[int, ...]:
-    """Reduced homology dimensions (H~_-1 .. H~_d) for a maximal facet list.
+def homology_dims_from_facets(facets, field: Field, known: dict[Field, tuple[int, ...]] | None = None) -> tuple[int, ...]:
+    """Reduced homology dimensions (H~_-1 .. H~_d) over field of a facet list.
 
-    Facet bit positions need not be contiguous. An empty facet list (void)
-    yields the empty tuple. A cone has no reduced homology; otherwise the
-    strong-collapse core is read, and a core of k single vertices has
-    H~_0 of dimension k - 1 and nothing else.
+    Facet bit positions need not be contiguous, and the facets need not be
+    maximal. An empty facet list (void) yields the empty tuple. The faces
+    are enumerated once, and the ranks come from _cleared_ranks, over GF(p)
+    for an odd p and over GF(2) otherwise. Over Q the GF(2) profile closes
+    the case when it is nonzero in at most one degree (see the module
+    docstring); otherwise exact rational ranks of the same cleared columns
+    settle its nonzero degrees.
+
+    known, when given, maps fields to profiles of this facet list found
+    before: over Q a GF(2) profile there that closes the case is returned
+    without enumerating faces, and the GF(2) profile found on the way to Q
+    is added to it.
     """
     if not facets:
         return ()
-    if facets == (0,) or facets == [0]:
-        return (1,)
-    top = max(f.bit_count() for f in facets)
-    length = top + 1  # entries for dims -1..top-1
-    if _is_cone(facets):
-        return (0,) * length
-    core = _core(facets)
-    if all(f & (f - 1) == 0 for f in core):
-        dims = (0, len(core) - 1)
-    else:
-        dims = _dims_by_elimination(core, field)
-    return dims + (0,) * (length - len(dims))
-
-
-def _dims_by_elimination(facets, field: Field) -> tuple[int, ...]:
+    gf2 = known.get(GF2) if known is not None and field.is_rationals else None
+    if gf2 is not None and sum(1 for d in gf2 if d) <= 1:
+        return gf2
     by = _faces_by_card(facets)  # every cardinality 0..top is present
     top = max(by)
+    ranks, kept = _cleared_ranks(by, 2 if field.is_rationals else field.p)
 
-    def dims_from(rank_of) -> list[int]:
-        """H~_i = f_i - rank d_i - rank d_{i+1}, with d_c mapping c-faces down."""
-        ranks = {c: rank_of(c) for c in range(1, top + 1)}
-        return [len(by[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0) for c in range(top + 1)]
+    def dims_from(rank: dict[int, int]) -> list[int]:
+        """H~_{c-1} = f_c - rank d_c - rank d_{c+1}."""
+        return [len(by[c]) - rank.get(c, 0) - rank.get(c + 1, 0) for c in range(top + 1)]
 
-    if field.p is not None and field.p != 2:
-        return tuple(dims_from(lambda c: rank_gfp(_boundary_cols_signed(by[c - 1], by[c]), field.p)))
-    dims = tuple(dims_from(lambda c: rank_gf2(_boundary_cols_gf2(by[c - 1], by[c]))))
-    return dims if field.p == 2 else rational_dims(facets, dims)
-
-
-def rational_dims(facets, gf2: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduced homology over Q of a maximal facet list whose GF(2) profile is gf2.
-
-    Over Q each dimension is at most the GF(2) one and the Euler
-    characteristic is the same, so a profile nonzero in at most one degree
-    carries over; otherwise exact rational ranks settle its nonzero degrees.
-    """
-    if sum(1 for d in gf2 if d) <= 1:
-        return gf2
-    by = _faces_by_card(facets)
-    top = max(by)
-    exact: dict[int, int] = {}
-
-    def q_rank(c: int) -> int:
-        if not 0 < c <= top:
-            return 0
-        if c not in exact:
-            exact[c] = rank_int_exact(_boundary_cols_signed(by[c - 1], by[c]))
-        return exact[c]
-
-    return tuple(len(by[c]) - q_rank(c) - q_rank(c + 1) if d else 0 for c, d in enumerate(gf2))
-
+    dims = tuple(dims_from(ranks))
+    if not field.is_rationals:
+        return dims
+    if known is not None:
+        known[GF2] = dims
+    degrees = [c for c, d in enumerate(dims) if d]
+    if len(degrees) <= 1:
+        return dims
+    needed = {c for d in degrees for c in (d, d + 1) if 0 < c <= top}
+    exact = dims_from({c: rank_int_exact(_boundary_cols_signed(by[c - 1], kept[c])) for c in needed})
+    return tuple(q if d else 0 for q, d in zip(exact, dims))

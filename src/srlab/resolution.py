@@ -22,15 +22,19 @@ inside W, so
     H~_d(A restricted to W) = H~_{|W|-d-3}(link of U in B),
 
 and the side with the smaller top facet is read. Homology is keyed on the
-squeezed core (_squeezed_core): the facet list is relabelled
-order-preserving onto its own support, cut down once per distinct list to
-its strong-collapse core, and the core is relabelled the same way. So
-translated copies of one complex, and lists with the same core, share an
-entry, and a list that collapses to a point needs none. The homology of a
-core over a field is memoized once for the process (_core_dims), and both
-walks below read it there. The Hochster sum passes (S, S^dual) and keeps,
-per complex, a memoized plan: its subsets grouped by core, which every
-later field of S reuses. Reisner's sweep over the faces of S passes
+squeezed core (_squeezed_core), and this is the one place where lists are
+collapsed: the facet list is relabelled order-preserving onto its own
+support, cut down once per distinct list to its strong-collapse core
+(_core), and the core is relabelled the same way. So translated copies of
+one complex, and lists with the same core, share an entry, and a cone or a
+list that collapses to a point needs none. The homology of a core is
+memoized once for the process (_core_dims), as profiles by field and never
+as faces: each core is one chain complex, reduced with clearing
+(homology.homology_dims_from_facets), and a Q profile keeps the GF(2)
+profile found on the way, so GF(2) after Q enumerates no face. Both walks
+below read the memo. The Hochster sum passes (S, S^dual) and keeps, per
+complex, a memoized plan: its subsets grouped by core, which every later
+field of S reuses. Reisner's sweep over the faces of S passes
 (S^dual, S), so the link of a face sigma is read either directly or from
 S^dual restricted to [n] minus sigma; its cores live for one sweep. Both take
 their subsets from _lcm_lattice: the Hochster sum from S^dual's facets,
@@ -50,7 +54,7 @@ from typing import NamedTuple
 from .bitsets import maximal_masks, shelling_restrictions, vertices_of
 from .complexes import DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
 from .errors import VoidComplexError, check_guard
-from .homology import GF2, Field, RATIONALS, _core, _is_cone, homology_dims_from_facets, parse_field, rational_dims
+from .homology import Field, RATIONALS, homology_dims_from_facets, parse_field
 
 #: Hochster summation refuses larger ground sets unless overridden.
 DEFAULT_HOCHSTER_GUARD = 22
@@ -181,6 +185,53 @@ def _squeezed(facets) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _is_cone(facets) -> bool:
+    """Whether the facets share a vertex; a cone has no reduced homology."""
+    acc = facets[0]
+    for f in facets[1:]:
+        acc &= f
+    return acc != 0
+
+
+def _core(facets) -> list[int]:
+    """The facets left after repeated rounds of strong collapses, maximal.
+
+    A vertex v is dominated by w when every facet through v contains w;
+    deleting v then keeps the homotopy type (Barmak-Minian). A round ANDs
+    the facets through each vertex it checks and, in vertex order, deletes
+    every vertex whose AND holds a vertex other than itself that the round
+    has not deleted yet. The dominators of a deleted vertex are dominators
+    of the vertices it dominates, so each deleted vertex keeps a dominator
+    that survives the round, and no edge loses both ends. Only the facets
+    that lost a vertex can stop being maximal, and only a vertex of such a
+    facet can become dominated: every other vertex keeps its facets, and
+    was not dominated the round before. So the next round checks only
+    those vertices. Rounds repeat until no vertex can go.
+    """
+    facets = list(facets)
+    check = 0
+    for f in facets:
+        check |= f
+    while True:
+        gone = 0
+        while check:
+            b = check & -check
+            check ^= b
+            meet = -1
+            for f in facets:
+                if f & b:
+                    meet &= f
+            if meet & ~(b | gone):
+                gone |= b
+        if not gone:
+            return facets
+        for f in facets:
+            if f & gone:
+                check |= f
+        check &= ~gone
+        facets = maximal_masks([f & ~gone for f in facets])
+
+
 def _squeezed_core(facets, cores: dict) -> tuple[int, ...] | None:
     """The strong-collapse core of a facet list, relabelled onto its own support,
     or None for a cone or a list that collapses to a point (no reduced homology).
@@ -223,17 +274,23 @@ def _read(dims, j: int, link: bool) -> list[tuple[int, int]]:
     return [(j - 2 - idx if link else idx - 1, val) for idx, val in enumerate(dims) if val]
 
 
-@lru_cache(maxsize=None)
+#: Each squeezed core's homology profiles by field, for the process: profiles only, never faces.
+_CORE_DIMS: dict[tuple[int, ...], dict[Field, tuple[int, ...]]] = {}
+
+
 def _core_dims(core: tuple[int, ...], field: Field) -> tuple[int, ...]:
     """The homology over field of a squeezed core, memoized for the process.
 
-    Over Q the GF(2) profile comes first and stays in the memo, so Q and
-    GF(2) share it in either order, for every complex and sweep that meets
-    the core.
+    A Q profile is computed with the GF(2) profile on the way, and both stay
+    (homology_dims_from_facets). So GF(2) after Q enumerates no face, and Q
+    after GF(2) enumerates the faces again only when the GF(2) profile is
+    nonzero in two or more degrees; this holds for every complex and sweep
+    that meets the core.
     """
-    if field.is_rationals:
-        return rational_dims(core, _core_dims(core, GF2))
-    return homology_dims_from_facets(core, field)
+    profiles = _CORE_DIMS.setdefault(core, {})
+    if field not in profiles:
+        profiles[field] = homology_dims_from_facets(core, field, profiles)
+    return profiles[field]
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Most recompute a fast path of the package the slow, obvious way, so a test
 can compare the two. The Betti oracles take none of the Hochster sum's
 shortcuts: no LCM lattice, no memo, no choice of side. Their homology,
 homology_all_ranks, takes none of the homology shortcuts either: no cone
-test, no strong-collapse core, no GF(2) closure for Q. The facets of each
-restriction come from maximal_bruteforce, not from the package's
-bitsets.maximal_masks.
+test, no strong-collapse core, no clearing, no GF(2) closure for Q. The
+facets of each restriction come from maximal_bruteforce, not from the
+package's bitsets.maximal_masks.
 
 The rest are independent readings of a package result: the replay of a
 vertex decomposition's shedding tree (check_vd_witness), the shelling order

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from srlab import complexes
 from srlab.bitsets import mask_of, maximal_masks, vertices_of
 from srlab.complexes import (
     SimplicialComplex,
@@ -210,6 +211,24 @@ def test_dual_ideal_generators():
     # the path at its top degree: one generator
     c2 = cover_complex(path(5), 3)
     assert [vertices_of(m) for m in minimal_nonfaces(alexander_dual(c2))] == [(1, 3, 5)]
+
+
+def test_dual_memo_records_the_involution(monkeypatch):
+    calls = []
+    real = complexes.minimal_nonfaces
+    monkeypatch.setattr(complexes, "minimal_nonfaces", lambda c: calls.append(c) or real(c))
+    alexander_dual.cache_clear()
+    c = cover_complex(path(12), 3)
+    d = alexander_dual(c)
+    assert alexander_dual(d) == c and calls == [c]  # one run for c and its dual
+    assert alexander_dual(void_complex(4)) == simplex_complex(4) and alexander_dual(simplex_complex(4)) == void_complex(4)
+    assert calls == [c]
+    # a hand-built list with nested, unsorted facets is not the dual of its dual
+    odd = SimplicialComplex(4, (mask_of((2, 3)), mask_of((1, 2)), mask_of((1,))))
+    twice = alexander_dual(alexander_dual(odd))
+    assert twice == make_complex(4, odd.facets) != odd and len(calls) == 3
+    alexander_dual.cache_clear()
+    assert alexander_dual(c) == d and len(calls) == 4
 
 
 def test_dual_fvector():

@@ -4,12 +4,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import boundary_matrix, homology_all_ranks
 from srlab import homology
 from srlab.bitsets import mask_of
 from srlab.complexes import (
     _faces_by_card,
+    alexander_dual,
     clique_complex,
     cover_complex,
     f_vector,
@@ -26,7 +29,6 @@ from srlab.homology import (
     RATIONALS,
     Field,
     _boundary_cols_signed,
-    _dims_by_elimination,
     bareiss_rank,
     homology_dims_from_facets,
     parse_field,
@@ -265,8 +267,8 @@ COLLAPSE_CASES = {
 
 
 def test_rational_dims_match_full_exact_elimination(random_complexes, corpus):
-    # every field against a rank of every boundary map; the collapse cases
-    # keep torsion through the core and pad the profile to dim + 2 entries
+    # every field against a rank of every boundary map, on lists that are
+    # not cores too: cones, points, a whisker; each profile has dim + 2 entries
     covers = [b for b in corpus if b.name.startswith(("cover(", "dual(cover("))]
     assert covers
     inputs = [(b.name, list(b.c.facets), b.c.n) for b in random_complexes + covers]
@@ -275,7 +277,7 @@ def test_rational_dims_match_full_exact_elimination(random_complexes, corpus):
         for name, facets, n in inputs:
             want = homology_all_ranks(facets, field)
             got = homology_dims_from_facets(facets, field)
-            assert got == _dims_by_elimination(facets, field) == want, (name, field)
+            assert got == want, (name, field)
             assert len(got) == max(f.bit_count() for f in facets) + 1, (name, field)
             for v in range(1, n + 1):  # vertex links, as in the Reisner check
                 bit = 1 << (v - 1)
@@ -283,7 +285,6 @@ def test_rational_dims_match_full_exact_elimination(random_complexes, corpus):
                 if link:
                     want = homology_all_ranks(link, field)
                     assert homology_dims_from_facets(link, field) == want, (name, v, field)
-                    assert _dims_by_elimination(link, field) == want, (name, v, field)
     assert homology_dims_from_facets(COLLAPSE_CASES["RP2 with a coned triangle"], GF2) == (0, 0, 1, 2)
     assert homology_dims_from_facets(COLLAPSE_CASES["RP2 with a coned triangle"], RATIONALS) == (0, 0, 0, 1)
 
@@ -296,6 +297,52 @@ def test_torsion_in_several_degrees_falls_back_to_exact_ranks():
     assert homology_dims_from_facets(RP2_PLUS_POINT, GF2) == (0, 1, 1, 1)
     assert homology_dims_from_facets(RP2_PLUS_POINT, RATIONALS) == (0, 1, 0, 0)
     assert homology_all_ranks(RP2_PLUS_POINT, RATIONALS) == (0, 1, 0, 0)
+
+
+def test_cleared_profiles_match_all_ranks_on_family_cores():
+    # every core that the Hochster plans of the family covers and duals with
+    # n <= 11 read, against plain ranks of every boundary map
+    from conftest import family_graphs
+    from srlab.resolution import _hochster_plan
+
+    cores = {}
+    for name, g in family_graphs(11):
+        for k in range(1, g.n + 1):
+            c = cover_complex(g, k)
+            for x in (c, alexander_dual(c)):
+                if not x.is_void:
+                    cores.update((core, (name, k)) for core, _, _ in _hochster_plan(x))
+    assert len(cores) > 1000
+    for field in (RATIONALS, GF2, Field(3)):
+        for core, where in cores.items():
+            assert homology_dims_from_facets(core, field) == homology_all_ranks(core, field), (where, core, field)
+
+
+@pytest.mark.parametrize("name", ["RP2", "RP2 with a coned triangle", "RP2 plus a point"])
+def test_cleared_profiles_match_all_ranks_with_torsion(name):
+    facets = {"RP2": list(RP2.facets), "RP2 plus a point": RP2_PLUS_POINT}.get(name) or COLLAPSE_CASES[name]
+    for field in (RATIONALS, GF2, Field(3)):
+        want = homology_all_ranks(facets, field)
+        assert homology_dims_from_facets(facets, field) == want, field
+        known = {GF2: homology_dims_from_facets(facets, GF2)}  # Q from a GF(2) profile found before
+        assert homology_dims_from_facets(facets, field, known) == want, field
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=10))
+def test_cleared_profiles_match_all_ranks_on_random_facet_lists(facets):
+    # facet lists on at most 8 vertices, nested, repeated and unsorted ones included
+    for field in (RATIONALS, GF2, Field(3)):
+        assert homology_dims_from_facets(facets, field) == homology_all_ranks(facets, field), field
+
+
+def test_cleared_profiles_match_all_ranks_on_seeded_random_complexes():
+    rng = random.Random(2109)
+    for _ in range(60):
+        n = rng.randint(6, 10)
+        facets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(3, 12))]
+        for field in (RATIONALS, GF2, Field(3)):
+            assert homology_dims_from_facets(facets, field) == homology_all_ranks(facets, field), (facets, field)
 
 
 def _unreachable(*args):

@@ -134,7 +134,7 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
     real = resolution._side
     monkeypatch.setattr(resolution, "_side", lambda *a: read.append(a[3]) or real(*a))
     resolution._hochster_plan.cache_clear()
-    resolution._core_dims.cache_clear()
+    resolution._CORE_DIMS.clear()
     for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3), alexander_dual(cover_complex(path(9), 3))):
         oracle = [betti_dual_links(c, f) for f in (RATIONALS, GF2)]
         read.clear()
@@ -157,7 +157,7 @@ def test_second_field_reuses_the_plan(monkeypatch):
     count(resolution, "maximal_masks")
     count(homology, "rank_gf2")
     resolution._hochster_plan.cache_clear()
-    resolution._core_dims.cache_clear()
+    resolution._CORE_DIMS.clear()
     c = alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))
     betti_hochster(c, RATIONALS)
     assert calls["_lcm_lattice"] == 1 and calls["maximal_masks"] > 0 and calls["rank_gf2"] > 0
@@ -167,6 +167,23 @@ def test_second_field_reuses_the_plan(monkeypatch):
     assert calls == Counter()
 
 
+def test_q_then_gf2_enumerates_each_core_once(monkeypatch):
+    # a Q profile keeps the GF(2) profile it computes on the way, so the GF(2)
+    # table that follows reads every core from the memo
+    calls = Counter()
+    real = homology._faces_by_card
+    monkeypatch.setattr(homology, "_faces_by_card", lambda facets: calls.update([facets]) or real(facets))
+    resolution._hochster_plan.cache_clear()
+    resolution._CORE_DIMS.clear()
+    c = alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))
+    betti_hochster(c, RATIONALS)
+    cores = {core for core, _, _ in resolution._hochster_plan(c)}
+    assert len(cores) == 588 and set(calls) == cores and set(calls.values()) == {1}
+    betti_hochster(c, GF2)
+    assert sum(calls.values()) == len(cores)
+    assert all(set(profiles) == {RATIONALS, GF2} for profiles in resolution._CORE_DIMS.values())
+
+
 def test_field_order_with_torsion_matches_direct_sum():
     # RP^2's tables differ over Q and GF(2); 60 of the 588 cores of Grid 4x3 k3's
     # dual have GF(2) profiles with several nonzero degrees, which Q settles by exact ranks
@@ -174,7 +191,7 @@ def test_field_order_with_torsion_matches_direct_sum():
         want = {f: betti_direct(c, f) for f in (RATIONALS, GF2, Field(3))}
         for order in ((RATIONALS, GF2, Field(3)), (GF2, RATIONALS)):
             resolution._hochster_plan.cache_clear()
-            resolution._core_dims.cache_clear()
+            resolution._CORE_DIMS.clear()
             for f in order:
                 assert betti_hochster(c, f).entries == want[f], (c, order, f)
 
@@ -186,7 +203,7 @@ def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     alexander_dual.cache_clear()
     resolution._hochster_plan.cache_clear()
-    resolution._core_dims.cache_clear()
+    resolution._CORE_DIMS.clear()
     tq = resolution._hochster_sum(c, RATIONALS)
     t2 = resolution._hochster_sum(c, GF2)
     assert len(calls) == 1
@@ -199,7 +216,7 @@ def test_relabelled_memo_cuts_homology_calls(monkeypatch):
     real = resolution.homology_dims_from_facets
     monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
     resolution._hochster_plan.cache_clear()
-    resolution._core_dims.cache_clear()
+    resolution._CORE_DIMS.clear()
     t = resolution._hochster_sum(c, RATIONALS)
     # 3198 without the relabelled memo, 358 keyed on relabelled facet lists,
     # 86 keyed on their strong-collapse cores (44 of the 358 collapse to a point)
@@ -217,7 +234,7 @@ def test_dual_sweep_after_the_table_computes_no_homology(monkeypatch):
         c = cover_complex(build_family(spec), k)
         for f in (RATIONALS, GF2, Field(3)):
             resolution._hochster_plan.cache_clear()
-            resolution._core_dims.cache_clear()
+            resolution._CORE_DIMS.clear()
             resolution._hochster_sum(c, f)
             calls.clear()
             assert resolution._reisner_sweep(alexander_dual(c), f).cm, (spec, k, f)
