@@ -1028,7 +1028,8 @@ class ScanReport(NamedTuple):
 def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, override):
     """One cell per (k, n, field): the linear degree and CM verdict of the
     cover complex c, and of its Alexander dual d when both_sides is set,
-    read off their Betti tables (betti_hochster).
+    read off their Betti tables (betti_hochster). Ranges that hold no cell
+    raise ValueError rather than report a scan of nothing.
     """
     t0 = time.time()
     cells: list[ScanCell] = []
@@ -1050,6 +1051,8 @@ def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_g
                     cells.append(ScanCell(k, n, str(f), lin, cm, linear_resolution_degree(td), is_cm_ab(d, td)))
                 else:
                     cells.append(ScanCell(k, n, str(f), lin, cm))
+    if not cells:
+        raise ValueError(f"the scan covers no cell: k {kmin}..{kmax}, n {nmin}..{nmax}")
     counterexamples = [c for c in cells if not c.holds(both_sides)]
     return cells, counterexamples, time.time() - t0
 

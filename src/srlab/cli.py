@@ -4,17 +4,21 @@ Subcommands: build (graphs/complexes to JSON), invariants (full report with
 a content-addressed Betti cache), verify (claim catalog), scan (conjecture
 grids). Exit codes: 0 ok, 1 usage, 2 guard violation, 3 void result,
 4 claim refuted.
+
+The claim catalog (`srlab.claims`) is registered when this module is
+imported but runs only on its first attribute access, so `verify` and `scan`
+load it on first use and `build` and `invariants` never compile it.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import claims
 from .complexes import (
     SimplicialComplex,
     alexander_dual,
@@ -43,6 +47,29 @@ from .resolution import (
     linear_resolution_degree,
 )
 from .structure import is_fat_forest, is_pure_shellable, is_vertex_decomposable
+
+
+
+def _lazy_submodule(name: str):
+    """srlab.<name>, bound now and executed on its first attribute access.
+
+    The module sits in sys.modules and on the package under its own name, so
+    `import srlab.<name>`, `from srlab.<name> import x` and anything that
+    reads it through sys.modules all get this one object and run it once.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+claims = _lazy_submodule("claims")  # 1180 lines that only verify and scan read
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -270,12 +297,10 @@ def _fields_arg(s: str):
 
 def cmd_verify(args) -> int:
     fields = _fields_arg(args.field)
-    if args.claim:
-        results = [claims.verify_claim(args.claim, field=f) for f in fields]
-    elif args.all:
+    if args.all:
         results = claims.verify_all(fields=fields)
     else:
-        raise ValueError("need --claim ID or --all")
+        results = [claims.verify_claim(args.claim, field=f) for f in fields]
     first = [r for r in results if r.field == str(fields[0])]  # discrepancies come from the first field
     payload = {
         "results": [r.to_json() for r in results],
@@ -344,8 +369,9 @@ def make_parser() -> _Parser:
     i.set_defaults(fn=cmd_invariants)
 
     v = sub.add_parser("verify", help="run claim records against the oracle")
-    v.add_argument("--claim", help="claim id")
-    v.add_argument("--all", action="store_true")
+    which = v.add_mutually_exclusive_group(required=True)
+    which.add_argument("--claim", help="claim id")
+    which.add_argument("--all", action="store_true")
     _add_report_args(v, ("json", "tsv", "pretty"))
     v.set_defaults(fn=cmd_verify)
 

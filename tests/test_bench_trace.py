@@ -4,6 +4,7 @@ bench/tracing.py binds functions by module and name, so renaming or deleting
 one breaks every `--trace 1` run; this catches it without running a workload.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,4 +26,14 @@ def test_traced_child_starts(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(trace.read_text())["bindings"]
+    bindings = set(json.loads(trace.read_text())["bindings"])
+    for module, attr in _targets().values():
+        assert f"{module}.{attr}" in bindings, f"the tracer never bound {module}.{attr}"
+
+
+def _targets():
+    """bench/tracing.py's TARGETS as {span: (module, function name)}."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {span: (module, attr) for span, (module, attr, _) in tracing.TARGETS.items()}

@@ -1,6 +1,9 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +80,7 @@ def test_usage_errors_exit_1(capsys):
     assert cli.main(["build", "--family", "C", "--n", "4"]) == 1  # missing --k
     assert cli.main(["build"]) == 1
     assert cli.main(["verify"]) == 1
+    assert cli.main(["verify", "--claim", "k44.example", "--all"]) == 1  # one or the other, never both
     assert cli.main(["nonsense"]) == 1
     assert cli.main(["scan", "--conjecture", "Qn"]) == 1
     # flags a command does not read are not accepted
@@ -410,6 +414,41 @@ def test_scan_formats_and_exit(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["conjecture"] == "L2n" and rep["counterexamples"] == []
+
+
+@pytest.mark.parametrize("bounds", [["--kmin", "3", "--kmax", "2"], ["--nmax", "-3"], ["--kmin", "4", "--nmax", "6"]])
+def test_scan_that_covers_no_cell_exits_1(capsys, bounds):
+    assert cli.main(["scan", "--conjecture", "Ln", *bounds]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the scan covers no cell") and captured.out == ""
+
+
+_CATALOG_ON_FIRST_USE = """
+import sys, types
+import srlab.cli as cli
+
+def loaded():
+    return type(sys.modules["srlab.claims"]) is types.ModuleType
+
+assert cli.main(["build", "--family", "C", "--n", "4", "--k", "2"]) == 0
+assert cli.main(["invariants", "--family", "C", "--n", "5", "--k", "2", "--no-cache"]) == 0
+assert not loaded(), "build or invariants ran the claim catalog"
+assert cli.main(["verify", "--claim", "k44.example"]) == 0
+assert loaded()
+import srlab.claims
+assert sys.modules["srlab.claims"] is srlab.claims
+from srlab.claims import CLAIMS
+assert len(CLAIMS) == 39
+"""
+
+
+def test_reports_never_run_the_claim_catalog():
+    # a fresh interpreter: other test modules import srlab.claims eagerly
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CATALOG_ON_FIRST_USE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_output_file(capsys, tmp_path):
