@@ -49,7 +49,6 @@ from .resolution import (
 from .structure import is_fat_forest, is_pure_shellable, is_vertex_decomposable
 
 
-
 def _lazy_submodule(name: str):
     """srlab.<name>, bound now and executed on its first attribute access.
 
@@ -69,7 +68,7 @@ def _lazy_submodule(name: str):
     return module
 
 
-claims = _lazy_submodule("claims")  # 1180 lines that only verify and scan read
+claims = _lazy_submodule("claims")  # only verify and scan read the catalog
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -27,13 +27,13 @@ def test_traced_child_starts(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     bindings = set(json.loads(trace.read_text())["bindings"])
-    for module, attr in _targets().values():
+    for module, attr, _ in _tracing().TARGETS.values():
         assert f"{module}.{attr}" in bindings, f"the tracer never bound {module}.{attr}"
 
 
-def _targets():
-    """bench/tracing.py's TARGETS as {span: (module, function name)}."""
+def _tracing():
+    """bench/tracing.py, which is not on the import path."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return {span: (module, attr) for span, (module, attr, _) in tracing.TARGETS.items()}
+    return tracing
