@@ -114,8 +114,20 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _load_complex(args) -> SimplicialComplex:
+def _refuse_unread(args, reader: str, *dests: str) -> None:
+    given = [f"--{d}" for d in dests if getattr(args, d) not in (None, False)]
+    if given:
+        raise ValueError(f"{reader} does not read {' or '.join(given)}")
+
+
+def _load_complex(args, guarded: bool = False) -> SimplicialComplex:
+    """The complex the input flags name; a flag this input does not read is an error.
+
+    When guarded, the Hochster guard is checked on the ground set as soon as
+    it is known, before any cover, clique complex or dual is built.
+    """
     if args.input:
+        _refuse_unread(args, "--input", "family", "n", "m")
         obj = json.loads(Path(args.input).read_text())
         if not isinstance(obj, dict):
             raise ValueError(f"{args.input}: the input JSON must be an object")
@@ -126,12 +138,15 @@ def _load_complex(args) -> SimplicialComplex:
         raise ValueError("need --input FILE or --family ID")
     if g is None:
         c = complex_from_json(obj)
+        _refuse_unread(args, "a complex JSON", "k", "clique")
     elif args.clique:
-        c = clique_complex(g)
+        _refuse_unread(args, "--clique", "k")
     elif args.k is None:
         raise ValueError("need --k for a cover complex (or pass --clique)")
-    else:
-        c = cover_complex(g, args.k)
+    if guarded:
+        check_guard("Hochster", c.n if g is None else g.n, args.max_ground, args.override_guards)
+    if g is not None:
+        c = clique_complex(g) if args.clique else cover_complex(g, args.k)
     return alexander_dual(c) if args.dual else c
 
 
@@ -205,7 +220,6 @@ def _betti_cached(c, field, args, fv):
 def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
     if c.is_void:
         raise VoidComplexError("void complex has no ring invariants")
-    check_guard("Hochster", c.n, args.max_ground, args.override_guards)  # before any exponential work
     dual = alexander_dual(c)
     if dual.is_void or dual.dim() < c.dim():  # count the faces of the side with the smaller top facet
         fv = dual_fvector(f_vector(dual, override=args.override_guards), c.n)
@@ -257,7 +271,7 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
 
 
 def cmd_invariants(args) -> int:
-    c = _load_complex(args)
+    c = _load_complex(args, guarded=True)  # the Hochster guard, before any exponential work
     if c.is_void:
         _emit(args, json.dumps({"complex": complex_to_json(c), "note": "void complex"}))
         return EXIT_VOID

@@ -264,7 +264,7 @@ def dual_fvector(f: tuple[int, ...], n: int) -> tuple[int, ...]:
 # Subcomplexes and joins
 
 
-def skeleton(c: SimplicialComplex, i: int, override: bool = False) -> SimplicialComplex:
+def skeleton(c: SimplicialComplex, i: int) -> SimplicialComplex:
     """All faces of dimension at most i."""
     if i < -1:
         raise ValueError("skeleton dimension must be >= -1")
@@ -272,7 +272,7 @@ def skeleton(c: SimplicialComplex, i: int, override: bool = False) -> Simplicial
         return c
     if i >= c.dim():
         return c
-    keep = faces_of_card(c, i + 1, override=override)
+    keep = faces_of_card(c, i + 1)
     keep += [f for f in c.facets if f.bit_count() <= i]
     return make_complex(c.n, keep)
 

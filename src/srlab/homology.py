@@ -2,10 +2,10 @@
 
 No floating point is used anywhere. Ranks over GF(2) ride on bitmask XOR
 elimination. Ranks over Q and over an odd prime field share one sparse
-elimination core, parameterized by the field: it pivots on unit entries
-(every nonzero entry mod p, only +-1 over Q), and over Q whatever has no
-unit entry left goes through a fraction-free (Bareiss) dense core, so every
-reported dimension is exact.
+elimination, parameterized by the field (_rank_sparse). Over Q it prefers
++-1 pivots; on any other pivot it scales the rows it updates and divides
+them by their content, so every entry stays an integer, no row goes to a
+dense core, and every reported dimension is exact.
 
 A facet list is one chain complex (homology_dims_from_facets): its faces
 are enumerated once, and its boundary maps are reduced from the top
@@ -28,7 +28,7 @@ ranks are computed.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .complexes import _faces_by_card
@@ -106,49 +106,16 @@ def rank_gf2(cols: list[int], pivot_rows: set[int] | None = None) -> int:
     return len(pivots)
 
 
-def bareiss_rank(rows: list[list[int]]) -> int:
-    """Fraction-free elimination rank of a dense integer matrix."""
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for _ in range(min(nrows, ncols)):
-        pr = pc = -1
-        for i in range(r, nrows):
-            for j in range(ncols):
-                if m[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][pc]
-        for i in range(r + 1, nrows):
-            mi, mr = m[i], m[r]
-            f = mi[pc]
-            for j in range(ncols):
-                mi[j] = (mi[j] * piv - f * mr[j]) // prev
-        prev = piv
-        rank += 1
-        r += 1
-        if r >= nrows:
-            break
-    return rank
-
-
 def _rank_sparse(cols: list[dict[int, int]], p: int | None, pivot_rows: set[int] | None = None) -> int:
     """Rank over GF(p), or over Q when p is None, of sparse integer columns.
 
-    Columns are eliminated in index order, each on a unit entry in its
-    shortest row: over GF(p) every nonzero entry is a unit, over Q only +-1
-    is, and a Q column without one is skipped. Each pivot is a row operation,
-    so the rank is the pivot count plus the rank of the rows left over, which
-    over Q go through dense Bareiss elimination. When pivot_rows is a set,
-    the rows of the sparse phase's pivots are added to it.
+    Columns are eliminated in index order, each on an entry in its shortest
+    row; over Q a +-1 entry is preferred. Over GF(p), and over Q on a +-1
+    pivot v0, a row r becomes r - (r[j0] / v0) * prow. Over Q on any other
+    pivot it becomes v0 * r - r[j0] * prow, divided by its content, so every
+    entry stays an integer. Each pivot is a row operation and clears its
+    column, so the rank is the pivot count. When pivot_rows is a set, the
+    rows of the pivots are added to it.
     """
     rows: dict[int, dict[int, int]] = {}
     colsup: list[set[int]] = [set() for _ in cols]
@@ -161,20 +128,23 @@ def _rank_sparse(cols: list[dict[int, int]], p: int | None, pivot_rows: set[int]
                 colsup[j].add(i)
     rank = 0
     for j0, sup in enumerate(colsup):
-        units = [i for i in sup if p is not None or rows[i][j0] in (1, -1)]
-        if not units:
+        if not sup:
             continue
-        i0 = min(units, key=lambda i: len(rows[i]))
+        i0 = min(sup, key=lambda i: (p is None and rows[i][j0] not in (1, -1), len(rows[i])))
         if pivot_rows is not None:
             pivot_rows.add(i0)
         prow = rows.pop(i0)
         for jj in prow:
             colsup[jj].discard(i0)
         v0 = prow.pop(j0)
-        inv = v0 if p is None else pow(v0, -1, p)  # +-1 is its own inverse
+        scale = p is None and v0 not in (1, -1)
+        inv = 1 if scale else v0 if p is None else pow(v0, -1, p)  # +-1 is its own inverse
         for i in sup:
             row = rows[i]
             f = row.pop(j0) * inv
+            if scale:
+                for jj in row:
+                    row[jj] *= v0
             for jj, pv in prow.items():
                 nv = row.get(jj, 0) - f * pv
                 if p is not None:
@@ -188,17 +158,11 @@ def _rank_sparse(cols: list[dict[int, int]], p: int | None, pivot_rows: set[int]
                     colsup[jj].discard(i)
             if not row:
                 del rows[i]
+            elif scale:
+                g = gcd(*row.values())
+                for jj in row:
+                    row[jj] //= g
         rank += 1
-    if rows:
-        live_cols = sorted({j for row in rows.values() for j in row})
-        jidx = {j: a for a, j in enumerate(live_cols)}
-        dense = []
-        for row in rows.values():
-            line = [0] * len(live_cols)
-            for j, v in row.items():
-                line[jidx[j]] = v
-            dense.append(line)
-        rank += bareiss_rank(dense)
     return rank
 
 

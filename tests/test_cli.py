@@ -61,6 +61,28 @@ def test_m_for_a_family_that_never_reads_it_exits_1(capsys):
     assert run(capsys, "build", "--family", "Grid", "--n", "4", "--m", "3", "--k", "2")[0] == 0
 
 
+def test_flags_the_input_does_not_read_exit_1(capsys, tmp_path):
+    complex_file = tmp_path / "complex.json"
+    complex_file.write_text('{"n": 3, "facets": [[1, 2], [3]]}')
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text('{"n": 3, "edges": [[1, 2]]}')
+    for argv, problem in [
+        (["--family", "L", "--n", "4", "--k", "2", "--clique"], "--clique does not read --k"),
+        (["--input", str(complex_file), "--k", "2"], "a complex JSON does not read --k"),
+        (["--input", str(complex_file), "--clique"], "a complex JSON does not read --clique"),
+        (["--input", str(complex_file), "--k", "2", "--clique"], "does not read --k or --clique"),
+        (["--input", str(graph_file), "--k", "2", "--n", "5"], "--input does not read --n"),
+        (["--input", str(graph_file), "--family", "L", "--k", "2"], "--input does not read --family"),
+    ]:
+        for command in ("build", "invariants"):
+            assert cli.main([command, *argv]) == 1, (command, argv)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and problem in captured.err, (command, argv)
+            assert captured.out == ""
+    for argv in (["--family", "L", "--n", "4", "--clique"], ["--input", str(complex_file)], ["--input", str(graph_file), "--k", "2"]):
+        assert run(capsys, "build", *argv)[0] == 0, argv
+
+
 def test_build_void_exit_code(capsys):
     code, out = run(capsys, "build", "--family", "C", "--n", "4", "--k", "3")
     assert code == 3
@@ -178,6 +200,17 @@ def test_output_file_holds_all_of_stdout(capsys, tmp_path, argv):
 
 def test_guard_exit_2(capsys):
     assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2"]) == 2
+
+
+def test_invariants_guard_fires_before_the_cover_is_built(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the cover was built before the Hochster guard")
+
+    monkeypatch.setattr(cli, "cover_complex", unreachable)
+    assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2", "--no-cache"]) == 2
+    assert "guard: ground set 23 exceeds Hochster guard 22" in capsys.readouterr().err
+    # a void complex above the guard stops at the guard too
+    assert cli.main(["invariants", "--family", "C", "--n", "24", "--k", "13", "--no-cache"]) == 2
 
 
 def _points(n, k):
