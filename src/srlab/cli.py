@@ -115,7 +115,7 @@ def _emit(args, text: str) -> None:
 
 
 def _refuse_unread(args, reader: str, *dests: str) -> None:
-    given = [f"--{d}" for d in dests if getattr(args, d) not in (None, False)]
+    given = [f"--{d}" for d in dests if (v := getattr(args, d)) is not None and v is not False]  # --k 0 is given
     if given:
         raise ValueError(f"{reader} does not read {' or '.join(given)}")
 

@@ -68,6 +68,7 @@ def test_flags_the_input_does_not_read_exit_1(capsys, tmp_path):
     graph_file.write_text('{"n": 3, "edges": [[1, 2]]}')
     for argv, problem in [
         (["--family", "L", "--n", "4", "--k", "2", "--clique"], "--clique does not read --k"),
+        (["--family", "L", "--n", "4", "--k", "0", "--clique"], "--clique does not read --k"),
         (["--input", str(complex_file), "--k", "2"], "a complex JSON does not read --k"),
         (["--input", str(complex_file), "--clique"], "a complex JSON does not read --clique"),
         (["--input", str(complex_file), "--k", "2", "--clique"], "does not read --k or --clique"),
@@ -198,15 +199,11 @@ def test_output_file_holds_all_of_stdout(capsys, tmp_path, argv):
     assert len(out.splitlines()) >= 2 and timeless(f.read_text()) == timeless(out)
 
 
-def test_guard_exit_2(capsys):
-    assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2"]) == 2
-
-
-def test_invariants_guard_fires_before_the_cover_is_built(capsys, monkeypatch):
+def test_guard_exit_2(capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the cover was built before the Hochster guard")
 
-    monkeypatch.setattr(cli, "cover_complex", unreachable)
+    monkeypatch.setattr(cli, "cover_complex", unreachable)  # the guard fires before construction
     assert cli.main(["invariants", "--family", "P", "--n", "23", "--k", "2", "--no-cache"]) == 2
     assert "guard: ground set 23 exceeds Hochster guard 22" in capsys.readouterr().err
     # a void complex above the guard stops at the guard too

@@ -152,13 +152,8 @@ def test_rank_engines_against_fraction_oracle():
     for trial in range(30):
         rows = _low_rank_product(rng, (0, 2, -2), (0, 1, -1, 3, -3))
         assert rank_int_exact(_sparse_cols(rows)) == _rank_fraction_oracle(rows), rows
-
-
-def test_exact_rank_of_larger_products_with_no_unit_entry():
-    rng = random.Random(2323)
     for trial in range(20):
         rows = _low_rank_product(rng, (0, 2, -2, 6, -6), (0, 1, -1, 3, -3, 5), nr=30, nc=30, k=rng.randint(1, 12))
-        assert not any(x % 2 for row in rows for x in row)
         assert rank_int_exact(_sparse_cols(rows)) == _rank_fraction_oracle(rows), trial
 
 
