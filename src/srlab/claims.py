@@ -11,9 +11,11 @@ separate records that point at each other; the tables adjudicate and the
 loser feeds the discrepancy report. Records whose expected status is "refuted" never fail a
 verification run; they exist to document the discrepancy.
 
-A runner takes only the field. A check that fails raises through
-`_require` (or `_require_tables`), and a runner that gets to its end returns
-a `ClaimOutcome`; `verify_claim` turns either into the `ClaimResult`.
+A runner takes only the field. It reads a complex's table, linear degree
+and CM verdict through `_verdicts`, and checks what it expects of them
+through `_require_ring`. A check that fails raises through `_require`, and
+a runner that gets to its end returns a `ClaimOutcome`; `verify_claim`
+turns either into the `ClaimResult`.
 """
 
 from __future__ import annotations
@@ -163,20 +165,31 @@ def _clean(entries: dict) -> dict:
     return out
 
 
-def _require_tables(pairs: list[tuple[str, GradedBettiTable, dict]]) -> tuple[str, str]:
-    """pairs of (label, oracle table, expected entries); refutes with every
-    mismatched table, else returns (the labels, "all tables match")."""
-    bad = []
-    for label, t, exp in pairs:
-        exp = _clean(exp)
-        if t.entries != exp:
-            bad.append((label, exp, t))
-    if bad:
-        raise _Refuted(
-            "; ".join(f"{l}: {_fmt_entries(e)}" for l, e, _ in bad),
-            "; ".join(f"{l}: {_fmt_entries(t.entries)}" for l, _, t in bad),
-        )
-    return "; ".join(l for l, _, _ in pairs), "all tables match"
+def _verdicts(cx, field, **guard) -> tuple[GradedBettiTable, int | None, bool]:
+    """cx's Betti table over field (betti_hochster), its linear degree and its CM verdict."""
+    t = betti_hochster(cx, field, **guard)
+    return t, linear_resolution_degree(t), is_cm_ab(cx, t)
+
+
+def _require_ring(cx, field, label: str, *, entries=None, linear=None, degree=None, cm=None) -> GradedBettiTable:
+    """cx's Betti table over field, after checking each of entries (b[0,0]=1
+    implied), linear, degree and cm that is given. A failure refutes with
+    label, and got names the linear degree and CM verdict seen."""
+    t, lin, is_cm = _verdicts(cx, field)
+    seen = f"linear degree {lin}, CM={is_cm}"
+    checks = []
+    if entries is not None:
+        entries = _clean(entries)
+        checks.append((t.entries == entries, _fmt_entries(entries)))
+        seen = f"{_fmt_entries(t.entries)}; {seen}"
+    if linear is not None:
+        checks.append(((lin is not None) == linear, "linear" if linear else "not linear"))
+    if degree is not None:
+        checks.append((lin == degree, f"{degree}-linear"))
+    if cm is not None:
+        checks.append((is_cm == cm, "CM" if cm else "not CM"))
+    _require(all(ok for ok, _ in checks), f"{label}: " + ", ".join(w for _, w in checks), f"{label}: {seen}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +206,11 @@ def _k1(field):
     for n in (3, 4, 5, 6, 7, 8):
         for g in (cycle(n), star(n)):
             c = cover_complex(g, 1)
-            t = betti_hochster(c, field)
-            _require(t.entries == {(0, 0): 1, (1, n): 1}, f"n={n}: b[1,{n}]=1 only", _fmt_entries(t.entries))
+            _require_ring(c, field, f"n={n} primal", entries={(1, n): 1}, degree=n, cm=True)
             d = alexander_dual(c)
-            _require(d.is_irrelevant, f"n={n}: dual is the irrelevant complex", "other")
-            td = betti_hochster(d, field)
+            _require(d.is_irrelevant, f"n={n}: dual is the irrelevant complex", str(d.facet_vertices()))
             exp = {(i, i): comb(n, i) for i in range(n + 1)}
-            _require(td.entries == exp, f"n={n}: dual b[i,i]=C(n,i)", _fmt_entries(td.entries))
-            _require(linear_resolution_degree(t) == n and linear_resolution_degree(td) == 1,
-                     f"n={n}: linear degrees n and 1", "other")
-            _require(is_cm_ab(c, t) and is_cm_ab(d, td), f"n={n}: both rings CM", "not CM")
+            _require_ring(d, field, f"n={n} dual", entries=exp, degree=1, cm=True)
     return ClaimOutcome(True, "single-relation ring and field, binomial Betti", "confirmed")
 
 
@@ -218,11 +226,9 @@ def _skel(field):
         for i in range(-1, m - 1):
             sk = skeleton(S, i)
             _require(alexander_dual(sk) == skeleton(S, m - i - 3), f"m={m},i={i}: dual is the (m-i-3)-skeleton", "mismatch")
-            t = betti_hochster(sk, field)
+            t = _require_ring(sk, field, f"m={m},i={i}", linear=True, cm=True)
             gens = {j for (a, j) in t.entries if a == 1}
             _require(i >= m - 2 or gens == {i + 2}, f"m={m},i={i}: generators in degree i+2", str(sorted(gens)))
-            _require(linear_resolution_degree(t) is not None and is_cm_ab(sk, t),
-                     f"m={m},i={i}: CM with linear resolution", "fails")
     return ClaimOutcome(True, "skeleton duality, CM, linearity, generator degree", "confirmed")
 
 
@@ -288,9 +294,7 @@ def _pn_thm(field):
             c = cover_complex(points(n), k)
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
-                t = betti_hochster(cx, field)
-                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, t),
-                         f"n={n},k={k} {label} CM+linear", "fails")
+                _require_ring(cx, field, f"n={n},k={k} {label}", linear=True, cm=True)
     return ClaimOutcome(True, "both sides CM with linear resolutions", "confirmed")
 
 
@@ -303,13 +307,9 @@ def _pn_thm(field):
 def _pn_ex(field):
     for n in (4, 5, 6, 7, 8):
         c = cover_complex(points(n), 2)
-        d = alexander_dual(c)
-        _require_tables(
-            [
-                (f"n={n} primal", betti_hochster(c, field), {(1, n - 1): n, (2, n): n - 1}),
-                (f"n={n} dual", betti_hochster(d, field), {(i, i + 1): n * comb(n - 1, i) - comb(n, i + 1) for i in range(1, n)}),
-            ]
-        )
+        _require_ring(c, field, f"n={n} primal", entries={(1, n - 1): n, (2, n): n - 1})
+        exp = {(i, i + 1): n * comb(n - 1, i) - comb(n, i + 1) for i in range(1, n)}
+        _require_ring(alexander_dual(c), field, f"n={n} dual", entries=exp)
     return ClaimOutcome(True, "stated Betti values", "confirmed")
 
 
@@ -360,13 +360,9 @@ def _tree_thm(field):
         seen_primal = set()
         seen_tree = set()
         for tgraph in _tree_samples(n):
-            tc = clique_complex(tgraph)
-            cc = cover_complex(tgraph, 2)
-            tt, tv = betti_hochster(tc, field), betti_hochster(cc, field)
-            _require(is_cm_ab(tc, tt) and is_cm_ab(cc, tv), f"n={n}: both CM", "not CM")
-            _require(linear_resolution_degree(tt) is not None and linear_resolution_degree(tv) is not None,
-                     f"n={n}: both linear", "not linear")
-            _require_tables([(f"n={n} cover", tv, {(1, n - 2): n - 1, (2, n - 1): n - 2})])
+            tt = _require_ring(clique_complex(tgraph), field, f"n={n} tree", linear=True, cm=True)
+            exp = {(1, n - 2): n - 1, (2, n - 1): n - 2}
+            tv = _require_ring(cover_complex(tgraph, 2), field, f"n={n} cover", entries=exp, linear=True, cm=True)
             seen_primal.add(tuple(tv.sorted_items()))
             seen_tree.add(tuple(tt.sorted_items()))
         _require(len(seen_primal) == 1 and len(seen_tree) == 1,
@@ -386,8 +382,7 @@ def _tree_dual_proof_formula(n: int) -> dict:
 )
 def _tree_dual_proof(field):
     for n in (4, 5, 6, 7):
-        t = betti_hochster(clique_complex(path(n)), field)
-        _require_tables([(f"n={n}", t, _tree_dual_proof_formula(n))])
+        _require_ring(clique_complex(path(n)), field, f"n={n}", entries=_tree_dual_proof_formula(n))
     return ClaimOutcome(True, "derivation-side closed form", "confirmed")
 
 
@@ -428,9 +423,7 @@ def _star_thm(field):
                 continue
             d = alexander_dual(c)
             for label, cx in (("primal", c), ("dual", d)):
-                t = betti_hochster(cx, field)
-                _require(linear_resolution_degree(t) is not None and is_cm_ab(cx, t),
-                         f"n={n},k={k} {label} CM+linear", "fails")
+                _require_ring(cx, field, f"n={n},k={k} {label}", linear=True, cm=True)
     return ClaimOutcome(True, "both sides CM with linear resolutions", "confirmed")
 
 
@@ -442,10 +435,10 @@ def _star_thm(field):
 )
 def _s6_k3(field):
     c = cover_complex(star(6), 3)
-    d = alexander_dual(c)
     exp = {(1, 3): 10, (2, 4): 15, (3, 5): 6}
-    pairs = [("primal", betti_hochster(c, field), exp), ("dual", betti_hochster(d, field), exp)]
-    return ClaimOutcome(True, *_require_tables(pairs))
+    _require_ring(c, field, "primal", entries=exp)
+    _require_ring(alexander_dual(c), field, "dual", entries=exp)
+    return ClaimOutcome(True, "primal; dual", "all tables match")
 
 
 @_claim(
@@ -477,9 +470,8 @@ def _s6_k2(field):
 )
 def _l6_stated(field):
     c = cover_complex(path(6), 3)
-    d = alexander_dual(c)
-    t, td = betti_hochster(c, field), betti_hochster(d, field)
-    cm = is_cm_ab(c, t)
+    t, lin, cm = _verdicts(c, field)
+    td = betti_hochster(alexander_dual(c), field)
     stated_primal = _clean({(1, 2): 9, (2, 3): 18, (3, 4): 15, (4, 5): 6, (5, 6): 1})
     stated_dual = _clean({(1, 3): 2, (2, 6): 1})
     discs = (
@@ -496,7 +488,7 @@ def _l6_stated(field):
         (
             "six-vertex path, degree-3 cover ring Cohen-Macaulayness",
             "linear resolution but not CM",
-            f"oracle: linear degree {linear_resolution_degree(t)} and CM={cm}",
+            f"oracle: linear degree {lin} and CM={cm}",
         ),
     )
     ok = t.entries == stated_primal and td.entries == stated_dual and not cm
@@ -517,21 +509,15 @@ def _l6_stated(field):
 def _prism(field):
     c = cover_complex(complete_prism(2), 2)
     d = alexander_dual(c)
-    _require_tables(
-        [
-            ("2x2 primal", betti_hochster(c, field), {(1, 2): 4, (2, 3): 4, (3, 4): 1}),
-            ("2x2 dual", betti_hochster(d, field), {(1, 2): 2, (2, 4): 1}),
-        ]
-    )
+    _require_ring(c, field, "2x2 primal", entries={(1, 2): 4, (2, 3): 4, (3, 4): 1})
+    _require_ring(d, field, "2x2 dual", entries={(1, 2): 2, (2, 4): 1})
     _require(sorted(map(vertices_of, d.facets)) == [(1, 2), (1, 3), (2, 4), (3, 4)],
              "dual facets {x1x2},{x2y2},{y1y2},{x1y1}", str(d.facet_vertices()))
     for n in (3, 4):
         c = cover_complex(complete_prism(n), 2)
         d = alexander_dual(c)
         for label, cx in (("primal", c), ("dual", d)):
-            t = betti_hochster(cx, field)
-            _require(linear_resolution_degree(t) is None and not is_cm_ab(cx, t),
-                     f"n={n} {label} neither CM nor linear", "is CM or linear")
+            _require_ring(cx, field, f"n={n} {label}", linear=False, cm=False)
     return ClaimOutcome(True, "2x2 tables and negative verdicts beyond", "confirmed")
 
 
@@ -553,15 +539,13 @@ def _join_lemma(field):
         (clique_complex(cycle(4)), make_complex(3, [3, 6])),
     ]
     for a, b in pairs:
-        j = join(a, b)
-        tj = betti_hochster(j, field)
+        tj, sj, _ = _verdicts(join(a, b), field)
         prod = betti_product(betti_hochster(a, field), betti_hochster(b, field))
         _require(tj.entries == prod.entries,
                  "join table equals product", f"{_fmt_entries(tj.entries)} vs {_fmt_entries(prod.entries)}")
-        sa = linear_resolution_degree(betti_hochster(a, field))
-        sb = linear_resolution_degree(betti_hochster(b, field))
-        _require(not (sa and sb and sa > 1 and sb > 1 and linear_resolution_degree(tj) is not None),
-                 "join of a-linear factors (a>1) not linear", "is linear")
+        sa, sb = (_verdicts(x, field)[1] for x in (a, b))
+        _require(not (sa and sb and sa > 1 and sb > 1 and sj is not None),
+                 "join of a-linear factors (a>1) not linear", f"factor degrees {sa}, {sb}; join linear degree {sj}")
     return ClaimOutcome(True, "product rule and non-linearity of joins", "confirmed")
 
 
@@ -574,10 +558,7 @@ def _join_lemma(field):
 def _kmn_adj(field):
     for m, n, k in ((2, 2, 2), (2, 3, 2), (2, 3, 3), (2, 4, 3), (3, 3, 2), (3, 3, 3), (3, 4, 3)):
         d = alexander_dual(cover_complex(complete_bipartite(m, n), k))
-        t = betti_hochster(d, field)
-        lin = linear_resolution_degree(t) is not None
-        _require(is_cm_ab(d, t), f"K({m},{n}) k={k}: dual CM", "not CM")
-        _require(lin == (k > m), f"K({m},{n}) k={k}: linear iff k>m", f"linear={lin}")
+        _require_ring(d, field, f"K({m},{n}) k={k} dual", linear=k > m, cm=True)
     return ClaimOutcome(True, "dual CM always; linear iff k > m", "confirmed")
 
 
@@ -590,9 +571,7 @@ def _kmn_adj(field):
 )
 def _kmn_stated(field):
     m = n = k = 2
-    d = alexander_dual(cover_complex(complete_bipartite(m, n), k))
-    t = betti_hochster(d, field)
-    lin = linear_resolution_degree(t) is not None
+    lin = _verdicts(alexander_dual(cover_complex(complete_bipartite(m, n), k)), field)[1] is not None
     disc = (
         f"linearity boundary for complete bipartite duals at m=k (m=n=k={m})",
         "linear resolution whenever m <= k <= n",
@@ -609,17 +588,13 @@ def _kmn_stated(field):
 )
 def _k44(field):
     c = cover_complex(complete_bipartite(4, 4), 3)
-    t = betti_hochster(c, field)
     exp = {(1, 4): 36, (2, 5): 96, (3, 6): 100, (4, 7): 48, (5, 8): 9}
-    _require_tables([("primal", t, exp)])
-    degree = linear_resolution_degree(t)
-    _require(degree == 4, "4-linear", f"linear degree {degree}")
-    d = alexander_dual(c)
-    td = betti_hochster(d, field)
+    _require_ring(c, field, "primal", entries=exp, degree=4)
+    td, sd, _ = _verdicts(alexander_dual(c), field)
     factor = betti_hochster(skeleton(simplex_complex(4), 1), field)
-    _require(td.entries == betti_product(factor, factor).entries,
-             "dual table is the square of the skeleton table", _fmt_entries(td.entries))
-    _require(linear_resolution_degree(td) is None, "dual not linear", "linear")
+    _require(td.entries == betti_product(factor, factor).entries and sd is None,
+             "dual table is the square of the skeleton table, not linear",
+             f"{_fmt_entries(td.entries)}; linear degree {sd}")
     return ClaimOutcome(True, "4-linear values and product dual", "confirmed")
 
 
@@ -632,11 +607,8 @@ def _k44(field):
 def _kmn_k2(field):
     for m, n in ((3, 3), (3, 4)):
         c = cover_complex(complete_bipartite(m, n), 2)
-        t = betti_hochster(c, field)
         exp = {(1, m + n - 2): m * n, (2, m + n - 1): 2 * m * n - m - n, (3, m + n): m * n - m - n + 1}
-        _require_tables([(f"K({m},{n})", t, exp)])
-        _require(linear_resolution_degree(t) == m + n - 2 and not is_cm_ab(c, t),
-                 f"K({m},{n}): (m+n-2)-linear and not CM", "fails")
+        _require_ring(c, field, f"K({m},{n})", entries=exp, degree=m + n - 2, cm=False)
     return ClaimOutcome(True, "stated degree-2 bipartite values", "confirmed")
 
 
@@ -656,9 +628,7 @@ def _l2k1(field):
         c = cover_complex(path(n), k)
         gens = [vertices_of(m) for m in minimal_nonfaces(alexander_dual(c))]
         _require(gens == [tuple(range(1, n + 1, 2))], f"k={k}: single odd-position generator", str(gens))
-        t = betti_hochster(c, field)
-        _require(linear_resolution_degree(t) is not None and is_cm_ab(c, t),
-                 f"k={k}: CM with linear resolution", "fails")
+        _require_ring(c, field, f"k={k}", linear=True, cm=True)
     return ClaimOutcome(True, "principal dual ideal; CM and linear", "confirmed")
 
 
@@ -698,13 +668,10 @@ def _cycle_binomial(n: int) -> dict:
 def _cycle_adj(field):
     for n in (4, 5, 6, 7):
         cy = clique_complex(cycle(n))
-        t = betti_hochster(cy, field)
-        _require_tables([(f"C{n} ring", t, _cycle_binomial(n))])
+        t = _require_ring(cy, field, f"C{n} ring", entries=_cycle_binomial(n))
         _require(is_gorenstein(cy, t), f"C{n} Gorenstein", "not Gorenstein")
-        cv = cover_complex(cycle(n), 2)
-        tv = betti_hochster(cv, field)
-        _require_tables([(f"C{n} cover", tv, {(1, n - 2): n, (2, n - 1): n, (3, n): 1})])
-        _require(linear_resolution_degree(tv) == n - 2, f"C{n} cover (n-2)-linear", "not")
+        exp = {(1, n - 2): n, (2, n - 1): n, (3, n): 1}
+        _require_ring(cover_complex(cycle(n), 2), field, f"C{n} cover", entries=exp, degree=n - 2)
     return ClaimOutcome(True, "Gorenstein binomial table; cover side (n,n,1)", "confirmed")
 
 
@@ -747,12 +714,8 @@ def _c2k_adj(field):
         gens = [vertices_of(m) for m in minimal_nonfaces(d)]
         _require(gens == [tuple(range(1, n, 2)), tuple(range(2, n + 1, 2))],
                  f"k={k}: alternating-product generators", str(gens))
-        td = betti_hochster(d, field)
-        t = betti_hochster(c, field)
-        _require(is_cm_ab(d, td) and linear_resolution_degree(td) is None,
-                 f"k={k}: dual CM and not linear", "fails")
-        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, t),
-                 f"k={k}: cover linear and not CM", "fails")
+        _require_ring(d, field, f"k={k} dual", linear=False, cm=True)
+        _require_ring(c, field, f"k={k} cover", linear=True, cm=False)
     return ClaimOutcome(True, "dual CM-not-linear; cover linear-not-CM", "confirmed")
 
 
@@ -766,10 +729,8 @@ def _c2k_adj(field):
 )
 def _c2k_stated(field):
     k = 3
-    d = alexander_dual(cover_complex(cycle(2 * k), k))
-    td = betti_hochster(d, field)
-    lin = linear_resolution_degree(td) is not None
-    cm = is_cm_ab(d, td)
+    _, degree, cm = _verdicts(alexander_dual(cover_complex(cycle(2 * k), k)), field)
+    lin = degree is not None
     disc = (
         f"which ring of the 2k-cycle pair is linear, k={k}",
         "dual ring linear but not CM",
@@ -785,10 +746,9 @@ def _c2k_stated(field):
     "degrees j = i+1",
 )
 def _c8(field):
-    t = betti_hochster(cover_complex(cycle(8), 4), field)
     totals = (1, 16, 48, 68, 56, 28, 8, 1)
-    exp = {(i, i + 1): totals[i] for i in range(1, 8)}
-    return ClaimOutcome(True, *_require_tables([("cover", t, exp)]))
+    _require_ring(cover_complex(cycle(8), 4), field, "cover", entries={(i, i + 1): totals[i] for i in range(1, 8)})
+    return ClaimOutcome(True, "cover", "all tables match")
 
 
 # ---------------------------------------------------------------------------
@@ -803,19 +763,11 @@ def _c8(field):
     "neither ring is CM or linear",
 )
 def _c2n(field):
-    c = cover_complex(cycle_square(6), 2)
-    t = betti_hochster(c, field)
-    _require_tables([("n=6 cover", t, {(1, 3): 8, (2, 4): 12, (3, 5): 6, (4, 6): 1})])
-    _require(linear_resolution_degree(t) == 3 and not is_cm_ab(c, t), "n=6: 3-linear and not CM", "fails")
-    octa = clique_complex(cycle_square(6))
-    to = betti_hochster(octa, field)
-    _require(is_cm_ab(octa, to) and linear_resolution_degree(to) is None,
-             "octahedron CM and not linear", "fails")
+    exp = {(1, 3): 8, (2, 4): 12, (3, 5): 6, (4, 6): 1}
+    _require_ring(cover_complex(cycle_square(6), 2), field, "n=6 cover", entries=exp, degree=3, cm=False)
+    _require_ring(clique_complex(cycle_square(6)), field, "octahedron", linear=False, cm=True)
     for n in (7, 8):
-        c = cover_complex(cycle_square(n), 2)
-        t = betti_hochster(c, field)
-        _require(linear_resolution_degree(t) is None and not is_cm_ab(c, t),
-                 f"n={n}: neither linear nor CM", "fails")
+        _require_ring(cover_complex(cycle_square(n), 2), field, f"n={n} cover", linear=False, cm=False)
     return ClaimOutcome(True, "six-vertex tables and negative verdicts beyond", "confirmed")
 
 
@@ -829,13 +781,10 @@ def _c2n(field):
 def _l2n_adj(field):
     for n in (5, 6, 7, 8):
         cc = clique_complex(path_square(n))
-        tcc = betti_hochster(cc, field)
         exp = {(i, i + 1): (n - 3) * comb(n - 3, i) - comb(n - 3, i + 1) for i in range(1, n)}
-        _require_tables([(f"n={n} clique", tcc, exp)])
-        cv = cover_complex(path_square(n), 2)
-        tcv = betti_hochster(cv, field)
-        _require_tables([(f"n={n} cover", tcv, {(1, n - 3): n - 2, (2, n - 2): n - 3})])
-        _require(is_cm_ab(cc, tcc) and is_cm_ab(cv, tcv), f"n={n}: both CM", "fails")
+        _require_ring(cc, field, f"n={n} clique", entries=exp, cm=True)
+        exp = {(1, n - 3): n - 2, (2, n - 2): n - 3}
+        _require_ring(cover_complex(path_square(n), 2), field, f"n={n} cover", entries=exp, cm=True)
         h = fat_forest_hilbert(FatForestDecomposition((2,) * (n - 2), (1,) * (n - 3)), n)
         _require(h == hilbert_from_fvector(f_vector(cc), n), f"n={n}: fat-tree Hilbert series", "mismatch")
     return ClaimOutcome(True, "clique and cover tables, CM, fat-tree series", "confirmed")
@@ -873,12 +822,9 @@ def _l2n_stated(field):
 )
 def _l2_8(field):
     c = cover_complex(path_square(8), 3)
-    d = alexander_dual(c)
-    pairs = [
-        ("cover", betti_hochster(c, field), {(1, 2): 6, (2, 3): 8, (3, 4): 3}),
-        ("dual", betti_hochster(d, field), {(1, 3): 4, (2, 4): 3}),
-    ]
-    return ClaimOutcome(True, *_require_tables(pairs))
+    _require_ring(c, field, "cover", entries={(1, 2): 6, (2, 3): 8, (3, 4): 3})
+    _require_ring(alexander_dual(c), field, "dual", entries={(1, 3): 4, (2, 4): 3})
+    return ClaimOutcome(True, "cover; dual", "all tables match")
 
 
 @_claim(
@@ -896,11 +842,8 @@ def _thirds(field):
                  f"k={k}: three progression generators", str(gens_a))
         gens_b = [vertices_of(m) for m in minimal_nonfaces(alexander_dual(b))]
         _require(gens_b == [tuple(range(1, 3 * k - 1, 3))], f"k={k}: principal progression generator", str(gens_b))
-        ta, tb = betti_hochster(a, field), betti_hochster(b, field)
-        _require(linear_resolution_degree(ta) is not None and not is_cm_ab(a, ta),
-                 f"k={k}: squared-cycle ring linear, not CM", "fails")
-        _require(linear_resolution_degree(tb) is not None and is_cm_ab(b, tb),
-                 f"k={k}: squared-path ring linear and CM", "fails")
+        _require_ring(a, field, f"k={k} squared-cycle ring", linear=True, cm=False)
+        _require_ring(b, field, f"k={k} squared-path ring", linear=True, cm=True)
     return ClaimOutcome(True, "progression ideals; linearity and CM split", "confirmed")
 
 
@@ -943,16 +886,9 @@ def _l2_10(field):
 def _grid_adj(field):
     for m, n in ((2, 2), (2, 3), (3, 3)):
         g = grid(m, n)
-        c = cover_complex(g, 2)
-        t = betti_hochster(c, field)
         exp = {(1, m * n - 2): 2 * m * n - m - n, (2, m * n - 1): 3 * m * n - 2 * m - 2 * n, (3, m * n): m * n - m - n + 1}
-        _require_tables([(f"{m}x{n} cover", t, exp)])
-        _require(linear_resolution_degree(t) is not None and not is_cm_ab(c, t),
-                 f"{m}x{n}: linear and not CM", "fails")
-        cc = clique_complex(g)
-        tcc = betti_hochster(cc, field)
-        _require(is_cm_ab(cc, tcc) and linear_resolution_degree(tcc) is None,
-                 f"{m}x{n}: grid ring CM and not linear", "fails")
+        _require_ring(cover_complex(g, 2), field, f"{m}x{n} cover", entries=exp, linear=True, cm=False)
+        _require_ring(clique_complex(g), field, f"{m}x{n} grid ring", linear=False, cm=True)
     return ClaimOutcome(True, "grid cover values with b3 = mn-m-n+1", "confirmed")
 
 
@@ -1042,15 +978,9 @@ def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_g
             if c.is_void:
                 continue
             for f in fields:
-                t = betti_hochster(c, f, max_ground=max_ground, override=override)
-                lin = linear_resolution_degree(t)
-                cm = is_cm_ab(c, t)
-                if both_sides:
-                    d = alexander_dual(c)
-                    td = betti_hochster(d, f, max_ground=max_ground, override=override)
-                    cells.append(ScanCell(k, n, str(f), lin, cm, linear_resolution_degree(td), is_cm_ab(d, td)))
-                else:
-                    cells.append(ScanCell(k, n, str(f), lin, cm))
+                _, lin, cm = _verdicts(c, f, max_ground=max_ground, override=override)
+                dual = _verdicts(alexander_dual(c), f, max_ground=max_ground, override=override)[1:] if both_sides else ()
+                cells.append(ScanCell(k, n, str(f), lin, cm, *dual))
     if not cells:
         raise ValueError(f"the scan covers no cell: k {kmin}..{kmax}, n {nmin}..{nmax}")
     counterexamples = [c for c in cells if not c.holds(both_sides)]

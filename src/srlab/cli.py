@@ -174,8 +174,9 @@ def _cache_dir(args) -> Path | None:
 def _read_cached(key: Path, c: SimplicialComplex, field: Field, fv) -> GradedBettiTable | None:
     """The cached table, or None when it is missing, unreadable or fails the checks.
 
-    A served table must be for this field and ground set, start with
-    beta_{0,0} = 1, and have the Hilbert numerator of fv as its K-polynomial.
+    A served table must pass the entry checks of GradedBettiTable.from_json,
+    be for this field and ground set, start with beta_{0,0} = 1, and have the
+    Hilbert numerator of fv as its K-polynomial.
     """
     try:
         t = GradedBettiTable.from_json(json.loads(key.read_text()))

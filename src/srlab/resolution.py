@@ -136,8 +136,20 @@ class GradedBettiTable(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "GradedBettiTable":
-        entries = {(int(i), int(j)): int(b) for i, j, b in obj["entries"]}
-        return GradedBettiTable(entries, parse_field(obj["field"]), int(obj["n"]))
+        """The table to_json wrote. ValueError unless n and every entry [i, j, beta]
+        are JSON integers with 0 <= i <= j <= n and beta >= 1, i = 0 only at
+        (0, 0), and no (i, j) twice."""
+        n, entries = obj["n"], {}
+        if type(n) is not int:
+            raise ValueError(f"table size {n!r} is not an integer")
+        for e in obj["entries"]:
+            if not (type(e) is list and len(e) == 3 and all(type(x) is int for x in e)):
+                raise ValueError(f"Betti entry {e!r} is not three integers")
+            i, j, b = e
+            if not (0 <= i <= j <= n and b >= 1 and (i or not j)) or (i, j) in entries:
+                raise ValueError(f"Betti entry {e!r} is out of range or repeated (n = {n})")
+            entries[(i, j)] = b
+        return GradedBettiTable(entries, parse_field(obj["field"]), n)
 
 
 def kpolynomial(t: GradedBettiTable) -> tuple[int, ...]:

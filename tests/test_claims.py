@@ -14,6 +14,8 @@ from srlab.claims import (
     scan_conjecture_Ln,
     verify_claim,
 )
+from srlab.complexes import cover_complex
+from srlab.graphs import cycle
 from srlab.homology import GF2, RATIONALS
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_both.json"
@@ -147,3 +149,23 @@ def test_scan_l2n_small():
     assert fields == {"Q", "GF(2)"}
     j = rep.to_json()
     assert j["status"] == PARTIAL and j["cells"]
+
+
+def test_require_ring_refutes_with_the_verdicts_it_saw():
+    c5 = cover_complex(cycle(5), 2)  # 3-linear and not CM
+    right = {"entries": {(1, 3): 5, (2, 4): 5, (3, 5): 1}, "linear": True, "degree": 3, "cm": False}
+    assert claims._require_ring(c5, RATIONALS, "C5", **right).entries == {(0, 0): 1, **right["entries"]}
+    assert claims._require_ring(c5, RATIONALS, "C5").entries == {(0, 0): 1, **right["entries"]}
+    wrong = {"entries": {(1, 3): 5}, "linear": False, "degree": 4, "cm": True}
+    for key, value in wrong.items():
+        with pytest.raises(claims._Refuted) as refuted:
+            claims._require_ring(c5, RATIONALS, "C5", **{**right, key: value})
+        expected, got = refuted.value.args
+        assert expected.startswith("C5: ") and got.startswith("C5: ") and got.endswith("linear degree 3, CM=False")
+    assert refuted.value.args == (
+        "C5: b[0,0]=1 b[1,3]=5 b[2,4]=5 b[3,5]=1, linear, 3-linear, CM",
+        "C5: b[0,0]=1 b[1,3]=5 b[2,4]=5 b[3,5]=1; linear degree 3, CM=False",
+    )
+    with pytest.raises(claims._Refuted) as refuted:
+        claims._require_ring(c5, RATIONALS, "C5", degree=1)
+    assert refuted.value.args == ("C5: 1-linear", "C5: linear degree 3, CM=False")

@@ -351,6 +351,22 @@ def test_wrong_cached_table_is_not_served(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == cold and len(computed) == 1
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [[[1, -50, 0]], [[-1, 3, 5], [2, 3, 5]]],
+    ids=["degree-below-index", "cancelling-pair"],  # a traceback; a table served with the same K-polynomial
+)
+def test_corrupt_cached_entries_are_recomputed(capsys, tmp_path, extra):
+    args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
+    written = entry.read_text()
+    table = json.loads(written)
+    table["entries"] += extra
+    entry.write_text(json.dumps(table, sort_keys=True))
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == cold
+    assert entry.read_text() == written
+
+
 def test_cache_is_keyed_on_the_package_sources(capsys, tmp_path, monkeypatch):
     args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
     computed = []

@@ -389,6 +389,13 @@ def test_table_json_roundtrip():
     assert GradedBettiTable.from_json(t.to_json()).entries == t.entries
     assert t.to_json()["entries"] == sorted(t.to_json()["entries"])
     assert t.to_json()["field"] == "Q"
+    good = {"field": "Q", "n": 4, "entries": [[0, 0, 1], [1, 2, 2], [2, 4, 1]]}
+    assert GradedBettiTable.from_json(good).entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+    for bad in ([True, 2, 2], [1, 2.0, 2], [1, 2], [0, 1, 1], [1, 0, 1], [1, 5, 1], [1, 2, 0], [-1, 2, 1], [1, 2, 2]):
+        with pytest.raises(ValueError):
+            GradedBettiTable.from_json({**good, "entries": good["entries"] + [bad]})
+    with pytest.raises(ValueError):
+        GradedBettiTable.from_json({**good, "n": "4"})
 
 
 def test_field_specific_tables():
