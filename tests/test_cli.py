@@ -354,7 +354,7 @@ def test_wrong_cached_table_is_not_served(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "extra",
     [[[1, -50, 0]], [[-1, 3, 5], [2, 3, 5]]],
-    ids=["degree-below-index", "cancelling-pair"],  # a traceback; a table served with the same K-polynomial
+    ids=["degree-below-index", "cancelling-pair"],  # j < i breaks kpolynomial; the pair keeps the K-polynomial
 )
 def test_corrupt_cached_entries_are_recomputed(capsys, tmp_path, extra):
     args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
