@@ -175,17 +175,27 @@ def _read_cached(key: Path, c: SimplicialComplex, field: Field, fv) -> GradedBet
     """The cached table, or None when it is missing, unreadable or fails the checks.
 
     A served table must pass the entry checks of GradedBettiTable.from_json,
-    be for this field and ground set, start with beta_{0,0} = 1, and have the
+    carry the sha256 of its entries that _betti_cached stored with them, be
+    for this field and ground set, start with beta_{0,0} = 1, and have the
     Hilbert numerator of fv as its K-polynomial.
     """
     try:
-        t = GradedBettiTable.from_json(json.loads(key.read_text()))
-        ok = t.field == field and t.n == c.n and t.entries.get((0, 0)) == 1
+        obj = json.loads(key.read_text())
+        t = GradedBettiTable.from_json(obj)
+        ok = obj["sha256"] == _entries_digest(obj["entries"])
+        ok = ok and t.field == field and t.n == c.n and t.entries.get((0, 0)) == 1
         if ok and kpolynomial(t) == hilbert_from_fvector(fv, c.n).numerator:
             return t
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
         pass  # missing, truncated or malformed: the caller recomputes and rewrites it
     return None
+
+
+def _entries_digest(entries: list) -> str:
+    """sha256 of a table's JSON entries, stored with them to catch a damaged cache file."""
+    import hashlib  # loads OpenSSL, so only the cache path pays for it
+
+    return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
 
 
 def _source_digest() -> str:
@@ -212,8 +222,10 @@ def _betti_cached(c, field, args, fv):
             return t
     t = betti_hochster(c, field, max_ground=args.max_ground, override=args.override_guards)
     if key is not None:
+        obj = t.to_json()
+        obj["sha256"] = _entries_digest(obj["entries"])
         tmp = key.with_name(f"{key.stem}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(t.to_json(), sort_keys=True))
+        tmp.write_text(json.dumps(obj, sort_keys=True))
         os.replace(tmp, key)  # readers see the old file or the whole new one
     return t
 

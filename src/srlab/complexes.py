@@ -146,17 +146,28 @@ def f_vector(c: SimplicialComplex, override: bool = False) -> tuple[int, ...]:
 # Constructions from graphs
 
 
+#: The graph and degree behind each of the last 256 complexes cover_complex
+#: returned, as many as alexander_dual's memo holds; alexander_dual reads it.
+_COVERS: dict[SimplicialComplex, tuple[Graph, int]] = {}
+
+
 def cover_complex(g: Graph, k: int) -> SimplicialComplex:
     """Complex whose facets are complements of the independent k-sets of g.
 
     Equivalently the facets are the vertex covers of size n-k; a set is a
     face exactly when its complement contains an independent k-set. Returns
-    VOID when g has no independent k-set.
+    VOID when g has no independent k-set. The complex is recorded with
+    (g, k), so that alexander_dual builds its dual from the graph.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in 1..{g.n}, got {k}")
     full = full_mask(g.n)
-    return SimplicialComplex(g.n, sort_canonical(full ^ s for s in independent_sets(g, k)))
+    c = SimplicialComplex(g.n, sort_canonical(full ^ s for s in independent_sets(g, k)))
+    _COVERS.pop(c, None)  # a rebuilt cover counts as the newest
+    _COVERS[c] = (g, k)
+    if len(_COVERS) > 256:
+        del _COVERS[next(iter(_COVERS))]
+    return c
 
 
 def clique_complex(g: Graph) -> SimplicialComplex:
@@ -205,6 +216,58 @@ def minimal_nonfaces(c: SimplicialComplex) -> tuple[int, ...]:
     return sort_canonical(trans)
 
 
+def _sets_of_alpha_below(g: Graph, k: int) -> list[int]:
+    """The inclusion-maximal W with alpha(g[W]) < k, by Bron-Kerbosch with
+    the extended pivot that alexander_dual's docstring proves."""
+    nbr = {1 << v: a for v, a in enumerate(g.adj)}  # bit of a vertex -> its neighbours
+    alpha = {0: 0}
+    out: list[int] = []
+
+    def a(m: int) -> int:  # alpha(g[m]), memoized on masks for this call
+        r = alpha.get(m)
+        if r is None:
+            b = m & -m
+            r = alpha[m] = max(a(m ^ b), 1 + a(m & ~nbr[b] & ~b))
+        return r
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                out.append(r)
+            return
+        best, rest = -1, p | x
+        while rest:  # the pivot u has the most neighbours in p
+            b = rest & -rest
+            rest ^= b
+            n_b = (nbr[b] & p).bit_count()
+            if n_b > best:
+                best, u = n_b, b
+        z, skip = r & ~nbr[u], p & nbr[u] | u
+        rest = p & ~skip
+        while rest:  # grow z = R - N[u] greedily while alpha(z) <= k-2
+            b = rest & -rest
+            rest ^= b
+            if a(z & ~nbr[b]) < k - 2:
+                z |= b
+                skip |= b
+        rest = p & (~skip | u)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            keep, rb, cand = nbr[b], r & ~nbr[b], (p | x) & ~nbr[b] & ~b
+            while cand:  # w stays addable to R + b iff alpha(R - N[w] - N[b]) <= k-3
+                w = cand & -cand
+                cand ^= w
+                if a(rb & ~nbr[w]) < k - 2:
+                    keep |= w
+            expand(r | b, p & keep & ~b, x & keep)
+            p ^= b
+            x |= b
+
+    expand(0, full_mask(g.n) if k > 1 else 0, 0)
+    return out
+
+
 #: The complex whose dual alexander_dual is computing, keyed by that dual;
 #: set only for the nested call that records the involution.
 _DUAL_OF: dict[SimplicialComplex, SimplicialComplex] = {}
@@ -220,11 +283,38 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     plan holds: each field's table and Reisner's sweep ask for the same dual.
     The dual's facets are canonical and maximal, so when c's are too, the
     dual of the dual is c, and the memo records that direction as well.
+
+    A complex that cover_complex built (and recorded) gets its dual from the
+    graph; every other complex takes minimal_nonfaces. A set F is a nonface
+    of the cover complex of (g, k) exactly when V - F holds no independent
+    k-set, so the dual's facets are the maximal W with alpha(g[W]) <= k-1.
+    That property is hereditary, and _sets_of_alpha_below lists them by
+    Bron-Kerbosch: R satisfies it, P holds the vertices that can join R and
+    are still to be tried, X those that can join R and were tried (the
+    facets that contain R and one of them are listed already), and R is
+    reported when P and X are empty. Since alpha(g[R + u]) is the larger of
+    alpha(g[R]) and 1 + alpha(g[R - N[u]]), u can join R exactly when
+    alpha(g[R - N[u]]) <= k-2.
+
+    The pivot rule. Take u in P or X, and let Z be R - N[u] together with
+    some vertices S of P - N[u] - u such that alpha(g[Z]) <= k-2 (u can join
+    R, so S may be empty). Then every facet W that contains R and avoids X
+    holds a vertex of P outside T = N(u) + S, so branching on those vertices
+    alone finds every such W. For W - R lies in P; if it lay in T, then
+    W - N[u] would lie in Z, so alpha(g[W - N[u]]) <= k-2 and u could join
+    W. W is maximal, so u would be in W - R, which lies in T; but u is not
+    in T. The branch loop moves each vertex it tried from P to X, as in
+    Bron-Kerbosch, and S is grown greedily. On squared cycles and paths,
+    where N(u) is small next to the sets W, S cuts the branches three- to
+    fourfold. The facets are sorted canonically, so both routes give the
+    same complex.
     """
     if c in _DUAL_OF:
         return _DUAL_OF[c]
     if c.is_void:
         d = simplex_complex(c.n)
+    elif c in _COVERS:
+        d = SimplicialComplex(c.n, sort_canonical(_sets_of_alpha_below(*_COVERS[c])))
     else:
         mnf = minimal_nonfaces(c)
         d = void_complex(c.n) if not mnf else SimplicialComplex(c.n, sort_canonical(full_mask(c.n) ^ m for m in mnf))

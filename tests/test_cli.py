@@ -351,16 +351,26 @@ def test_wrong_cached_table_is_not_served(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == cold and len(computed) == 1
 
 
+def _valid_entries_same_kpolynomial(table):
+    table["entries"][1][2] += 1  # beta_{1,4}: 6 -> 7; a new beta_{2,4} = 1 keeps the K-polynomial
+    table["entries"].append([2, 4, 1])
+
+
 @pytest.mark.parametrize(
-    "extra",
-    [[[1, -50, 0]], [[-1, 3, 5], [2, 3, 5]]],
-    ids=["degree-below-index", "cancelling-pair"],  # j < i breaks kpolynomial; the pair keeps the K-polynomial
+    "edit",
+    [
+        lambda table: table["entries"].append([1, -50, 0]),  # j < i breaks kpolynomial
+        lambda table: table["entries"].extend([[-1, 3, 5], [2, 3, 5]]),  # the pair keeps the K-polynomial
+        _valid_entries_same_kpolynomial,  # passes every entry check; only the digest sees it
+        lambda table: table.pop("sha256"),
+    ],
+    ids=["degree-below-index", "cancelling-pair", "valid-entries", "missing-digest"],
 )
-def test_corrupt_cached_entries_are_recomputed(capsys, tmp_path, extra):
+def test_corrupt_cached_entries_are_recomputed(capsys, tmp_path, edit):
     args, cold, entry = _cold_report_and_cache_file(capsys, tmp_path)
     written = entry.read_text()
     table = json.loads(written)
-    table["entries"] += extra
+    edit(table)
     entry.write_text(json.dumps(table, sort_keys=True))
     assert cli.main(args) == 0
     assert capsys.readouterr().out == cold

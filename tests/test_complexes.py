@@ -1,10 +1,11 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from srlab import complexes
-from srlab.bitsets import mask_of, maximal_masks, vertices_of
+from srlab.bitsets import full_mask, mask_of, maximal_masks, sort_canonical, vertices_of
 from srlab.complexes import (
     SimplicialComplex,
     alexander_dual,
@@ -27,8 +28,8 @@ from srlab.complexes import (
     void_complex,
 )
 from srlab.errors import GuardExceeded, VoidComplexError
-from srlab.graphs import complete_prism, cycle, cycle_square, path, points, star
-from conftest import random_complex_sample
+from srlab.graphs import complete_prism, cycle, cycle_square, graph_from_edges, path, points, star
+from conftest import family_graphs, random_complex_sample
 from oracles import is_face, maximal_bruteforce, minimal_nonfaces_bruteforce
 
 
@@ -218,7 +219,7 @@ def test_dual_memo_records_the_involution(monkeypatch):
     real = complexes.minimal_nonfaces
     monkeypatch.setattr(complexes, "minimal_nonfaces", lambda c: calls.append(c) or real(c))
     alexander_dual.cache_clear()
-    c = cover_complex(path(12), 3)
+    c = clique_complex(cycle_square(12))  # canonical and maximal, with no graph behind it as a cover
     d = alexander_dual(c)
     assert alexander_dual(d) == c and calls == [c]  # one run for c and its dual
     assert alexander_dual(void_complex(4)) == simplex_complex(4) and alexander_dual(simplex_complex(4)) == void_complex(4)
@@ -229,6 +230,43 @@ def test_dual_memo_records_the_involution(monkeypatch):
     assert twice == make_complex(4, odd.facets) != odd and len(calls) == 3
     alexander_dual.cache_clear()
     assert alexander_dual(c) == d and len(calls) == 4
+    # a cover's dual comes from its graph, and the dual of that dual from the memo
+    cover = cover_complex(path(12), 3)
+    assert alexander_dual(alexander_dual(cover)) == cover and len(calls) == 4
+
+
+def _oracle_graphs():
+    """Every family graph on at most 11 vertices, edgeless and complete graphs,
+    and 300 seeded random graphs on at most 11 vertices of random density."""
+    graphs = family_graphs(11) + [("P1", points(1))]
+    graphs += [(f"K{n}", graph_from_edges(n, combinations(range(1, n + 1), 2))) for n in range(2, 12)]
+    rng = random.Random(2551)
+    for idx in range(300):
+        n, density = rng.randint(1, 11), rng.random()
+        edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]
+        graphs.append((f"rg{idx}(n={n})", graph_from_edges(n, edges)))
+    return graphs
+
+
+def test_cover_duals_from_the_graph_match_minimal_nonfaces(monkeypatch):
+    real = complexes.minimal_nonfaces
+
+    def refuse(c):
+        raise AssertionError("a cover's dual should come from its graph")
+
+    monkeypatch.setattr(complexes, "minimal_nonfaces", refuse)
+    alexander_dual.cache_clear()
+    for name, g in _oracle_graphs():
+        for k in range(1, g.n + 1):  # up to alpha(g) + 1, where the cover is void
+            c = cover_complex(g, k)
+            if c.is_void:
+                assert alexander_dual(c) == simplex_complex(g.n), name
+                break
+            bare = make_complex(g.n, c.facets)  # the same complex, built with no graph behind it
+            mnf = real(bare)
+            assert alexander_dual(c).facets == sort_canonical(full_mask(g.n) ^ m for m in mnf), (name, k)
+            if g.n <= 9:
+                assert mnf == minimal_nonfaces_bruteforce(bare), (name, k)
 
 
 def test_dual_fvector():
@@ -243,8 +281,6 @@ def test_dual_fvector():
 
 
 def test_skeleton():
-    from itertools import combinations
-
     S = simplex_complex(5)
     k5_edges = make_complex(5, [mask_of(e) for e in combinations(range(1, 6), 2)])
     assert skeleton(S, 1) == k5_edges

@@ -196,11 +196,19 @@ def test_field_order_with_torsion_matches_direct_sum():
                 assert betti_hochster(c, f).entries == want[f], (c, order, f)
 
 
+def _count_dual_builds(monkeypatch) -> list:
+    """The argument tuples of every dual built from here on, by either route:
+    from a cover's graph, or by minimal_nonfaces."""
+    calls = []
+    for name in ("minimal_nonfaces", "_sets_of_alpha_below"):
+        real = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name, lambda *a, real=real: calls.append(a) or real(*a))
+    return calls
+
+
 def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     c = cover_complex(path(12), 3)  # the auto route reads the dual's facets for each field
-    calls = []
-    real = complexes.minimal_nonfaces
-    monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    calls = _count_dual_builds(monkeypatch)
     alexander_dual.cache_clear()
     resolution._hochster_plan.cache_clear()
     resolution._CORE_DIMS.clear()
@@ -243,9 +251,7 @@ def test_dual_sweep_after_the_table_computes_no_homology(monkeypatch):
 
 def test_guard_stops_before_any_dual_is_built(monkeypatch, capsys):
     c = cover_complex(points(17), 2)
-    calls = []
-    real = complexes.minimal_nonfaces
-    monkeypatch.setattr(complexes, "minimal_nonfaces", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    calls = _count_dual_builds(monkeypatch)
     alexander_dual.cache_clear()
     with pytest.raises(GuardExceeded):
         betti_hochster(c, max_ground=16)
