@@ -9,10 +9,11 @@ the wheel hub is the last vertex.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitsets import full_mask, iter_vertices, mask_of, sort_canonical
+from .bitsets import full_mask, iter_vertices, sort_canonical
 
 
 class Graph(NamedTuple):
@@ -233,25 +234,23 @@ def graph_from_json(obj: dict) -> Graph:
 # Predicates
 
 
-def is_independent(g: Graph, s: int | Iterable[int]) -> bool:
-    mask = s if isinstance(s, int) else mask_of(s)
-    if mask & ~full_mask(g.n):
-        raise ValueError("vertex set not within 1..n")
-    for v in iter_vertices(mask):
-        if g.adj[v - 1] & mask:
-            return False
-    return True
-
-
 def independent_sets(g: Graph, k: int) -> list[int]:
-    """All independent k-subsets as masks, lexicographic by vertex tuple."""
+    """All independent k-subsets as masks, lexicographic by vertex tuple: a
+    backtrack adds vertices in increasing order, each adjacent to none added
+    so far, while enough candidates are left to finish."""
     if not 0 <= k <= g.n:
         raise ValueError(f"k must be in 0..{g.n}, got {k}")
-    out = []
-    for combo in combinations(range(1, g.n + 1), k):
-        m = mask_of(combo)
-        if is_independent(g, m):
-            out.append(m)
+    out: list[int] = []
+
+    def grow(s: int, cand: int, need: int) -> None:
+        if not need:
+            return out.append(s)
+        while cand.bit_count() >= need:
+            b = cand & -cand
+            cand ^= b
+            grow(s | b, cand & ~g.adj[b.bit_length() - 1], need - 1)
+
+    grow(0, full_mask(g.n), k)
     return out
 
 
@@ -280,6 +279,83 @@ def maximal_cliques(g: Graph) -> list[int]:
 
     expand(0, full_mask(g.n), 0)
     return list(sort_canonical(out))
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms
+
+
+@lru_cache(maxsize=256)
+def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Generators of Aut(g), each a tuple p that maps vertex i+1 to vertex
+    p[i]+1; none when the group is trivial.
+
+    A stabilizer chain, deepest level first, along a base b_1, b_2, ...: b_i
+    is the first vertex of the first non-singleton cell of the stable colour
+    refinement (1-WL) once b_1..b_{i-1} have colours of their own. At level
+    i, each c in b_i's cell that the generators so far neither reach from
+    b_i nor have ruled out is tried as its image: a backtrack along the rest
+    of the base refines after each choice, and prunes when the colour class
+    sizes differ from the base's. Colours are named by sorted signatures, so
+    refinement commutes with automorphisms and never prunes one. A leaf
+    pairs vertices by colour and is kept only if it preserves adjacency. So
+    each generator merges two orbits (at most n-1 in all), and after level i
+    they generate the stabilizer of b_1..b_{i-1}. A c that none reaches
+    rules out its orbit too.
+    """
+    n = g.n
+    nbrs = [[v - 1 for v in iter_vertices(a)] for a in g.adj]
+
+    def refine(col: list[int], v: int) -> list[int]:  # v gets a colour of its own, then 1-WL
+        col = [2 * x + (u == v) for u, x in enumerate(col)]
+        while True:
+            sigs = [(col[u], tuple(sorted(col[w] for w in nbrs[u]))) for u in range(n)]
+            names = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            if len(names) == len(set(col)):
+                return [names[s] for s in sigs]
+            col = [names[s] for s in sigs]
+
+    path, base = [refine([0] * n, -1)], []
+    while len(set(path[-1])) < n:
+        cell = min(x for x in path[-1] if path[-1].count(x) > 1)
+        base.append(path[-1].index(cell))
+        path.append(refine(path[-1], base[-1]))
+
+    def extend(level: int, col: list[int]) -> tuple[int, ...] | None:
+        """An automorphism that maps path[level] onto col, or None."""
+        if sorted(col) != sorted(path[level]):
+            return None
+        if level == len(base):
+            where = {x: v for v, x in enumerate(col)}
+            p = tuple(where[x] for x in path[level])
+            return p if all(sum(1 << p[u] for u in nbrs[v]) == g.adj[p[v]] for v in range(n)) else None
+        for d in range(n):
+            if col[d] == path[level][base[level]]:
+                p = extend(level + 1, refine(col, d))
+                if p:
+                    return p
+        return None
+
+    def orbit(v: int) -> set[int]:
+        out, todo = {v}, [v]
+        for x in todo:
+            for p in gens:
+                if p[x] not in out:
+                    out.add(p[x])
+                    todo.append(p[x])
+        return out
+
+    gens: list[tuple[int, ...]] = []
+    for level in reversed(range(len(base))):
+        b, col = base[level], path[level]
+        done = orbit(b)
+        for c in range(n):
+            if col[c] == col[b] and c not in done:
+                p = extend(level + 1, refine(col, c))
+                if p:
+                    gens.append(p)
+                done |= orbit(b if p else c)
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

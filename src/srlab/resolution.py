@@ -40,7 +40,11 @@ S^dual restricted to [n] minus sigma; its cores live for one sweep. Both take
 their subsets from _lcm_lattice: the Hochster sum from S^dual's facets,
 Reisner's sweep from S's own, whose lattice members other than the empty
 set and [n] are the complements of the nonempty intersections of facets.
-A CM verdict tries a certificate before the sweep: a pure S whose stored
+Both read one member per orbit of Aut(G) when cover_complex recorded a
+graph G behind S or S^dual (_orbit_walk): the one whose complement comes
+first in (cardinality, canonical) order. So the plan of S and the sweep of
+S^dual read the same members, and a restriction to sigma W is isomorphic
+to the one to W and read from the same side. A CM verdict tries a certificate before the sweep: a pure S whose stored
 facet order is a shelling (stored_order_shells) is CM over every field.
 """
 
@@ -52,8 +56,9 @@ from math import comb
 from typing import NamedTuple
 
 from .bitsets import maximal_masks, shelling_restrictions, vertices_of
-from .complexes import DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
+from .complexes import _COVERS, DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
 from .errors import VoidComplexError, check_guard
+from .graphs import automorphism_generators
 from .homology import Field, RATIONALS, homology_dims_from_facets, parse_field
 
 #: Hochster summation refuses larger ground sets unless overridden.
@@ -309,8 +314,8 @@ def _core_dims(core: tuple[int, ...], field: Field) -> tuple[int, ...]:
 # The Hochster sum
 
 
-def _lcm_lattice(facets, n: int) -> list[int]:
-    """The empty set and every union of the complements of facets, sorted.
+def _lcm_lattice(facets, n: int) -> set[int]:
+    """The empty set and every union of the complements of facets.
 
     On the facets of S^dual these are the unions of minimal nonfaces of S.
     """
@@ -319,7 +324,39 @@ def _lcm_lattice(facets, n: int) -> list[int]:
     for f in facets:
         m = full ^ f
         masks |= {w | m for w in masks}
-    return sorted(masks)
+    return masks
+
+
+def _orbit_walk(members, a: SimplicialComplex, b: SimplicialComplex):
+    """One (member, orbit size) per orbit of the members under Aut(G), G the
+    graph that cover_complex recorded behind A or B = A^dual (no graph: the
+    trivial group). Each automorphism of G, checked for adjacency, permutes
+    the facets of A and B, so it maps their LCM lattices onto themselves.
+
+    The orbits come in (cardinality, canonical) order of the complements,
+    each at the member whose complement comes first: of two complements of
+    one size, the one holding the lowest vertex of their symmetric
+    difference, so the members, read with bit 0 highest, rise. Each
+    generator moves a mask one set bit at a time.
+    """
+    record = _COVERS.get(a) or _COVERS.get(b)
+    gens = [{1 << i: 1 << j for i, j in enumerate(p)} for p in automorphism_generators(record[0])] if record else []
+    seen: set[int] = set()
+    for w in sorted(members, key=lambda m: (-m.bit_count(), int(f"{m:0{a.n}b}"[::-1], 2))):
+        if w in seen:
+            continue
+        orbit, todo = {w}, [w]
+        for x in todo:
+            for gen in gens:
+                y, rest = 0, x
+                while rest:
+                    y |= gen[rest & -rest]
+                    rest &= rest - 1
+                if y not in orbit:
+                    orbit.add(y)
+                    todo.append(y)
+        seen |= orbit
+        yield w, len(orbit)
 
 
 @lru_cache(maxsize=256)
@@ -331,17 +368,18 @@ def _hochster_plan(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, boo
     the squeezed core (_squeezed_core) of the facet list that _side chose
     for W, and link says whether that list is the dual's link. A W whose
     list is a cone or collapses to a point adds nothing and is left out.
+    Only one W per orbit of the automorphisms behind c (_orbit_walk) is
+    read, and it counts as many times as its orbit has members.
     """
-    n = c.n
-    dual_facets = alexander_dual(c).facets
+    n, dual = c.n, alexander_dual(c)
     uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
     cores: dict = {}
-    for w in _lcm_lattice(dual_facets, n):
-        facets, link = _side(c.facets, dual_facets, n, w)
+    for w, size in _orbit_walk(_lcm_lattice(dual.facets, n), c, dual):
+        facets, link = _side(c.facets, dual.facets, n, w)
         core = _squeezed_core(facets, cores)
         if core is not None:
             use = (core, w.bit_count(), link)
-            uses[use] = uses.get(use, 0) + 1
+            uses[use] = uses.get(use, 0) + size
     return uses
 
 
@@ -484,26 +522,29 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     an intersection of facets has a cone as its link, so only the empty face
     and the intersections of facets are visited, in (cardinality, canonical)
     order. They are the complements of the members of the LCM lattice of
-    c's own facets other than the empty set and [n]. The first failure
-    reports the offending face and homological degree. _side with
+    c's own facets other than the empty set and [n], and only the first
+    face of each orbit of the automorphisms behind c (_orbit_walk) is
+    visited: it precedes the rest of its orbit, whose links are isomorphic
+    to its own. So the first failure is still the first failing face; it
+    reports that face and the homological degree. _side with
     (c^dual, c) picks whether each link is read from the link itself or
     from c^dual restricted to U = [n] minus sigma, using
     H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
     """
-    dual_facets = alexander_dual(c).facets
-    if not dual_facets:  # the full simplex: every link is a simplex
+    dual = alexander_dual(c)
+    if dual.is_void:  # the full simplex: every link is a simplex
         return ReisnerVerdict(True, field)
     full = (1 << c.n) - 1
     cores: dict = {}
 
-    def faces():
-        yield 0  # first, and before the lattice is built: it is often the witness
-        meets = [full ^ u for u in _lcm_lattice(c.facets, c.n) if u and u != full]
-        yield from sorted(meets, key=lambda m: (m.bit_count(), vertices_of(m)))
+    def members():
+        yield full  # the empty face first, and before the lattice is built: it is often the witness
+        lattice = [u for u in _lcm_lattice(c.facets, c.n) if u and u != full]
+        yield from (u for u, _ in _orbit_walk(lattice, dual, c))
 
-    for sigma in faces():
-        u = full ^ sigma
-        facets, link = _side(dual_facets, c.facets, c.n, u)
+    for u in members():
+        sigma = full ^ u
+        facets, link = _side(dual.facets, c.facets, c.n, u)
         core = _squeezed_core(facets, cores)
         if core is None:
             continue

@@ -155,6 +155,34 @@ def random_graph_sample(count: int = 50, max_n: int = 8, seed: int = 424242) -> 
     return out
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed by a random permutation drawn from rng."""
+    perm = rng.sample(range(1, g.n + 1), g.n)
+    return graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in edge_list(g)])
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if g.adj[u - 1] >> (v - 1) & 1]
+
+
+def petersen_and_frucht() -> list[tuple[str, Graph]]:
+    """The Petersen graph (120 automorphisms) and the Frucht graph (none but
+    the identity), both 3-regular, with networkx's labelling moved up by one."""
+    import networkx as nx
+
+    graphs = (("Petersen", nx.petersen_graph()), ("Frucht", nx.frucht_graph()))
+    return [(name, graph_from_edges(len(h), [(u + 1, v + 1) for u, v in h.edges()])) for name, h in graphs]
+
+
+def symmetry_corpus(max_n: int = 11, seed: int = 2611) -> list[tuple[str, Graph]]:
+    """Every family graph with ground set at most max_n, each also relabelled
+    by a seeded random permutation, plus the Petersen and Frucht graphs."""
+    rng = random.Random(seed)
+    out = family_graphs(max_n)
+    out += [(f"{name}~", relabelled(g, rng)) for name, g in out]
+    return out + petersen_and_frucht()
+
+
 # ---------------------------------------------------------------------------
 # Non-isomorphic tree enumeration (leaf growth with canonical-form dedup)
 

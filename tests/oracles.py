@@ -14,8 +14,12 @@ that tree yields (shelling_order_from_vd), both on the package's own link
 and deletion of a vertex (structure._shed), and the Betti table read off the
 Hilbert numerator of an s-linear ring (betti_from_linear_hilbert).
 
-Two plain readers serve the tests as well: face membership (is_face) and
-adjacency (has_edge).
+Two more keep the walks that the orbit route of resolution replaced: the
+Hochster plan and sum (hochster_plan_full, hochster_sums_full) and Reisner's sweep (reisner_sweep_full)
+over every member of the LCM lattice, with no automorphism.
+
+Plain readers serve the tests as well: face membership (is_face),
+adjacency (has_edge) and independence (is_independent).
 """
 
 from itertools import combinations
@@ -33,7 +37,16 @@ from srlab.homology import (
     rank_gfp,
     rank_int_exact,
 )
-from srlab.resolution import GradedBettiTable, HilbertSeries
+from srlab.resolution import (
+    GradedBettiTable,
+    HilbertSeries,
+    ReisnerVerdict,
+    _core_dims,
+    _lcm_lattice,
+    _read,
+    _side,
+    _squeezed_core,
+)
 from srlab.structure import _shed
 
 
@@ -44,6 +57,12 @@ def is_face(c: SimplicialComplex, sigma: int) -> bool:
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u - 1] >> (v - 1) & 1)
+
+
+def is_independent(g: Graph, s) -> bool:
+    """Whether no two vertices of s (a mask or an iterable of vertices) are adjacent."""
+    mask = s if isinstance(s, int) else mask_of(s)
+    return not any(g.adj[v - 1] & mask for v in iter_vertices(mask))
 
 
 def maximal_bruteforce(masks) -> list[int]:
@@ -267,3 +286,52 @@ def betti_from_linear_hilbert(h: HilbertSeries, s: int, field: Field = RATIONALS
             raise ValueError(f"gap in numerator support is inconsistent with s-linearity: {num}")
         entries[(i, j)] = b
     return GradedBettiTable(entries, field, h.denom_power)
+
+
+def hochster_plan_full(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, bool], int]:
+    """The Hochster plan of a nonvoid c with one _side read per member of the
+    LCM lattice, every member of an orbit read apart: the count of members
+    by (core, |W|, link)."""
+    n, dual = c.n, alexander_dual(c)
+    uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
+    cores: dict = {}
+    for w in _lcm_lattice(dual.facets, n):
+        facets, link = _side(c.facets, dual.facets, n, w)
+        core = _squeezed_core(facets, cores)
+        if core is not None:
+            uses[(core, w.bit_count(), link)] = uses.get((core, w.bit_count(), link), 0) + 1
+    return uses
+
+
+def hochster_sums_full(c: SimplicialComplex, fields) -> list[dict[tuple[int, int], int]]:
+    """The Hochster sum of a nonvoid c over each field, from hochster_plan_full."""
+    tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
+    for (core, j, link), mult in hochster_plan_full(c).items():
+        for field, entries in zip(fields, tables):
+            for d, val in _read(_core_dims(core, field), j, link):
+                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + mult * val
+    return tables
+
+
+def reisner_sweep_full(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
+    """Reisner's sweep over the empty face and every intersection of facets, in
+    (cardinality, canonical) order, every member of an orbit visited."""
+    dual = alexander_dual(c)
+    if dual.is_void:
+        return ReisnerVerdict(True, field)
+    full = (1 << c.n) - 1
+    meets = [full ^ u for u in _lcm_lattice(c.facets, c.n) if u and u != full]
+    meets.sort(key=lambda m: (m.bit_count(), vertices_of(m)))
+    cores: dict = {}
+    for sigma in [0, *meets]:
+        u = full ^ sigma
+        facets, link = _side(dual.facets, c.facets, c.n, u)
+        core = _squeezed_core(facets, cores)
+        if core is None:
+            continue
+        degrees = [u.bit_count() - d - 3 for d, _ in _read(_core_dims(core, field), u.bit_count(), link)]
+        top = max(f.bit_count() for f in c.facets if f & sigma == sigma)
+        low = [i for i in degrees if i < top - sigma.bit_count() - 1]
+        if low:
+            return ReisnerVerdict(False, field, (vertices_of(sigma), min(low)))
+    return ReisnerVerdict(True, field)

@@ -299,9 +299,10 @@ def test_torsion_in_several_degrees_falls_back_to_exact_ranks():
 
 def test_cleared_profiles_match_all_ranks_on_family_cores():
     # every core that the Hochster plans of the family covers and duals with
-    # n <= 11 read, against plain ranks of every boundary map
+    # n <= 11 read on a walk over every lattice member, against plain ranks of
+    # every boundary map
     from conftest import family_graphs
-    from srlab.resolution import _hochster_plan
+    from oracles import hochster_plan_full
 
     cores = {}
     for name, g in family_graphs(11):
@@ -309,7 +310,7 @@ def test_cleared_profiles_match_all_ranks_on_family_cores():
             c = cover_complex(g, k)
             for x in (c, alexander_dual(c)):
                 if not x.is_void:
-                    cores.update((core, (name, k)) for core, _, _ in _hochster_plan(x))
+                    cores.update((core, (name, k)) for core, _, _ in hochster_plan_full(x))
     assert len(cores) > 1000
     for field in (RATIONALS, GF2, Field(3)):
         for core, where in cores.items():
