@@ -42,10 +42,11 @@ Reisner's sweep from S's own, whose lattice members other than the empty
 set and [n] are the complements of the nonempty intersections of facets.
 Both read one member per orbit of Aut(G) when cover_complex recorded a
 graph G behind S or S^dual (_orbit_walk): the one whose complement comes
-first in (cardinality, canonical) order. So the plan of S and the sweep of
-S^dual read the same members, and a restriction to sigma W is isomorphic
-to the one to W and read from the same side. A CM verdict tries a certificate before the sweep: a pure S whose stored
-facet order is a shelling (stored_order_shells) is CM over every field.
+first in (cardinality, canonical) order. An automorphism maps each
+restriction onto an isomorphic one, read from the same side, and the plan
+of S and the sweep of S^dual still read the same members. A CM verdict
+tries a certificate before the sweep: a pure S whose stored facet order is
+a shelling (stored_order_shells) is CM over every field.
 """
 
 from __future__ import annotations

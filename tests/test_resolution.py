@@ -167,6 +167,8 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
         orbits = _orbits(c, expect)
         assert set(read) <= expect, c  # every read is a lattice member
         assert sorted(len([w for w in read if w in o]) for o in orbits) == [1] * len(orbits), c  # once for both fields
+        full = (1 << c.n) - 1  # each orbit is read at the member whose complement comes first
+        assert all(min(o, key=lambda w: ((full ^ w).bit_count(), vertices_of(full ^ w))) in read for o in orbits), c
         sizes.append((len(orbits), len(expect)))
     assert sizes[0][0] == sizes[0][1] and sizes[1][0] < sizes[1][1]  # C4 has no graph; C2_6 is the octahedron
     read.clear()
