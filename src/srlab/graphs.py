@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitsets import full_mask, iter_vertices, sort_canonical
+from .bitsets import full_mask, iter_vertices, mask_of, sort_canonical
 
 
 class Graph(NamedTuple):
@@ -232,6 +232,16 @@ def graph_from_json(obj: dict) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Predicates
+
+
+def is_independent(g: Graph, s: int | Iterable[int]) -> bool:
+    mask = s if isinstance(s, int) else mask_of(s)
+    if mask & ~full_mask(g.n):
+        raise ValueError("vertex set not within 1..n")
+    for v in iter_vertices(mask):
+        if g.adj[v - 1] & mask:
+            return False
+    return True
 
 
 def independent_sets(g: Graph, k: int) -> list[int]:

@@ -328,36 +328,40 @@ def _lcm_lattice(facets, n: int) -> set[int]:
     return masks
 
 
+def _face_order(sigma: int) -> tuple:
+    """The (cardinality, canonical) order of faces."""
+    return sigma.bit_count(), vertices_of(sigma)
+
+
 def _orbit_walk(members, a: SimplicialComplex, b: SimplicialComplex):
     """One (member, orbit size) per orbit of the members under Aut(G), G the
     graph that cover_complex recorded behind A or B = A^dual (no graph: the
     trivial group). Each automorphism of G, checked for adjacency, permutes
     the facets of A and B, so it maps their LCM lattices onto themselves.
 
-    The orbits come in (cardinality, canonical) order of the complements,
-    each at the member whose complement comes first: of two complements of
-    one size, the one holding the lowest vertex of their symmetric
-    difference, so the members, read with bit 0 highest, rise. Each
+    Each orbit is named by the member whose complement comes first in
+    (cardinality, canonical) order; the orbits come in no set order. Each
     generator moves a mask one set bit at a time.
     """
     record = _COVERS.get(a) or _COVERS.get(b)
     gens = [{1 << i: 1 << j for i, j in enumerate(p)} for p in automorphism_generators(record[0])] if record else []
+    full = (1 << a.n) - 1
     seen: set[int] = set()
-    for w in sorted(members, key=lambda m: (-m.bit_count(), int(f"{m:0{a.n}b}"[::-1], 2))):
+    for w in members:
         if w in seen:
             continue
-        orbit, todo = {w}, [w]
-        for x in todo:
+        seen.add(w)
+        orbit = [w]
+        for x in orbit:
             for gen in gens:
                 y, rest = 0, x
                 while rest:
                     y |= gen[rest & -rest]
                     rest &= rest - 1
-                if y not in orbit:
-                    orbit.add(y)
-                    todo.append(y)
-        seen |= orbit
-        yield w, len(orbit)
+                if y not in seen:  # orbits are disjoint, so y is new to this one
+                    seen.add(y)
+                    orbit.append(y)
+        yield (min(orbit, key=lambda u: _face_order(full ^ u)) if len(orbit) > 1 else w), len(orbit)
 
 
 @lru_cache(maxsize=256)
@@ -538,13 +542,13 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     full = (1 << c.n) - 1
     cores: dict = {}
 
-    def members():
-        yield full  # the empty face first, and before the lattice is built: it is often the witness
+    def faces():
+        yield 0  # first, and before the lattice is built: it is often the witness
         lattice = [u for u in _lcm_lattice(c.facets, c.n) if u and u != full]
-        yield from (u for u, _ in _orbit_walk(lattice, dual, c))
+        yield from sorted((full ^ u for u, _ in _orbit_walk(lattice, dual, c)), key=_face_order)
 
-    for u in members():
-        sigma = full ^ u
+    for sigma in faces():
+        u = full ^ sigma
         facets, link = _side(dual.facets, c.facets, c.n, u)
         core = _squeezed_core(facets, cores)
         if core is None:

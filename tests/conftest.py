@@ -155,23 +155,46 @@ def random_graph_sample(count: int = 50, max_n: int = 8, seed: int = 424242) -> 
     return out
 
 
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v) of g with u < v, in lexicographic order."""
+    return [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if g.adj[u - 1] >> (v - 1) & 1]
+
+
 def relabelled(g: Graph, rng: random.Random) -> Graph:
     """g with its vertices renamed by a random permutation drawn from rng."""
     perm = rng.sample(range(1, g.n + 1), g.n)
-    return graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in edge_list(g)])
+    return graph_from_edges(g.n, [(perm[u - 1], perm[v - 1]) for u, v in edges(g)])
 
 
-def edge_list(g: Graph) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if g.adj[u - 1] >> (v - 1) & 1]
+PETERSEN = graph_from_edges(10, [
+    (1, 2), (2, 3), (3, 4), (4, 5), (1, 5),  # outer 5-cycle
+    (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),  # spokes
+    (6, 8), (8, 10), (7, 10), (7, 9), (6, 9),  # inner pentagram
+])
+FRUCHT = graph_from_edges(12, [
+    (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7),  # a 7-cycle
+    (1, 8), (2, 8), (3, 9), (4, 10), (5, 10), (6, 11), (7, 11),
+    (8, 12), (9, 10), (9, 12), (11, 12),
+])
 
 
 def petersen_and_frucht() -> list[tuple[str, Graph]]:
     """The Petersen graph (120 automorphisms) and the Frucht graph (none but
-    the identity), both 3-regular, with networkx's labelling moved up by one."""
-    import networkx as nx
+    the identity), both 3-regular."""
+    return [("Petersen", PETERSEN), ("Frucht", FRUCHT)]
 
-    graphs = (("Petersen", nx.petersen_graph()), ("Frucht", nx.frucht_graph()))
-    return [(name, graph_from_edges(len(h), [(u + 1, v + 1) for u, v in h.edges()])) for name, h in graphs]
+
+def random_regular_graph(d: int, n: int, seed: int) -> Graph:
+    """A d-regular graph on n vertices from the pairing model: d stubs per
+    vertex, shuffled by a seeded rng and paired in turn, drawn again until no
+    pair is a loop or repeats an edge."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(1, n + 1) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i : i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == len(stubs) // 2 and all(u != v for u, v in pairs):
+            return graph_from_edges(n, sorted(pairs))
 
 
 def symmetry_corpus(max_n: int = 11, seed: int = 2611) -> list[tuple[str, Graph]]:

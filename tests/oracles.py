@@ -15,11 +15,14 @@ and deletion of a vertex (structure._shed), and the Betti table read off the
 Hilbert numerator of an s-linear ring (betti_from_linear_hilbert).
 
 Two more keep the walks that the orbit route of resolution replaced: the
-Hochster plan and sum (hochster_plan_full, hochster_sums_full) and Reisner's sweep (reisner_sweep_full)
-over every member of the LCM lattice, with no automorphism.
+Hochster plan and sum (hochster_plan_full, hochster_sums_full) and
+Reisner's sweep (reisner_sweep_full) over every member of the LCM lattice,
+with no automorphism. Against the automorphism search, automorphisms lists
+the whole group of a small graph by a plain backtrack, with no colour
+refinement and no generators.
 
-Plain readers serve the tests as well: face membership (is_face),
-adjacency (has_edge) and independence (is_independent).
+Plain readers serve the tests as well: face membership (is_face) and
+adjacency (has_edge).
 """
 
 from itertools import combinations
@@ -59,10 +62,27 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u - 1] >> (v - 1) & 1)
 
 
-def is_independent(g: Graph, s) -> bool:
-    """Whether no two vertices of s (a mask or an iterable of vertices) are adjacent."""
-    mask = s if isinstance(s, int) else mask_of(s)
-    return not any(g.adj[v - 1] & mask for v in iter_vertices(mask))
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, each a tuple p that maps vertex i+1 to vertex
+    p[i]+1: vertices 1..n are mapped in turn, each to an unused vertex of its
+    degree whose adjacency to the images so far matches its own to their
+    preimages."""
+    n, out, p = g.n, [], []
+    degree = [a.bit_count() for a in g.adj]
+
+    def grow(used: int) -> None:
+        v = len(p)
+        if v == n:
+            return out.append(tuple(p))
+        for c in range(n):
+            if not used >> c & 1 and degree[c] == degree[v]:
+                if all(has_edge(g, u + 1, v + 1) == has_edge(g, p[u] + 1, c + 1) for u in range(v)):
+                    p.append(c)
+                    grow(used | 1 << c)
+                    p.pop()
+
+    grow(0)
+    return out
 
 
 def maximal_bruteforce(masks) -> list[int]:

@@ -19,6 +19,7 @@ from srlab.graphs import (
     automorphism_generators,
     independent_sets,
     is_chordal,
+    is_independent,
     is_perfect_elimination_order,
     maximal_cliques,
     path,
@@ -28,12 +29,16 @@ from srlab.graphs import (
     tree_from_edges,
     wheel,
 )
-from conftest import edge_list, family_graphs, petersen_and_frucht, random_graph_sample, relabelled, symmetry_corpus
-from oracles import find_chordless_cycle_bruteforce, has_edge, is_independent
-
-
-def edges(g):
-    return [(u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if has_edge(g, u, v)]
+from conftest import (
+    edges,
+    family_graphs,
+    petersen_and_frucht,
+    random_graph_sample,
+    random_regular_graph,
+    relabelled,
+    symmetry_corpus,
+)
+from oracles import automorphisms, find_chordless_cycle_bruteforce, has_edge
 
 
 def edge_set(g):
@@ -130,10 +135,11 @@ def test_independence():
     assert independent_sets(c4, 0) == [0]
     # K_{2,3}: pairs inside one side
     assert len(independent_sets(complete_bipartite(2, 3), 2)) == 1 + 3
-    # every k-subset tested, in lexicographic order of vertex tuples
+    # every k-subset tested pair by pair, in lexicographic order of vertex tuples
     for name, g in family_graphs(9) + random_graph_sample(30, 9):
         for k in range(g.n + 1):
-            want = [mask_of(s) for s in combinations(range(1, g.n + 1), k) if is_independent(g, s)]
+            subsets = combinations(range(1, g.n + 1), k)
+            want = [mask_of(s) for s in subsets if not any(has_edge(g, u, v) for u, v in combinations(s, 2))]
             assert independent_sets(g, k) == want, (name, k)
 
 
@@ -181,6 +187,8 @@ def test_chordal_matches_bruteforce_on_random_graphs():
 
 def test_graph_validation_bounds():
     with pytest.raises(ValueError):
+        is_independent(cycle(4), {5})
+    with pytest.raises(ValueError):
         independent_sets(cycle(4), 7)
 
 
@@ -193,42 +201,32 @@ def _group_order(gens, n: int) -> int:
 def _regular_graphs() -> list[tuple[str, Graph]]:
     """Seeded random 3- and 4-regular graphs at n = 20-22, where 1-WL splits
     no vertex until one is given a colour of its own."""
-    import networkx as nx
-
-    out = []
-    for d, n, seed in [(3, 20, 1), (3, 22, 2), (4, 20, 3), (4, 21, 4), (4, 22, 5)]:
-        h = nx.random_regular_graph(d, n, seed=seed)
-        out.append((f"{d}-regular n={n}", graph_from_edges(n, [(u + 1, v + 1) for u, v in h.edges()])))
-    return out
+    cases = [(3, 20, 1), (3, 22, 2), (4, 20, 3), (4, 21, 4), (4, 22, 5)]
+    return [(f"{d}-regular n={n}", random_regular_graph(d, n, seed)) for d, n, seed in cases]
 
 
 def test_automorphism_generators_preserve_adjacency():
     for name, g in symmetry_corpus(11) + _regular_graphs():
-        edges = set(edge_list(g))
+        want = edge_set(g)
         gens = automorphism_generators(g)
         assert len(gens) <= max(g.n - 1, 0), name
         for p in gens:
             assert sorted(p) == list(range(g.n)) and p != tuple(range(g.n)), (name, p)
-            assert {tuple(sorted((p[u - 1] + 1, p[v - 1] + 1))) for u, v in edges} == edges, (name, p)
+            assert {tuple(sorted((p[u - 1] + 1, p[v - 1] + 1))) for u, v in want} == want, (name, p)
 
 
-def test_automorphism_group_order_matches_networkx():
-    # networkx lists every automorphism, so points, stars and K_{m,n} (groups of
-    # order up to 10!) stay at n <= 7
-    import networkx as nx
-    from networkx.algorithms.isomorphism import GraphMatcher
-
+def test_automorphism_group_order_matches_the_full_listing():
+    # oracles.automorphisms lists every automorphism, so points, stars and
+    # K_{m,n} (groups of order up to 10!) stay at n <= 7
     rng = random.Random(2612)
     graphs = [(name, g) for name, g in family_graphs(10) if g.n <= 7 or name[0] not in "PSK"]
     graphs += random_graph_sample(40, 10, seed=2613) + petersen_and_frucht()[:1]
     for name, g in graphs + [(f"{name}~", relabelled(g, rng)) for name, g in graphs]:
-        h = nx.Graph(edge_list(g))
-        h.add_nodes_from(range(1, g.n + 1))
-        count = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
-        assert _group_order(automorphism_generators(g), g.n) == count, name
+        assert _group_order(automorphism_generators(g), g.n) == len(automorphisms(g)), name
     petersen, frucht = petersen_and_frucht()
     assert _group_order(automorphism_generators(petersen[1]), 10) == 120
     assert automorphism_generators(frucht[1]) == ()
+    assert automorphisms(frucht[1]) == [tuple(range(12))]
 
 
 def test_automorphism_search_finishes_on_random_regular_graphs():

@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import edge_list, symmetry_corpus
+from conftest import symmetry_corpus
 from oracles import (
+    automorphisms,
     betti_direct,
     betti_dual_links,
     betti_from_linear_hilbert,
@@ -139,17 +140,11 @@ def _unions_of_minimal_nonfaces(c) -> set[int]:
 
 def _orbits(c, members: set[int]) -> set[frozenset]:
     """The members grouped by the automorphisms of the graph recorded behind c
-    or its dual, all listed by networkx; one member each when there is none."""
-    import networkx as nx
-    from networkx.algorithms.isomorphism import GraphMatcher
-
+    or its dual, all listed by oracles.automorphisms; one member each when
+    there is none."""
     record = complexes._COVERS.get(c) or complexes._COVERS.get(alexander_dual(c))
-    perms = [{v: v for v in range(1, c.n + 1)}]
-    if record:
-        h = nx.Graph(edge_list(record[0]))
-        h.add_nodes_from(range(1, c.n + 1))
-        perms = list(GraphMatcher(h, h).isomorphisms_iter())
-    return {frozenset(mask_of(p[v] for v in vertices_of(w)) for p in perms) for w in members}
+    perms = automorphisms(record[0]) if record else [tuple(range(c.n))]
+    return {frozenset(mask_of(p[v - 1] + 1 for v in vertices_of(w)) for p in perms) for w in members}
 
 
 def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
