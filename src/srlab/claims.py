@@ -1,21 +1,26 @@
 """Executable catalog of the documented closed-form claims for each graph
-family, a pair of conjecture scanners, and the discrepancy report.
+family, and the discrepancy report.
 
 Every record binds a family of complexes to expected values (stored as
 closed-form evaluators, not literal tables) and checks them against the
 exact Betti tables of betti_hochster: read off a shelling of the Alexander
-dual where its stored facet order shells, and Hochster's sum elsewhere. The
-scans read those tables too (_scan). Where the recorded material contains
-two conflicting variants of one statement, both variants are kept as
-separate records that point at each other; the tables adjudicate and the
-loser feeds the discrepancy report. Records whose expected status is "refuted" never fail a
-verification run; they exist to document the discrepancy.
+dual where its stored facet order shells, and Hochster's sum elsewhere.
+Where the recorded material contains two conflicting variants of one
+statement, both variants are kept as separate records that point at each
+other; the tables adjudicate and the loser feeds the discrepancy report.
+Records whose expected status is "refuted" never fail a verification run;
+they exist to document the discrepancy.
 
 A runner takes only the field. It reads a complex's table, linear degree
-and CM verdict through `_verdicts`, and checks what it expects of them
+and CM verdict through `scans._verdicts`, and checks what it expects of them
 through `_require_ring`. A check that fails raises through `_require`, and
 a runner that gets to its end returns a `ClaimOutcome`; `verify_claim`
 turns either into the `ClaimResult`.
+
+The conjecture scanners live in `srlab.scans`, which `srlab scan` loads
+without this module; the two conjecture records run them, and this module
+re-exports `scan_conjecture_Ln` and `scan_conjecture_L2n`. Only `srlab
+verify` loads the catalog, and with it `srlab.structure`.
 """
 
 from __future__ import annotations
@@ -52,22 +57,18 @@ from .graphs import (
 )
 from .homology import GF2, RATIONALS, Field
 from .resolution import (
-    DEFAULT_HOCHSTER_GUARD,
     FatForestDecomposition,
     GradedBettiTable,
     betti_hochster,
     betti_product,
     fat_forest_hilbert,
     hilbert_from_fvector,
-    is_cm_ab,
     is_gorenstein,
-    linear_resolution_degree,
 )
+from .scans import PARTIAL, REFUTED, ScanReport, _verdicts, scan_conjecture_L2n, scan_conjecture_Ln
 from .structure import froberg_check, is_fat_forest
 
 CONFIRMED = "CONFIRMED"
-REFUTED = "REFUTED"
-PARTIAL = "PARTIAL"
 
 
 class Discrepancy(NamedTuple):
@@ -163,12 +164,6 @@ def _clean(entries: dict) -> dict:
     out = {(0, 0): 1}
     out.update({k: v for k, v in entries.items() if v})
     return out
-
-
-def _verdicts(cx, field, **guard) -> tuple[GradedBettiTable, int | None, bool]:
-    """cx's Betti table over field (betti_hochster), its linear degree and its CM verdict."""
-    t = betti_hochster(cx, field, **guard)
-    return t, linear_resolution_degree(t), is_cm_ab(cx, t)
 
 
 def _require_ring(cx, field, label: str, *, entries=None, linear=None, degree=None, cm=None) -> GradedBettiTable:
@@ -913,117 +908,7 @@ def _grid_stated(field):
 
 
 # ---------------------------------------------------------------------------
-# Conjecture scanners
-
-
-class ScanCell(NamedTuple):
-    k: int
-    n: int
-    field: str
-    linear_degree: int | None
-    cm: bool
-    dual_linear_degree: int | None = None
-    dual_cm: bool | None = None
-
-    def holds(self, both_sides: bool) -> bool:
-        ok = self.linear_degree is not None and self.cm
-        if both_sides:
-            ok = ok and self.dual_linear_degree is not None and bool(self.dual_cm)
-        return ok
-
-    def to_json(self) -> dict:
-        out = {"k": self.k, "n": self.n, "field": self.field, "linearDegree": self.linear_degree, "cm": self.cm}
-        if self.dual_cm is not None:
-            out["dualLinearDegree"] = self.dual_linear_degree
-            out["dualCm"] = self.dual_cm
-        return out
-
-
-class ScanReport(NamedTuple):
-    conjecture: str
-    cells: list[ScanCell]
-    counterexamples: list[ScanCell]
-    notes: list[str]
-    seconds: float
-
-    @property
-    def status(self) -> str:
-        return REFUTED if self.counterexamples else PARTIAL
-
-    def to_json(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "status": self.status,
-            "cells": [c.to_json() for c in self.cells],
-            "counterexamples": [c.to_json() for c in self.counterexamples],
-            "notes": self.notes,
-            "seconds": round(self.seconds, 3),
-        }
-
-
-def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_ground, override):
-    """One cell per (k, n, field): the linear degree and CM verdict of the
-    cover complex c, and of its Alexander dual d when both_sides is set,
-    read off their Betti tables (betti_hochster). Ranges that hold no cell
-    raise ValueError rather than report a scan of nothing.
-    """
-    t0 = time.time()
-    cells: list[ScanCell] = []
-    kmin, kmax = k_range
-    nmin, nmax = n_range
-    for k in range(kmin, kmax + 1):
-        for n in range(max(nmin, n_min_of_k(k)), nmax + 1):
-            g = graph_builder(n)
-            c = cover_complex(g, k)
-            if c.is_void:
-                continue
-            for f in fields:
-                _, lin, cm = _verdicts(c, f, max_ground=max_ground, override=override)
-                dual = _verdicts(alexander_dual(c), f, max_ground=max_ground, override=override)[1:] if both_sides else ()
-                cells.append(ScanCell(k, n, str(f), lin, cm, *dual))
-    if not cells:
-        raise ValueError(f"the scan covers no cell: k {kmin}..{kmax}, n {nmin}..{nmax}")
-    counterexamples = [c for c in cells if not c.holds(both_sides)]
-    return cells, counterexamples, time.time() - t0
-
-
-def scan_conjecture_Ln(
-    k_range=(2, 4),
-    n_range=(3, 12),
-    fields=(RATIONALS, GF2),
-    *,
-    max_ground: int = DEFAULT_HOCHSTER_GUARD,
-    override: bool = False,
-) -> ScanReport:
-    """Scan: path cover rings are CM with linear resolutions for n >= 2k-1.
-
-    max_ground and override are passed to betti_hochster.
-    """
-    cells, cex, secs = _scan(path, lambda k: 2 * k - 1, False, k_range, n_range, fields, max_ground, override)
-    notes = []
-    for c in cells:
-        if c.k == 3 and c.n == 6 and c.field == "Q":
-            notes.append(
-                "k=3, n=6: oracle says linear and CM; the recorded six-vertex path example "
-                "claims linear but not CM, conflicting with the conjecture (see path6.example.as-stated)"
-            )
-    return ScanReport("Ln", cells, cex, notes, secs)
-
-
-def scan_conjecture_L2n(
-    k_range=(2, 3),
-    n_range=(3, 10),
-    fields=(RATIONALS, GF2),
-    *,
-    max_ground: int = DEFAULT_HOCHSTER_GUARD,
-    override: bool = False,
-) -> ScanReport:
-    """Scan: squared-path cover rings and their duals are CM with linear resolutions.
-
-    max_ground and override are passed to betti_hochster.
-    """
-    cells, cex, secs = _scan(path_square, lambda k: 3 * k - 2, True, k_range, n_range, fields, max_ground, override)
-    return ScanReport("L2n", cells, cex, [], secs)
+# Conjecture scans (srlab.scans)
 
 
 def _conj(rep: ScanReport) -> ClaimOutcome:

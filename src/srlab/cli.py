@@ -5,9 +5,11 @@ a content-addressed Betti cache), verify (claim catalog), scan (conjecture
 grids). Exit codes: 0 ok, 1 usage, 2 guard violation, 3 void result,
 4 claim refuted.
 
-The claim catalog (`srlab.claims`) is registered when this module is
-imported but runs only on its first attribute access, so `verify` and `scan`
-load it on first use and `build` and `invariants` never compile it.
+The claim catalog (`srlab.claims`), the conjecture scanners (`srlab.scans`)
+and the structure searches (`srlab.structure`) are registered when this
+module is imported but run only on their first attribute access. So `verify`
+compiles all three (the catalog imports the other two), `scan` only the
+scanners, `invariants` only the structure searches, and `build` none.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .resolution import (
     kpolynomial,
     linear_resolution_degree,
 )
-from .structure import is_fat_forest, is_pure_shellable, is_vertex_decomposable
 
 
 def _lazy_submodule(name: str):
@@ -68,7 +69,9 @@ def _lazy_submodule(name: str):
     return module
 
 
-claims = _lazy_submodule("claims")  # only verify and scan read the catalog
+claims = _lazy_submodule("claims")  # only verify reads the catalog
+scans = _lazy_submodule("scans")  # only scan runs the scanners outside the catalog
+structure = _lazy_submodule("structure")  # only invariants runs the structure searches
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -191,31 +194,38 @@ def _read_cached(key: Path, c: SimplicialComplex, field: Field, fv) -> GradedBet
     return None
 
 
+def _sha256(data: bytes) -> str:
+    """Hex sha256 of data, from the interpreter's own sha256 module where it
+    has one: hashlib loads OpenSSL (_hashlib, about 3 ms and 1.6 MB)."""
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _entries_digest(entries: list) -> str:
     """sha256 of a table's JSON entries, stored with them to catch a damaged cache file."""
-    import hashlib  # loads OpenSSL, so only the cache path pays for it
-
-    return hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+    return _sha256(json.dumps(entries).encode())
 
 
 def _source_digest() -> str:
     """sha256 of srlab's own *.py sources, so a table is served only to the code that wrote it."""
-    import hashlib  # loads OpenSSL, so only the cache path pays for it
-
-    h = hashlib.sha256()
+    chunks = []
     for src in sorted(Path(__file__).parent.glob("*.py")):
         data = src.read_bytes()
-        h.update(f"{src.name}\0{len(data)}\0".encode() + data)
-    return h.hexdigest()
+        chunks.append(f"{src.name}\0{len(data)}\0".encode() + data)
+    return _sha256(b"".join(chunks))
 
 
 def _betti_cached(c, field, args, fv):
     cache = _cache_dir(args)
     key = None
     if cache is not None:
-        import hashlib
-
-        digest = hashlib.sha256(f"{canonical_json(c)}|{field}|{_source_digest()}".encode()).hexdigest()
+        digest = _sha256(f"{canonical_json(c)}|{field}|{_source_digest()}".encode())
         key = cache / f"{digest}.json"
         t = _read_cached(key, c, field, fv)
         if t is not None:
@@ -261,9 +271,9 @@ def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
         "consistent": er.consistent,
     }
     for name, fn in (
-        ("fatForest", is_fat_forest),
-        ("vertexDecomposable", is_vertex_decomposable),
-        ("shellable", is_pure_shellable),
+        ("fatForest", structure.is_fat_forest),
+        ("vertexDecomposable", structure.is_vertex_decomposable),
+        ("shellable", structure.is_pure_shellable),
     ):
         try:
             if name in ("vertexDecomposable", "shellable") and not is_pure(c):
@@ -350,7 +360,7 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     fields = _fields_arg(args.field)
-    scanner = {"Ln": claims.scan_conjecture_Ln, "L2n": claims.scan_conjecture_L2n}[args.conjecture]
+    scanner = {"Ln": scans.scan_conjecture_Ln, "L2n": scans.scan_conjecture_L2n}[args.conjecture]
     rep = scanner(
         (args.kmin, args.kmax),
         (args.nmin, args.nmax),

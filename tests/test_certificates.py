@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import family_graphs
-from srlab import claims, resolution
+from srlab import resolution, scans
 from srlab.bitsets import mask_of, shelling_restrictions
 from srlab.complexes import SimplicialComplex, alexander_dual, cover_complex, make_complex, simplex_complex
 from srlab.graphs import cycle, path, path_square
@@ -109,7 +109,7 @@ def test_stored_orders_of_named_complexes():
 
 
 def _cells(builder, n_min_of_k, both_sides):
-    return claims._scan(builder, n_min_of_k, both_sides, (1, 5), (1, 12), FIELDS, 22, False)[:2]
+    return scans._scan(builder, n_min_of_k, both_sides, (1, 5), (1, 12), FIELDS, 22, False)[:2]
 
 
 @pytest.mark.parametrize(
@@ -127,7 +127,7 @@ def test_scan_cells_match_the_tables(monkeypatch, builder, n_min_of_k, both_side
     # covers shell too except cycle covers above k = 1, which are not CM, so
     # the tables of those covers' duals are sums
     assert (not calls) == (builder is not cycle or not both_sides)
-    monkeypatch.setattr(claims, "betti_hochster", lambda c, f, **kw: summed(c, f))
+    monkeypatch.setattr(scans, "betti_hochster", lambda c, f, **kw: summed(c, f))
     assert certified == _cells(builder, n_min_of_k, both_sides)
 
 

@@ -480,31 +480,47 @@ def test_scan_that_covers_no_cell_exits_1(capsys, bounds):
 
 
 _CATALOG_ON_FIRST_USE = """
-import sys, types
+import importlib.util, sys, types
 import srlab.cli as cli
 
-def loaded():
-    return type(sys.modules["srlab.claims"]) is types.ModuleType
+def loaded(*names):
+    return [name for name in names if type(sys.modules[f"srlab.{name}"]) is types.ModuleType]
 
 assert cli.main(["build", "--family", "C", "--n", "4", "--k", "2"]) == 0
-assert cli.main(["invariants", "--family", "C", "--n", "5", "--k", "2", "--no-cache"]) == 0
-assert not loaded(), "build or invariants ran the claim catalog"
+assert cli.main(["scan", "--conjecture", "Ln", "--kmax", "2", "--nmax", "5"]) == 0
+assert loaded("claims", "scans", "structure") == ["scans"], "build or scan ran the catalog or the structure searches"
+assert cli.main(["invariants", "--family", "C", "--n", "5", "--k", "2", "--cache-dir", sys.argv[1]]) == 0
+assert loaded("claims", "structure") == ["structure"], "invariants ran the claim catalog"
+if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+    assert "_hashlib" not in sys.modules, "the Betti cache loaded OpenSSL"
 assert cli.main(["verify", "--claim", "k44.example"]) == 0
-assert loaded()
-import srlab.claims
-assert sys.modules["srlab.claims"] is srlab.claims
+assert loaded("claims") == ["claims"]
+import srlab.claims, srlab.scans
+assert sys.modules["srlab.claims"] is srlab.claims and sys.modules["srlab.scans"] is srlab.scans
+assert srlab.claims.scan_conjecture_Ln is srlab.scans.scan_conjecture_Ln is cli.scans.scan_conjecture_Ln
 from srlab.claims import CLAIMS
 assert len(CLAIMS) == 39
 """
 
 
-def test_reports_never_run_the_claim_catalog():
+def test_reports_never_run_the_claim_catalog(tmp_path):
     # a fresh interpreter: other test modules import srlab.claims eagerly
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _CATALOG_ON_FIRST_USE], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _CATALOG_ON_FIRST_USE, str(tmp_path / "cache")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cache_digest_matches_hashlib():
+    import hashlib
+
+    for data in (b"", b"abc", json.dumps([[0, 0, 1], [1, 3, 5]]).encode(), bytes(range(256)) * 40):
+        assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_output_file(capsys, tmp_path):
