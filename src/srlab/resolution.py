@@ -40,9 +40,13 @@ S^dual restricted to [n] minus sigma; its cores live for one sweep. Both take
 their subsets from _lcm_lattice: the Hochster sum from S^dual's facets,
 Reisner's sweep from S's own, whose lattice members other than the empty
 set and [n] are the complements of the nonempty intersections of facets.
-Both read one member per orbit of Aut(G) when cover_complex recorded a
-graph G behind S or S^dual (_orbit_walk): the one whose complement comes
-first in (cardinality, canonical) order. An automorphism maps each
+When those facets belong to a cover of (G, k), the lattice holds the W
+where every v in W has alpha(G[W - N[v]]) >= k-1, read from a table of
+alpha over all 2^n vertex sets (_lattice_from_graph) whenever that bound,
+n * 2^n, is below the closure's. Both read one member per orbit of Aut(G)
+when cover_complex recorded a graph G behind S or S^dual (_orbit_walk):
+the one with the smallest bit-reversed mask, whose complement comes first
+in (cardinality, canonical) order. An automorphism maps each
 restriction onto an isomorphic one, read from the same side, and the plan
 of S and the sweep of S^dual still read the same members. A CM verdict
 tries a certificate before the sweep: a pure S whose stored facet order is
@@ -54,12 +58,12 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bitsets import maximal_masks, shelling_restrictions, vertices_of
 from .complexes import _COVERS, DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
 from .errors import VoidComplexError, check_guard
-from .graphs import automorphism_generators
+from .graphs import Graph, automorphism_generators
 from .homology import Field, RATIONALS, homology_dims_from_facets, parse_field
 
 #: Hochster summation refuses larger ground sets unless overridden.
@@ -315,22 +319,82 @@ def _core_dims(core: tuple[int, ...], field: Field) -> tuple[int, ...]:
 # The Hochster sum
 
 
-def _lcm_lattice(facets, n: int) -> set[int]:
-    """The empty set and every union of the complements of facets.
+def _lcm_lattice(c: SimplicialComplex) -> Iterable[int]:
+    """The empty set and every union of the complements of c's facets.
 
     On the facets of S^dual these are the unions of minimal nonfaces of S.
+    The closure adds one complement at a time, so it takes at most
+    m * 2^min(m, n) steps for m facets on n vertices. When cover_complex
+    recorded (G, k) behind c and n * 2^n is the smaller bound, the lattice
+    comes from the graph instead (_lattice_from_graph).
     """
+    n, count = c.n, len(c.facets)
+    record = _COVERS.get(c)
+    if record and n << n < count << min(count, n):
+        return _lattice_from_graph(*record)
     full = (1 << n) - 1
     masks = {0}
-    for f in facets:
+    for f in c.facets:
         m = full ^ f
         masks |= {w | m for w in masks}
     return masks
 
 
-def _face_order(sigma: int) -> tuple:
-    """The (cardinality, canonical) order of faces."""
-    return sigma.bit_count(), vertices_of(sigma)
+def _lattice_from_graph(g: Graph, k: int) -> list[int]:
+    """The empty set and every union of independent k-sets of g, increasing.
+
+    W is such a union exactly when every v in W lies in an independent k-set
+    inside W, that is, when alpha(g[W - N[v]]) >= k-1: such a set minus v is
+    an independent (k-1)-set there, and v extends any such set. Masks are
+    visited in increasing order, with alpha read from one byte per mask,
+    alpha(W) = max(alpha(W - v), 1 + alpha(W - N[v])) for the lowest v in W.
+    When W - v is a union, its vertices lie in k-sets inside it, so only v
+    is tested. At most n * 2^n steps and 2^(n+1) bytes.
+    """
+    off = {1 << v: ~(a | 1 << v) for v, a in enumerate(g.adj)}  # bit of v -> all but N[v]
+    alpha, member, out = bytearray(1 << g.n), bytearray(1 << g.n), [0]
+    member[0] = 1
+    for w in range(1, 1 << g.n):
+        b = w & -w
+        x, y = alpha[w & off[b]], alpha[w ^ b]
+        alpha[w] = y if y > x else x + 1
+        if x >= k - 1:
+            rest = 0 if member[w ^ b] else w ^ b
+            while rest and alpha[w & off[rest & -rest]] >= k - 1:
+                rest &= rest - 1
+            if not rest:
+                member[w] = 1
+                out.append(w)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _byte_tables(p: tuple[int, ...]) -> tuple[tuple[int, list[int]], ...]:
+    """The vertex map i -> p[i] on masks, one table per byte: (s, t) with t[x]
+    the image of x << s, doubled one bit at a time (the top bit of x adds its
+    image to t[x without it]). Memoized, so each graph's generators are
+    tabled once."""
+    out = []
+    for s in range(0, len(p), 8):
+        t = [0]
+        for i in range(s, min(s + 8, len(p))):
+            t += [x | 1 << p[i] for x in t]
+        out.append((s, t))
+    return tuple(out)
+
+
+def _image(tables, x: int) -> int:
+    """The image of the mask x under the vertex map that _byte_tables tabled."""
+    y = 0
+    for s, t in tables:
+        y |= t[x >> s & 255]
+    return y
+
+
+def _reversal(n: int):
+    """_byte_tables of the bit reversal i -> n-1-i: for two faces of one
+    cardinality, the one first in canonical order has the larger image."""
+    return _byte_tables(tuple(range(n - 1, -1, -1)))
 
 
 def _orbit_walk(members, a: SimplicialComplex, b: SimplicialComplex):
@@ -339,13 +403,15 @@ def _orbit_walk(members, a: SimplicialComplex, b: SimplicialComplex):
     trivial group). Each automorphism of G, checked for adjacency, permutes
     the facets of A and B, so it maps their LCM lattices onto themselves.
 
-    Each orbit is named by the member whose complement comes first in
-    (cardinality, canonical) order; the orbits come in no set order. Each
-    generator moves a mask one set bit at a time.
+    Each orbit is named by its member with the smallest bit-reversed mask
+    (_reversal): members of one orbit share a cardinality, so that is the
+    member whose complement comes first in (cardinality, canonical) order.
+    The orbits come in no set order. Each generator maps a mask through its
+    memoized byte tables (_byte_tables).
     """
     record = _COVERS.get(a) or _COVERS.get(b)
-    gens = [{1 << i: 1 << j for i, j in enumerate(p)} for p in automorphism_generators(record[0])] if record else []
-    full = (1 << a.n) - 1
+    gens = [_byte_tables(p) for p in automorphism_generators(record[0])] if record else []
+    rev = _reversal(a.n) if gens else ()
     seen: set[int] = set()
     for w in members:
         if w in seen:
@@ -353,15 +419,12 @@ def _orbit_walk(members, a: SimplicialComplex, b: SimplicialComplex):
         seen.add(w)
         orbit = [w]
         for x in orbit:
-            for gen in gens:
-                y, rest = 0, x
-                while rest:
-                    y |= gen[rest & -rest]
-                    rest &= rest - 1
+            for tables in gens:
+                y = _image(tables, x)
                 if y not in seen:  # orbits are disjoint, so y is new to this one
                     seen.add(y)
                     orbit.append(y)
-        yield (min(orbit, key=lambda u: _face_order(full ^ u)) if len(orbit) > 1 else w), len(orbit)
+        yield (min(orbit, key=lambda u: _image(rev, u)) if len(orbit) > 1 else w), len(orbit)
 
 
 @lru_cache(maxsize=256)
@@ -379,7 +442,7 @@ def _hochster_plan(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, boo
     n, dual = c.n, alexander_dual(c)
     uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
     cores: dict = {}
-    for w, size in _orbit_walk(_lcm_lattice(dual.facets, n), c, dual):
+    for w, size in _orbit_walk(_lcm_lattice(dual), c, dual):
         facets, link = _side(c.facets, dual.facets, n, w)
         core = _squeezed_core(facets, cores)
         if core is not None:
@@ -544,8 +607,9 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
 
     def faces():
         yield 0  # first, and before the lattice is built: it is often the witness
-        lattice = [u for u in _lcm_lattice(c.facets, c.n) if u and u != full]
-        yield from sorted((full ^ u for u, _ in _orbit_walk(lattice, dual, c)), key=_face_order)
+        lattice = [u for u in _lcm_lattice(c) if u and u != full]
+        rev = _reversal(c.n)
+        yield from sorted((full ^ u for u, _ in _orbit_walk(lattice, dual, c)), key=lambda s: (s.bit_count(), -_image(rev, s)))
 
     for sigma in faces():
         u = full ^ sigma

@@ -17,7 +17,10 @@ Hilbert numerator of an s-linear ring (betti_from_linear_hilbert).
 Two more keep the walks that the orbit route of resolution replaced: the
 Hochster plan and sum (hochster_plan_full, hochster_sums_full) and
 Reisner's sweep (reisner_sweep_full) over every member of the LCM lattice,
-with no automorphism. Against the automorphism search, automorphisms lists
+with no automorphism. They take the lattice from lcm_closure, the plain
+closure under facet complements, never from a cover's graph. Against the
+byte tables of resolution's orbit walk, orbit_walk_per_bit closes each
+orbit by moving a mask one set bit at a time. Against the automorphism search, automorphisms lists
 the whole group of a small graph by a plain backtrack, with no colour
 refinement and no generators.
 
@@ -28,9 +31,9 @@ adjacency (has_edge).
 from itertools import combinations
 
 from srlab.bitsets import iter_vertices, mask_of, sort_canonical, vertices_of
-from srlab.complexes import SimplicialComplex, _faces_by_card, alexander_dual, all_faces, faces_of_card
+from srlab.complexes import _COVERS, SimplicialComplex, _faces_by_card, alexander_dual, all_faces, faces_of_card
 from srlab.errors import VoidComplexError
-from srlab.graphs import Graph
+from srlab.graphs import Graph, automorphism_generators
 from srlab.homology import (
     RATIONALS,
     Field,
@@ -45,7 +48,6 @@ from srlab.resolution import (
     HilbertSeries,
     ReisnerVerdict,
     _core_dims,
-    _lcm_lattice,
     _read,
     _side,
     _squeezed_core,
@@ -308,6 +310,44 @@ def betti_from_linear_hilbert(h: HilbertSeries, s: int, field: Field = RATIONALS
     return GradedBettiTable(entries, field, h.denom_power)
 
 
+def lcm_closure(facets, n: int) -> set[int]:
+    """The empty set and every union of the complements of the facets, by
+    closing the set under one complement at a time, whatever the facets'
+    provenance."""
+    full = (1 << n) - 1
+    masks = {0}
+    for f in facets:
+        masks |= {w | (full ^ f) for w in masks}
+    return masks
+
+
+def orbit_walk_per_bit(members, a: SimplicialComplex, b: SimplicialComplex):
+    """One (member, orbit size) per orbit of the members under the generators
+    of Aut(G), G the graph recorded behind a or b: each generator moves a mask
+    one set bit at a time, and an orbit is named by the member whose
+    complement comes first in (cardinality, canonical vertex tuple) order."""
+    record = _COVERS.get(a) or _COVERS.get(b)
+    gens = [{1 << i: 1 << j for i, j in enumerate(p)} for p in automorphism_generators(record[0])] if record else []
+    full = (1 << a.n) - 1
+    seen: set[int] = set()
+    out = []
+    for w in members:
+        if w in seen:
+            continue
+        seen.add(w)
+        orbit = [w]
+        for x in orbit:
+            for gen in gens:
+                y = 0
+                for v in iter_vertices(x):
+                    y |= gen[1 << (v - 1)]
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        out.append((min(orbit, key=lambda u: ((full ^ u).bit_count(), vertices_of(full ^ u))), len(orbit)))
+    return out
+
+
 def hochster_plan_full(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, bool], int]:
     """The Hochster plan of a nonvoid c with one _side read per member of the
     LCM lattice, every member of an orbit read apart: the count of members
@@ -315,7 +355,7 @@ def hochster_plan_full(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int,
     n, dual = c.n, alexander_dual(c)
     uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
     cores: dict = {}
-    for w in _lcm_lattice(dual.facets, n):
+    for w in lcm_closure(dual.facets, n):
         facets, link = _side(c.facets, dual.facets, n, w)
         core = _squeezed_core(facets, cores)
         if core is not None:
@@ -340,7 +380,7 @@ def reisner_sweep_full(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     if dual.is_void:
         return ReisnerVerdict(True, field)
     full = (1 << c.n) - 1
-    meets = [full ^ u for u in _lcm_lattice(c.facets, c.n) if u and u != full]
+    meets = [full ^ u for u in lcm_closure(c.facets, c.n) if u and u != full]
     meets.sort(key=lambda m: (m.bit_count(), vertices_of(m)))
     cores: dict = {}
     for sigma in [0, *meets]:

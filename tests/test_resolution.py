@@ -1,15 +1,18 @@
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import symmetry_corpus
+from conftest import random_graph_sample, relabelled, symmetry_corpus
 from oracles import (
     automorphisms,
     betti_direct,
     betti_dual_links,
     betti_from_linear_hilbert,
     hochster_sums_full,
+    lcm_closure,
     minimal_nonfaces_bruteforce,
+    orbit_walk_per_bit,
     reisner_sweep_full,
 )
 from srlab import cli, complexes, homology, resolution
@@ -33,6 +36,7 @@ from srlab.graphs import (
     complete_bipartite,
     cycle,
     cycle_square,
+    graph_from_edges,
     path,
     path_square,
     points,
@@ -460,3 +464,69 @@ def test_orbit_route_matches_the_full_walk():
                     assert verdict == reisner_sweep_full(x, RATIONALS), (name, k, x)
                     witnesses.append(verdict.witness)
     assert len(witnesses) > 200 and any(w[0] for w in witnesses)  # witnesses above the empty face too
+
+
+def _matching_complement(n: int):
+    """K_n minus the perfect matching {1, 2}, {3, 4}, ...: its independent
+    2-sets are the n/2 matching edges."""
+    return graph_from_edges(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if not (u % 2 and v == u + 1)])
+
+
+def test_lattice_from_the_graph_matches_the_closure(monkeypatch):
+    # the plan of a cover's dual and the sweep of a cover read the lattice of
+    # the cover's facets; from the graph, it must have the closure's members
+    routes = []
+    real = resolution._lattice_from_graph
+    monkeypatch.setattr(resolution, "_lattice_from_graph", lambda *a: routes.append(a) or real(*a))
+    taken = 0
+    for name, g in symmetry_corpus(11) + random_graph_sample(40, 12, seed=2801):
+        for k in range(1, g.n + 1):
+            c = cover_complex(g, k)
+            if c.is_void:
+                break
+            routes.clear()
+            assert set(resolution._lcm_lattice(c)) == lcm_closure(c.facets, c.n), (name, k)
+            taken += len(routes)
+    assert taken > 400
+
+
+def test_lattice_route_follows_the_smaller_work_bound(monkeypatch):
+    # K16 minus a perfect matching, k = 2: 8 facets, so the closure's bound
+    # 8 * 2^8 is below the table's 16 * 2^16, and the table is never built
+    def refuse(*a):
+        raise AssertionError("the table was built")
+
+    real = resolution._lattice_from_graph
+    monkeypatch.setattr(resolution, "_lattice_from_graph", refuse)
+    c = cover_complex(_matching_complement(16), 2)
+    assert len(c.facets) == 8 and set(resolution._lcm_lattice(c)) == lcm_closure(c.facets, 16)
+    # the Grid 4x3 k3 dual's plan takes the table, as does the sweep of L10
+    # k3 (CM, so it runs past the empty face)
+    calls = []
+    monkeypatch.setattr(resolution, "_lattice_from_graph", lambda *a: calls.append(a) or real(*a))
+    grid = build_family(FamilySpec("Grid", n=4, m=3))
+    resolution._hochster_plan.cache_clear()
+    resolution._hochster_plan(alexander_dual(cover_complex(grid, 3)))
+    assert resolution._reisner_sweep(cover_complex(path(10), 3), RATIONALS).cm
+    assert calls == [(grid, 3), (path(10), 3)]
+
+
+def test_orbit_tables_past_two_bytes_match_the_per_bit_walk():
+    # masks of 18 or 20 vertices reach a third byte table, and a seeded
+    # relabelling spreads each orbit over all three. Each case walks the
+    # lattice a plan reads (the dual's) or a sweep reads (the cover's); the
+    # sweep lattice of C18 k2 is cut to its members of at most 6 vertices, a
+    # set every automorphism keeps.
+    rng = random.Random(2802)
+    covers = [cover_complex(relabelled(g, rng), k) for g, k in ((cycle(18), 2), (_matching_complement(18), 2), (cycle(20), 3))]
+    cases = [
+        (covers[0], [w for w in resolution._lcm_lattice(covers[0]) if w.bit_count() <= 6]),
+        (alexander_dual(covers[0]), resolution._lcm_lattice(alexander_dual(covers[0]))),
+        (covers[1], resolution._lcm_lattice(covers[1])),
+        (alexander_dual(covers[2]), resolution._lcm_lattice(alexander_dual(covers[2]))),
+    ]
+    for b, members in cases:
+        a = alexander_dual(b)
+        got = sorted(resolution._orbit_walk(members, a, b))
+        assert got == sorted(orbit_walk_per_bit(members, a, b)), (b.n, len(members))
+        assert sum(size for _, size in got) == len(members) and any(size > 1 for _, size in got)
