@@ -589,7 +589,7 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     one) must vanish strictly below the link's dimension. A face that is not
     an intersection of facets has a cone as its link, so only the empty face
     and the intersections of facets are visited, in (cardinality, canonical)
-    order. They are the complements of the members of the LCM lattice of
+    order, sorted as (cardinality, minus the bit-reversed mask). They are the complements of the members of the LCM lattice of
     c's own facets other than the empty set and [n], and only the first
     face of each orbit of the automorphisms behind c (_orbit_walk) is
     visited: it precedes the rest of its orbit, whose links are isomorphic

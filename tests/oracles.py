@@ -20,9 +20,9 @@ Reisner's sweep (reisner_sweep_full) over every member of the LCM lattice,
 with no automorphism. They take the lattice from lcm_closure, the plain
 closure under facet complements, never from a cover's graph. Against the
 byte tables of resolution's orbit walk, orbit_walk_per_bit closes each
-orbit by moving a mask one set bit at a time. Against the automorphism search, automorphisms lists
-the whole group of a small graph by a plain backtrack, with no colour
-refinement and no generators.
+orbit by moving a mask one set bit at a time. Against the automorphism
+search, automorphisms lists the whole group of a small graph by a plain
+backtrack, with no colour refinement and no generators.
 
 Plain readers serve the tests as well: face membership (is_face) and
 adjacency (has_edge).
