@@ -241,8 +241,6 @@ def _betti_cached(c, field, args, fv):
 
 
 def invariants_report(c: SimplicialComplex, field: Field, args) -> dict:
-    if c.is_void:
-        raise VoidComplexError("void complex has no ring invariants")
     dual = alexander_dual(c)
     if dual.is_void or dual.dim() < c.dim():  # count the faces of the side with the smaller top facet
         fv = dual_fvector(f_vector(dual, override=args.override_guards), c.n)

@@ -7,6 +7,11 @@ the full simplex, so both must be representable.
 
 All operations are pure; facet lists are kept in a canonical order (sorted
 lexicographically by vertex tuple) so outputs are deterministic.
+
+A graph gives two complexes: its cover complexes, from the independent
+k-sets, and its clique complex, the Alexander dual of the degree-2 cover.
+Both come with the graph recorded behind them, so their duals and
+automorphisms, and where it pays their LCM lattices, come from the graph.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .bitsets import (
     vertices_of,
 )
 from .errors import VoidComplexError, check_guard
-from .graphs import Graph, independent_sets, json_int, json_vertex_lists, maximal_cliques
+from .graphs import Graph, independent_sets, json_int, json_vertex_lists
 
 #: Face enumeration refuses larger ground sets unless explicitly overridden.
 DEFAULT_GROUND_GUARD = 24
@@ -147,7 +152,8 @@ def f_vector(c: SimplicialComplex, override: bool = False) -> tuple[int, ...]:
 
 
 #: The graph and degree behind each of the last 256 complexes cover_complex
-#: returned, as many as alexander_dual's memo holds; alexander_dual reads it.
+#: returned; alexander_dual reads it. alexander_dual's memo keeps a pair in
+#: both directions, so its 256 entries hold 128 cover/dual pairs.
 _COVERS: dict[SimplicialComplex, tuple[Graph, int]] = {}
 
 
@@ -157,12 +163,14 @@ def cover_complex(g: Graph, k: int) -> SimplicialComplex:
     Equivalently the facets are the vertex covers of size n-k; a set is a
     face exactly when its complement contains an independent k-set. Returns
     VOID when g has no independent k-set. The complex is recorded with
-    (g, k), so that alexander_dual builds its dual from the graph.
+    (g, k), so that alexander_dual builds its dual from the graph. The
+    independent k-sets come in lexicographic order, and complements of sets
+    of one size reverse it, so reversed they are canonical.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in 1..{g.n}, got {k}")
     full = full_mask(g.n)
-    c = SimplicialComplex(g.n, sort_canonical(full ^ s for s in independent_sets(g, k)))
+    c = SimplicialComplex(g.n, tuple(full ^ s for s in reversed(independent_sets(g, k))))
     _COVERS.pop(c, None)  # a rebuilt cover counts as the newest
     _COVERS[c] = (g, k)
     if len(_COVERS) > 256:
@@ -171,10 +179,16 @@ def cover_complex(g: Graph, k: int) -> SimplicialComplex:
 
 
 def clique_complex(g: Graph) -> SimplicialComplex:
-    """All cliques of g; isolated vertices appear as 0-dimensional facets."""
-    if g.n == 0:
-        return irrelevant_complex(0)
-    return SimplicialComplex(g.n, sort_canonical(maximal_cliques(g)))
+    """All cliques of g; isolated vertices appear as 0-dimensional facets.
+
+    Built as the Alexander dual of the degree-2 cover: a set is a face of
+    that dual exactly when it holds no independent 2-set. A graph on fewer
+    than two vertices has no degree-2 cover, and its clique complex is the
+    simplex (the irrelevant complex when n = 0).
+    """
+    if g.n < 2:
+        return simplex_complex(g.n)
+    return alexander_dual(cover_complex(g, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +295,9 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     the void complex is the full simplex and vice versa; the operation is an
     involution. Results are memoized for as many complexes as the Hochster
     plan holds: each field's table and Reisner's sweep ask for the same dual.
-    The dual's facets are canonical and maximal, so when c's are too, the
-    dual of the dual is c, and the memo records that direction as well.
+    The dual's facets are canonical and maximal, so when c's are too (a
+    recorded cover's are by construction), the dual of the dual is c, and
+    the memo records that direction as well.
 
     A complex that cover_complex built (and recorded) gets its dual from the
     graph; every other complex takes minimal_nonfaces. A set F is a nonface
@@ -318,7 +333,7 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     else:
         mnf = minimal_nonfaces(c)
         d = void_complex(c.n) if not mnf else SimplicialComplex(c.n, sort_canonical(full_mask(c.n) ^ m for m in mnf))
-    if c.facets == sort_canonical(maximal_masks(c.facets)):
+    if c in _COVERS or c.facets == sort_canonical(maximal_masks(c.facets)):
         _DUAL_OF[d] = c
         try:
             alexander_dual(d)

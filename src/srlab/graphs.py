@@ -4,6 +4,10 @@ Family generators fix their labelings so facet lists downstream are
 reproducible: grids are flattened row-major, bipartite sides come in order
 x_1..x_m then y_1..y_n, the prism over K_n lists x_1..x_n then y_1..y_n, and
 the wheel hub is the last vertex.
+
+There is no clique search here: the maximal cliques are the facets of
+`complexes.clique_complex`, the Alexander dual of the degree-2 cover
+complex, which `independent_sets` builds.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitsets import full_mask, iter_vertices, mask_of, sort_canonical
+from .bitsets import full_mask, iter_vertices, mask_of
 
 
 class Graph(NamedTuple):
@@ -262,33 +266,6 @@ def independent_sets(g: Graph, k: int) -> list[int]:
 
     grow(0, full_mask(g.n), k)
     return out
-
-
-def maximal_cliques(g: Graph) -> list[int]:
-    """Inclusion-maximal cliques as masks, sorted canonically."""
-    if g.n == 0:
-        return []
-    out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        # pivot on the vertex covering most of p
-        pivot_nb = 0
-        best = -1
-        for u in iter_vertices(p | x):
-            c = (g.adj[u - 1] & p).bit_count()
-            if c > best:
-                best, pivot_nb = c, g.adj[u - 1]
-        for v in iter_vertices(p & ~pivot_nb):
-            b = 1 << (v - 1)
-            expand(r | b, p & g.adj[v - 1], x & g.adj[v - 1])
-            p &= ~b
-            x |= b
-
-    expand(0, full_mask(g.n), 0)
-    return list(sort_canonical(out))
 
 
 # ---------------------------------------------------------------------------

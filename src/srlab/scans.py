@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .complexes import alexander_dual, cover_complex
 from .graphs import path, path_square
-from .homology import GF2, RATIONALS
+from .homology import Field
 from .resolution import (
     DEFAULT_HOCHSTER_GUARD,
     GradedBettiTable,
@@ -108,9 +108,9 @@ def _scan(graph_builder, n_min_of_k, both_sides, k_range, n_range, fields, max_g
 
 
 def scan_conjecture_Ln(
-    k_range=(2, 4),
-    n_range=(3, 12),
-    fields=(RATIONALS, GF2),
+    k_range: tuple[int, int],
+    n_range: tuple[int, int],
+    fields: tuple[Field, ...],
     *,
     max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,
@@ -131,9 +131,9 @@ def scan_conjecture_Ln(
 
 
 def scan_conjecture_L2n(
-    k_range=(2, 3),
-    n_range=(3, 10),
-    fields=(RATIONALS, GF2),
+    k_range: tuple[int, int],
+    n_range: tuple[int, int],
+    fields: tuple[Field, ...],
     *,
     max_ground: int = DEFAULT_HOCHSTER_GUARD,
     override: bool = False,

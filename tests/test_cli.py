@@ -284,6 +284,30 @@ def test_invariants_report(capsys, tmp_path):
     assert rep["hilbert"]["denomPower"] == 6
 
 
+def test_invariants_pretty_lines_match_the_json_report(capsys, monkeypatch):
+    # the README's example, and a clique complex (the dual of the degree-2 cover)
+    monkeypatch.delenv("SRLAB_CACHE_DIR", raising=False)
+    for argv in (["--family", "C2", "--n", "6", "--k", "2"], ["--family", "C2", "--n", "6", "--clique", "--no-cache"]):
+        code, out = run(capsys, "invariants", *argv, "--format", "pretty")
+        assert code == 0
+        rep = json.loads(run(capsys, "invariants", *argv)[1])
+        want = {
+            "ground set": rep["complex"]["n"],
+            "facets": len(rep["complex"]["facets"]),
+            "f-vector": rep["fVector"],
+            "field": rep["field"],
+            "betti": rep["betti"]["entries"],
+            "linear degree": rep["linearDegree"],
+            "CM (links)": rep["cmReisner"],
+            "CM (pd)": rep["cmAuslanderBuchsbaum"],
+            "gorenstein": rep["gorenstein"],
+            "fat forest": rep["fatForest"]["verdict"],
+            "vertex decomp.": rep["vertexDecomposable"]["verdict"],
+            "shellable": rep["shellable"]["verdict"],
+        }
+        assert [(line[:16].rstrip(), line[16:]) for line in out.splitlines()] == [(k, str(v)) for k, v in want.items()]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_invariants_reports_match_golden_files(capsys, name):
     code, out = run(capsys, "invariants", "--no-cache", *GOLDEN[name])

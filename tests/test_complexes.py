@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from srlab import complexes
+from srlab import complexes, resolution
 from srlab.bitsets import full_mask, mask_of, maximal_masks, sort_canonical, vertices_of
 from srlab.complexes import (
     SimplicialComplex,
@@ -29,6 +29,7 @@ from srlab.complexes import (
 )
 from srlab.errors import GuardExceeded, VoidComplexError
 from srlab.graphs import complete_prism, cycle, cycle_square, graph_from_edges, path, points, star
+from srlab.homology import RATIONALS
 from conftest import family_graphs, random_complex_sample
 from oracles import is_face, maximal_bruteforce, minimal_nonfaces_bruteforce
 
@@ -219,7 +220,8 @@ def test_dual_memo_records_the_involution(monkeypatch):
     real = complexes.minimal_nonfaces
     monkeypatch.setattr(complexes, "minimal_nonfaces", lambda c: calls.append(c) or real(c))
     alexander_dual.cache_clear()
-    c = clique_complex(cycle_square(12))  # canonical and maximal, with no graph behind it as a cover
+    # the triangles of C2_12, canonical and maximal, built with no graph behind them
+    c = make_complex(12, [mask_of((i, i % 12 + 1, (i + 1) % 12 + 1)) for i in range(1, 13)])
     d = alexander_dual(c)
     assert alexander_dual(d) == c and calls == [c]  # one run for c and its dual
     assert alexander_dual(void_complex(4)) == simplex_complex(4) and alexander_dual(simplex_complex(4)) == void_complex(4)
@@ -267,6 +269,30 @@ def test_cover_duals_from_the_graph_match_minimal_nonfaces(monkeypatch):
             assert alexander_dual(c).facets == sort_canonical(full_mask(g.n) ^ m for m in mnf), (name, k)
             if g.n <= 9:
                 assert mnf == minimal_nonfaces_bruteforce(bare), (name, k)
+
+
+def test_clique_complexes_take_the_cover_routes(monkeypatch):
+    # a clique complex is the dual of the degree-2 cover, so its own dual
+    # comes from the memo and never from minimal_nonfaces
+    def refuse(c):
+        raise AssertionError("a clique complex's dual should come from the memo")
+
+    monkeypatch.setattr(complexes, "minimal_nonfaces", refuse)
+    alexander_dual.cache_clear()
+    for name, g in _oracle_graphs():
+        for k in range(1, g.n + 1):  # alexander_dual takes a recorded cover as canonical
+            c = cover_complex(g, k)
+            assert c.facets == sort_canonical(c.facets), (name, k)
+        if g.n >= 2:
+            assert alexander_dual(clique_complex(g)) == cover_complex(g, 2), name
+    # the octahedron's plan reads one lattice member per Aut(C2_6) orbit:
+    # 4 of the 8 unions of its 3 antipodal pairs
+    octa, read = clique_complex(cycle_square(6)), []
+    real = resolution._side
+    monkeypatch.setattr(resolution, "_side", lambda *a: read.append(a[3]) or real(*a))
+    resolution._hochster_plan.cache_clear()
+    resolution._hochster_sum(octa, RATIONALS)
+    assert len(set(resolution._lcm_lattice(alexander_dual(octa)))) == 8 and len(read) == 4
 
 
 def test_dual_fvector():

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from srlab.bitsets import mask_of, vertices_of
+from srlab.complexes import clique_complex
 from srlab.graphs import (
     FamilySpec,
     Graph,
@@ -21,7 +22,6 @@ from srlab.graphs import (
     is_chordal,
     is_independent,
     is_perfect_elimination_order,
-    maximal_cliques,
     path,
     path_square,
     points,
@@ -150,7 +150,7 @@ def test_independent_sets_match_complement_cliques():
             indep = set(independent_sets(g, k))
             cliques = {
                 m
-                for clique in maximal_cliques(comp)
+                for clique in clique_complex(comp).facets
                 for m in _ksub(clique, k)
             }
             assert indep == cliques, (name, k)
@@ -162,12 +162,13 @@ def _ksub(mask, k):
 
 
 def test_maximal_cliques():
-    assert maximal_cliques(graph_from_edges(3, [(1, 2), (1, 3), (2, 3)])) == [mask_of((1, 2, 3))]
-    assert [vertices_of(m) for m in maximal_cliques(cycle(4))] == [(1, 2), (1, 4), (2, 3), (3, 4)]
-    assert len(maximal_cliques(cycle_square(6))) == 8  # eight triangles
-    assert all(m.bit_count() == 3 for m in maximal_cliques(cycle_square(6)))
+    # the facets of the clique complex, the dual of the degree-2 cover
+    assert list(clique_complex(graph_from_edges(3, [(1, 2), (1, 3), (2, 3)])).facets) == [mask_of((1, 2, 3))]
+    assert [vertices_of(m) for m in clique_complex(cycle(4)).facets] == [(1, 2), (1, 4), (2, 3), (3, 4)]
+    assert len(clique_complex(cycle_square(6)).facets) == 8  # eight triangles
+    assert all(m.bit_count() == 3 for m in clique_complex(cycle_square(6)).facets)
     # isolated vertices are maximal cliques of size one
-    assert maximal_cliques(points(3)) == [1, 2, 4]
+    assert list(clique_complex(points(3)).facets) == [1, 2, 4]
 
 
 def test_chordal_basics():
