@@ -17,7 +17,6 @@ automorphisms, and where it pays their LCM lattices, come from the graph.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, NamedTuple
@@ -151,10 +150,17 @@ def f_vector(c: SimplicialComplex, override: bool = False) -> tuple[int, ...]:
 # Constructions from graphs
 
 
-#: The graph and degree behind each of the last 256 complexes cover_complex
-#: returned; alexander_dual reads it. alexander_dual's memo keeps a pair in
-#: both directions, so its 256 entries hold 128 cover/dual pairs.
+#: The graph and degree behind each of the newest 256 complexes that
+#: cover_complex returned; alexander_dual reads it.
 _COVERS: dict[SimplicialComplex, tuple[Graph, int]] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Store key -> value in memo as its newest entry, keeping the newest 256."""
+    memo.pop(key, None)
+    memo[key] = value
+    if len(memo) > 256:
+        del memo[next(iter(memo))]
 
 
 def cover_complex(g: Graph, k: int) -> SimplicialComplex:
@@ -171,10 +177,7 @@ def cover_complex(g: Graph, k: int) -> SimplicialComplex:
         raise ValueError(f"k must be in 1..{g.n}, got {k}")
     full = full_mask(g.n)
     c = SimplicialComplex(g.n, tuple(full ^ s for s in reversed(independent_sets(g, k))))
-    _COVERS.pop(c, None)  # a rebuilt cover counts as the newest
-    _COVERS[c] = (g, k)
-    if len(_COVERS) > 256:
-        del _COVERS[next(iter(_COVERS))]
+    _remember(_COVERS, c, (g, k))
     return c
 
 
@@ -257,7 +260,7 @@ def _sets_of_alpha_below(g: Graph, k: int) -> list[int]:
             if n_b > best:
                 best, u = n_b, b
         z, skip = r & ~nbr[u], p & nbr[u] | u
-        rest = p & ~skip
+        rest = p & ~skip if k > 2 else 0
         while rest:  # grow z = R - N[u] greedily while alpha(z) <= k-2
             b = rest & -rest
             rest ^= b
@@ -268,7 +271,7 @@ def _sets_of_alpha_below(g: Graph, k: int) -> list[int]:
         while rest:
             b = rest & -rest
             rest ^= b
-            keep, rb, cand = nbr[b], r & ~nbr[b], (p | x) & ~nbr[b] & ~b
+            keep, rb, cand = nbr[b], r & ~nbr[b], (p | x) & ~nbr[b] & ~b if k > 2 else 0
             while cand:  # w stays addable to R + b iff alpha(R - N[w] - N[b]) <= k-3
                 w = cand & -cand
                 cand ^= w
@@ -282,22 +285,21 @@ def _sets_of_alpha_below(g: Graph, k: int) -> list[int]:
     return out
 
 
-#: The complex whose dual alexander_dual is computing, keyed by that dual;
-#: set only for the nested call that records the involution.
-_DUAL_OF: dict[SimplicialComplex, SimplicialComplex] = {}
+#: The newest 256 entries c -> alexander_dual(c). A pair whose involution
+#: holds is kept both ways, so the entries hold 128 such pairs.
+_DUALS: dict[SimplicialComplex, SimplicialComplex] = {}
 
 
-@lru_cache(maxsize=256)
 def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     """Sets whose ground-set complements are nonfaces of c.
 
     Facets of the dual are complements of the minimal nonfaces. The dual of
     the void complex is the full simplex and vice versa; the operation is an
-    involution. Results are memoized for as many complexes as the Hochster
-    plan holds: each field's table and Reisner's sweep ask for the same dual.
-    The dual's facets are canonical and maximal, so when c's are too (a
-    recorded cover's are by construction), the dual of the dual is c, and
-    the memo records that direction as well.
+    involution. Results are memoized in _DUALS, which holds as many entries
+    as the Hochster plan's memo: each field's table and Reisner's sweep ask
+    for the same dual. The dual's facets are canonical and maximal, so when
+    c's are too (a recorded cover's are by construction), the dual of the
+    dual is c, and the memo stores that direction first.
 
     A complex that cover_complex built (and recorded) gets its dual from the
     graph; every other complex takes minimal_nonfaces. A set F is a nonface
@@ -324,8 +326,10 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     fourfold. The facets are sorted canonically, so both routes give the
     same complex.
     """
-    if c in _DUAL_OF:
-        return _DUAL_OF[c]
+    d = _DUALS.get(c)
+    if d is not None:
+        _remember(_DUALS, c, d)  # a hit counts as the newest
+        return d
     if c.is_void:
         d = simplex_complex(c.n)
     elif c in _COVERS:
@@ -334,11 +338,8 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
         mnf = minimal_nonfaces(c)
         d = void_complex(c.n) if not mnf else SimplicialComplex(c.n, sort_canonical(full_mask(c.n) ^ m for m in mnf))
     if c in _COVERS or c.facets == sort_canonical(maximal_masks(c.facets)):
-        _DUAL_OF[d] = c
-        try:
-            alexander_dual(d)
-        finally:
-            del _DUAL_OF[d]
+        _remember(_DUALS, d, c)
+    _remember(_DUALS, c, d)
     return d
 
 

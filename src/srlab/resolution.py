@@ -24,19 +24,19 @@ inside W, so
 and the side with the smaller top facet is read. Homology is keyed on the
 squeezed core (_squeezed_core), and this is the one place where lists are
 collapsed: the facet list is relabelled order-preserving onto its own
-support, cut down once per distinct list to its strong-collapse core
-(_core), and the core is relabelled the same way. So translated copies of
-one complex, and lists with the same core, share an entry, and a cone or a
-list that collapses to a point needs none. The homology of a core is
-memoized once for the process (_core_dims), as profiles by field and never
-as faces: each core is one chain complex, reduced with clearing
-(homology.homology_dims_from_facets), and a Q profile keeps the GF(2)
-profile found on the way, so GF(2) after Q enumerates no face. Both walks
-below read the memo. The Hochster sum passes (S, S^dual) and keeps, per
-complex, a memoized plan: its subsets grouped by core, which every later
-field of S reuses. Reisner's sweep over the faces of S passes
-(S^dual, S), so the link of a face sigma is read either directly or from
-S^dual restricted to [n] minus sigma; its cores live for one sweep. Both take
+support, cut down to its strong-collapse core (_core) once for the process
+per distinct list, and the core is relabelled the same way. So translated
+copies of one complex, and lists with the same core, share an entry across
+complexes, and a cone or a list that collapses to a point needs none. The
+homology of a core is memoized once for the process (_core_dims), as
+profiles by field and never as faces: each core is one chain complex,
+reduced with clearing (homology.homology_dims_from_facets), and a Q profile
+keeps the GF(2) profile found on the way, so GF(2) after Q enumerates no
+face. Both walks below read both memos. The Hochster sum passes
+(S, S^dual) and keeps, per complex, a memoized plan: its subsets grouped
+by core, which every later field of S reuses. Reisner's sweep over the
+faces of S passes (S^dual, S), so the link of a face sigma is read either
+directly or from S^dual restricted to [n] minus sigma. Both take
 their subsets from _lcm_lattice: the Hochster sum from S^dual's facets,
 Reisner's sweep from S's own, whose lattice members other than the empty
 set and [n] are the complements of the nonempty intersections of facets.
@@ -254,20 +254,20 @@ def _core(facets) -> list[int]:
         facets = maximal_masks([f & ~gone for f in facets])
 
 
-def _squeezed_core(facets, cores: dict) -> tuple[int, ...] | None:
+def _squeezed_core(facets) -> tuple[int, ...] | None:
     """The strong-collapse core of a facet list, relabelled onto its own support,
     or None for a cone or a list that collapses to a point (no reduced homology).
 
-    cores maps each facet list, relabelled onto its own support, to its core,
-    so translated copies of one complex are collapsed once.
+    The cores are memoized in _CORES on the relabelled list, so translated
+    copies of one complex are collapsed once.
     """
     if _is_cone(facets):
         return None
     key = _squeezed(facets)
-    if key not in cores:
+    if key not in _CORES:
         core = _squeezed(_core(key))
-        cores[key] = None if _is_cone(core) else core  # a core that is a cone is a point
-    return cores[key]
+        _CORES[key] = None if _is_cone(core) else core  # a core that is a cone is a point
+    return _CORES[key]
 
 
 def _side(a_facets, b_facets, n: int, w: int) -> tuple[list[int], bool]:
@@ -296,6 +296,8 @@ def _read(dims, j: int, link: bool) -> list[tuple[int, int]]:
     return [(j - 2 - idx if link else idx - 1, val) for idx, val in enumerate(dims) if val]
 
 
+#: Each relabelled facet list's squeezed core (None for a point), for the process.
+_CORES: dict[tuple[int, ...], tuple[int, ...] | None] = {}
 #: Each squeezed core's homology profiles by field, for the process: profiles only, never faces.
 _CORE_DIMS: dict[tuple[int, ...], dict[Field, tuple[int, ...]]] = {}
 
@@ -441,10 +443,9 @@ def _hochster_plan(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, boo
     """
     n, dual = c.n, alexander_dual(c)
     uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
-    cores: dict = {}
     for w, size in _orbit_walk(_lcm_lattice(dual), c, dual):
         facets, link = _side(c.facets, dual.facets, n, w)
-        core = _squeezed_core(facets, cores)
+        core = _squeezed_core(facets)
         if core is not None:
             use = (core, w.bit_count(), link)
             uses[use] = uses.get(use, 0) + size
@@ -603,7 +604,6 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     if dual.is_void:  # the full simplex: every link is a simplex
         return ReisnerVerdict(True, field)
     full = (1 << c.n) - 1
-    cores: dict = {}
 
     def faces():
         yield 0  # first, and before the lattice is built: it is often the witness
@@ -614,7 +614,7 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     for sigma in faces():
         u = full ^ sigma
         facets, link = _side(dual.facets, c.facets, c.n, u)
-        core = _squeezed_core(facets, cores)
+        core = _squeezed_core(facets)
         if core is None:
             continue
         read = _read(_core_dims(core, field), u.bit_count(), link)

@@ -12,7 +12,10 @@ The rest are independent readings of a package result: the replay of a
 vertex decomposition's shedding tree (check_vd_witness), the shelling order
 that tree yields (shelling_order_from_vd), both on the package's own link
 and deletion of a vertex (structure._shed), and the Betti table read off the
-Hilbert numerator of an s-linear ring (betti_from_linear_hilbert).
+Hilbert numerator of an s-linear ring (betti_from_linear_hilbert). Against
+the vertex-decomposability search, is_vd_plain decides the property straight
+from the definition, on its own link and deletion (shed_plain), with no memo
+and no relabelling.
 
 Two more keep the walks that the orbit route of resolution replaced: the
 Hochster plan and sum (hochster_plan_full, hochster_sums_full) and
@@ -28,7 +31,9 @@ Plain readers serve the tests as well: face membership (is_face) and
 adjacency (has_edge).
 """
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from srlab.bitsets import iter_vertices, mask_of, sort_canonical, vertices_of
 from srlab.complexes import _COVERS, SimplicialComplex, _faces_by_card, alexander_dual, all_faces, faces_of_card
@@ -94,6 +99,28 @@ def maximal_bruteforce(masks) -> list[int]:
     uniq = list(dict.fromkeys(masks))
     tops = [m for m in uniq if not any(m != k and m & k == m for k in uniq)]
     return sorted(tops, key=lambda m: -m.bit_count())
+
+
+def shed_plain(facets: frozenset[int], v: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The facets of the link and of the deletion of vertex v, from the
+    definitions: the link keeps the facets through v, less v; the deletion
+    keeps the maximal sets among all facets less v."""
+    b = 1 << (v - 1)
+    return frozenset(f ^ b for f in facets if f & b), frozenset(maximal_bruteforce([f & ~b for f in facets]))
+
+
+def is_vd_plain(facets: frozenset[int]) -> bool:
+    """Vertex decomposability of a pure, nonempty facet set, from the
+    definition: a simplex, or a vertex whose deletion is pure of the same
+    dimension and whose link and deletion are both vertex decomposable."""
+    if len(facets) == 1:
+        return True
+    top = max(f.bit_count() for f in facets)
+    for v in iter_vertices(reduce(or_, facets)):
+        link, rest = shed_plain(facets, v)
+        if all(f.bit_count() == top for f in rest) and is_vd_plain(link) and is_vd_plain(rest):
+            return True
+    return False
 
 
 def minimal_nonfaces_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
@@ -354,10 +381,9 @@ def hochster_plan_full(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int,
     by (core, |W|, link)."""
     n, dual = c.n, alexander_dual(c)
     uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
-    cores: dict = {}
     for w in lcm_closure(dual.facets, n):
         facets, link = _side(c.facets, dual.facets, n, w)
-        core = _squeezed_core(facets, cores)
+        core = _squeezed_core(facets)
         if core is not None:
             uses[(core, w.bit_count(), link)] = uses.get((core, w.bit_count(), link), 0) + 1
     return uses
@@ -382,11 +408,10 @@ def reisner_sweep_full(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     full = (1 << c.n) - 1
     meets = [full ^ u for u in lcm_closure(c.facets, c.n) if u and u != full]
     meets.sort(key=lambda m: (m.bit_count(), vertices_of(m)))
-    cores: dict = {}
     for sigma in [0, *meets]:
         u = full ^ sigma
         facets, link = _side(dual.facets, c.facets, c.n, u)
-        core = _squeezed_core(facets, cores)
+        core = _squeezed_core(facets)
         if core is None:
             continue
         degrees = [u.bit_count() - d - 3 for d, _ in _read(_core_dims(core, field), u.bit_count(), link)]

@@ -219,7 +219,7 @@ def test_dual_memo_records_the_involution(monkeypatch):
     calls = []
     real = complexes.minimal_nonfaces
     monkeypatch.setattr(complexes, "minimal_nonfaces", lambda c: calls.append(c) or real(c))
-    alexander_dual.cache_clear()
+    complexes._DUALS.clear()
     # the triangles of C2_12, canonical and maximal, built with no graph behind them
     c = make_complex(12, [mask_of((i, i % 12 + 1, (i + 1) % 12 + 1)) for i in range(1, 13)])
     d = alexander_dual(c)
@@ -230,7 +230,7 @@ def test_dual_memo_records_the_involution(monkeypatch):
     odd = SimplicialComplex(4, (mask_of((2, 3)), mask_of((1, 2)), mask_of((1,))))
     twice = alexander_dual(alexander_dual(odd))
     assert twice == make_complex(4, odd.facets) != odd and len(calls) == 3
-    alexander_dual.cache_clear()
+    complexes._DUALS.clear()
     assert alexander_dual(c) == d and len(calls) == 4
     # a cover's dual comes from its graph, and the dual of that dual from the memo
     cover = cover_complex(path(12), 3)
@@ -257,7 +257,7 @@ def test_cover_duals_from_the_graph_match_minimal_nonfaces(monkeypatch):
         raise AssertionError("a cover's dual should come from its graph")
 
     monkeypatch.setattr(complexes, "minimal_nonfaces", refuse)
-    alexander_dual.cache_clear()
+    complexes._DUALS.clear()
     for name, g in _oracle_graphs():
         for k in range(1, g.n + 1):  # up to alpha(g) + 1, where the cover is void
             c = cover_complex(g, k)
@@ -278,7 +278,7 @@ def test_clique_complexes_take_the_cover_routes(monkeypatch):
         raise AssertionError("a clique complex's dual should come from the memo")
 
     monkeypatch.setattr(complexes, "minimal_nonfaces", refuse)
-    alexander_dual.cache_clear()
+    complexes._DUALS.clear()
     for name, g in _oracle_graphs():
         for k in range(1, g.n + 1):  # alexander_dual takes a recorded cover as canonical
             c = cover_complex(g, k)

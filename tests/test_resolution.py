@@ -155,6 +155,10 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
     read = []
     real = resolution._side
     monkeypatch.setattr(resolution, "_side", lambda *a: read.append(a[3]) or real(*a))
+    # C4 equals the dual of cover_complex(cycle(4), 2), so a record that an
+    # earlier test left would give it a graph
+    complexes._COVERS.clear()
+    complexes._DUALS.clear()
     resolution._hochster_plan.cache_clear()
     resolution._CORE_DIMS.clear()
     sizes = []
@@ -238,7 +242,7 @@ def _count_dual_builds(monkeypatch) -> list:
 def test_auto_route_builds_the_dual_once_across_fields(monkeypatch):
     c = cover_complex(path(12), 3)  # the auto route reads the dual's facets for each field
     calls = _count_dual_builds(monkeypatch)
-    alexander_dual.cache_clear()
+    complexes._DUALS.clear()
     resolution._hochster_plan.cache_clear()
     resolution._CORE_DIMS.clear()
     tq = resolution._hochster_sum(c, RATIONALS)
@@ -263,14 +267,17 @@ def test_relabelled_memo_cuts_homology_calls(monkeypatch):
 
 def test_dual_sweep_after_the_table_computes_no_homology(monkeypatch):
     # eagon_reiner_check sweeps c's dual after c's table: the same subsets read
-    # by the same side rule, so every core's homology is already in the memo
+    # by the same side rule, so every list's core and every core's homology
+    # are already in the memos
     calls = []
-    real = resolution.homology_dims_from_facets
-    monkeypatch.setattr(resolution, "homology_dims_from_facets", lambda *a: calls.append(a) or real(*a))
+    for name in ("homology_dims_from_facets", "_core"):
+        real = getattr(resolution, name)
+        monkeypatch.setattr(resolution, name, lambda *a, real=real: calls.append(a) or real(*a))
     for spec, k in ((FamilySpec("L", n=9), 3), (FamilySpec("C", n=12), 3), (FamilySpec("Grid", n=4, m=3), 2)):
         c = cover_complex(build_family(spec), k)
         for f in (RATIONALS, GF2, Field(3)):
             resolution._hochster_plan.cache_clear()
+            resolution._CORES.clear()
             resolution._CORE_DIMS.clear()
             resolution._hochster_sum(c, f)
             calls.clear()
@@ -281,7 +288,7 @@ def test_dual_sweep_after_the_table_computes_no_homology(monkeypatch):
 def test_guard_stops_before_any_dual_is_built(monkeypatch, capsys):
     c = cover_complex(points(17), 2)
     calls = _count_dual_builds(monkeypatch)
-    alexander_dual.cache_clear()
+    complexes._DUALS.clear()
     with pytest.raises(GuardExceeded):
         betti_hochster(c, max_ground=16)
     assert calls == []

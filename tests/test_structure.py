@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 
 from conftest import family_complexes, family_graphs
-from oracles import check_vd_witness, is_valid_shelling_pairwise, shelling_order_from_vd, shelling_restrictions_pairwise
+from oracles import (
+    check_vd_witness,
+    is_valid_shelling_pairwise,
+    is_vd_plain,
+    shed_plain,
+    shelling_order_from_vd,
+    shelling_restrictions_pairwise,
+)
 from srlab.bitsets import mask_of, shelling_restrictions, single_maximal_overlap, vertices_of
 from srlab.complexes import (
     alexander_dual,
@@ -142,6 +149,35 @@ def test_vertex_decomposable_cases():
         is_vertex_decomposable(C(5, [(1, 2), (3,)]))  # not pure
     with pytest.raises(GuardExceeded):
         is_vertex_decomposable(simplex_complex(17))
+
+
+def test_vd_verdicts_match_the_definition():
+    # the pure covers and duals of seeded random graphs; rejected counts the
+    # complexes that are not VD although some vertex's deletion stays pure,
+    # so the search turns that vertex down for its link
+    rng, rejected = random.Random(3011), 0
+    for idx in range(400):
+        n, density = rng.randint(3, 8), rng.random()
+        g = graph_from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < density])
+        for k in range(1, n + 1):
+            c = cover_complex(g, k)
+            if c.is_void:
+                break
+            for x in (c, alexander_dual(c)):
+                if x.is_void or not is_pure(x):
+                    continue
+                v, facets = is_vertex_decomposable(x), frozenset(x.facets)
+                assert v.holds == is_vd_plain(facets), (idx, k, x)
+                if v.holds:
+                    assert check_vd_witness(x, v.witness), (idx, k, x)
+                    continue
+                top = max(f.bit_count() for f in facets)
+                for u in range(1, n + 1):
+                    link, rest = shed_plain(facets, u)
+                    if link and all(f.bit_count() == top for f in rest) and not is_vd_plain(link):
+                        rejected += 1
+                        break
+    assert rejected >= 50
 
 
 def test_vd_yields_valid_shelling():
