@@ -235,6 +235,15 @@ def test_dual_memo_records_the_involution(monkeypatch):
     # a cover's dual comes from its graph, and the dual of that dual from the memo
     cover = cover_complex(path(12), 3)
     assert alexander_dual(alexander_dual(cover)) == cover and len(calls) == 4
+    # the memo keeps its newest 256 entries, and a hit counts as the newest
+    complexes._DUALS.clear()
+    alexander_dual(c)  # d -> c, then c -> d
+    for n in range(127):  # each simplex and its dual, both ways
+        alexander_dual(simplex_complex(n))
+    assert len(complexes._DUALS) == 256 and next(iter(complexes._DUALS)) == d
+    alexander_dual(c)
+    alexander_dual(simplex_complex(127))
+    assert len(complexes._DUALS) == 256 and c in complexes._DUALS and d not in complexes._DUALS
 
 
 def _oracle_graphs():

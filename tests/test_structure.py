@@ -172,11 +172,10 @@ def test_vd_verdicts_match_the_definition():
                     assert check_vd_witness(x, v.witness), (idx, k, x)
                     continue
                 top = max(f.bit_count() for f in facets)
-                for u in range(1, n + 1):
-                    link, rest = shed_plain(facets, u)
-                    if link and all(f.bit_count() == top for f in rest) and not is_vd_plain(link):
-                        rejected += 1
-                        break
+                sheds = (shed_plain(facets, u) for u in range(1, n + 1))
+                rejected += any(
+                    link and all(f.bit_count() == top for f in rest) and not is_vd_plain(link) for link, rest in sheds
+                )
     assert rejected >= 50
 
 
