@@ -36,7 +36,9 @@ face. Both walks below read both memos. The Hochster sum passes
 (S, S^dual) and keeps, per complex, a memoized plan: its subsets grouped
 by core, which every later field of S reuses. Reisner's sweep over the
 faces of S passes (S^dual, S), so the link of a face sigma is read either
-directly or from S^dual restricted to [n] minus sigma. Both take
+directly or from S^dual restricted to [n] minus sigma. A plan counts its
+subsets W by (core, |W'|, link, |W|), W' the subset read for W (below),
+and places the degrees d read for W' at beta_{|W|-d-1, |W|}. Both take
 their subsets from _lcm_lattice: the Hochster sum from S^dual's facets,
 Reisner's sweep from S's own, whose lattice members other than the empty
 set and [n] are the complements of the nonempty intersections of facets.
@@ -48,7 +50,19 @@ when cover_complex recorded a graph G behind S or S^dual (_orbit_walk):
 the one with the smallest bit-reversed mask, whose complement comes first
 in (cardinality, canonical) order. An automorphism maps each
 restriction onto an isomorphic one, read from the same side, and the plan
-of S and the sweep of S^dual still read the same members. A CM verdict
+of S and the sweep of S^dual still read the same members.
+
+When B = Delta_k(G) is a recorded cover, A = B^dual restricted to W holds
+the S in W with alpha(G[S]) < k, and both walks read W's fold W' in place
+of W (_fold, through _reader). If u != v in W and N[v] & W lies in N[u]
+(closed neighbourhoods), every face of A restricted to W through v stays a
+face when u is added: an independent set of G[S + u] through u misses v,
+and swapping u for v keeps it independent inside S. So u dominates v, the
+restriction strong-collapses onto its restriction to W - v, and reduced
+homology agrees in every degree. The fold deletes dominated vertices one
+at a time until none is left, and each distinct W' is read once per plan
+or sweep. A W' that is no union of independent k-sets reads as a cone on
+both sides, so no lattice test is needed. A CM verdict
 tries a certificate before the sweep: a pure S whose stored facet order is
 a shelling (stored_order_shells) is CM over every field.
 """
@@ -60,7 +74,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, NamedTuple
 
-from .bitsets import maximal_masks, shelling_restrictions, vertices_of
+from .bitsets import iter_vertices, maximal_masks, shelling_restrictions, vertices_of
 from .complexes import _COVERS, DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
 from .errors import VoidComplexError, check_guard
 from .graphs import Graph, automorphism_generators
@@ -290,6 +304,50 @@ def _side(a_facets, b_facets, n: int, w: int) -> tuple[list[int], bool]:
     return maximal_masks([f & w for f in a_facets]), False
 
 
+def _fold(g: Graph, w: int) -> int:
+    """w less its dominated vertices in g[w]: each step deletes the lowest v
+    left in w for which some other u left in w has N[v] & w inside N[u]
+    (closed neighbourhoods, so u is a neighbour of v), until there is none.
+    Delta_k(g)^dual restricted to w strong-collapses onto its restriction to
+    the result (Barmak-Minian 2012; the lemma is in the module docstring),
+    so the two have the same reduced homology.
+    """
+    adj = g.adj
+    while True:
+        for v in iter_vertices(w):
+            nv = adj[v - 1] & w
+            if any(not nv & ~(adj[u - 1] | 1 << (u - 1)) for u in iter_vertices(nv)):
+                w ^= 1 << (v - 1)
+                break
+        else:
+            return w
+
+
+def _reader(a: SimplicialComplex, b: SimplicialComplex):
+    """A function from a subset w of A's ground set to (core, |w'|, link), or
+    to None when the list read for w is a cone or collapses to a point, so
+    that A restricted to w has no reduced homology. B = A^dual.
+
+    w' is w's fold (_fold) when cover_complex recorded (G, k) behind B, so
+    that A = Delta_k(G)^dual, and w itself otherwise; A restricted to w' has
+    the reduced homology of A restricted to w. core is the squeezed core
+    (_squeezed_core) of the facet list that _side chooses for w', and link
+    says whether that list is B's link. Each distinct w' is read once.
+    """
+    record = _COVERS.get(b)
+    reads: dict[int, tuple[tuple[int, ...], int, bool] | None] = {}
+
+    def read(w: int):
+        v = _fold(record[0], w) if record else w
+        if v not in reads:
+            facets, link = _side(a.facets, b.facets, a.n, v)
+            core = _squeezed_core(facets)
+            reads[v] = None if core is None else (core, v.bit_count(), link)
+        return reads[v]
+
+    return read
+
+
 def _read(dims, j: int, link: bool) -> list[tuple[int, int]]:
     """Nonzero (degree d, dim H~_d) of A restricted to a j-set W, from the
     homology dims of the facet list that _side chose for W."""
@@ -430,24 +488,25 @@ def _orbit_walk(members, a: SimplicialComplex, b: SimplicialComplex):
 
 
 @lru_cache(maxsize=256)
-def _hochster_plan(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, bool], int]:
+def _hochster_plan(c: SimplicialComplex) -> dict[tuple[tuple[int, ...], int, bool, int], int]:
     """The field-independent half of c's Hochster sum; memoized, so every
     field of c shares it.
 
-    It counts the subsets W of the LCM lattice by (core, |W|, link): core is
-    the squeezed core (_squeezed_core) of the facet list that _side chose
-    for W, and link says whether that list is the dual's link. A W whose
-    list is a cone or collapses to a point adds nothing and is left out.
-    Only one W per orbit of the automorphisms behind c (_orbit_walk) is
-    read, and it counts as many times as its orbit has members.
+    It counts the subsets W of the LCM lattice by (core, |W'|, link, |W|),
+    the read of W (_reader): W' is W's fold when c is the dual of a recorded
+    cover, and W otherwise. A W whose list is a cone or collapses to a point
+    adds nothing and is left out; a fold that is no union of independent
+    k-sets is such a W. Only one W per orbit of the automorphisms behind c
+    (_orbit_walk) is read, and it counts as many times as its orbit has
+    members.
     """
-    n, dual = c.n, alexander_dual(c)
-    uses: dict[tuple[tuple[int, ...], int, bool], int] = {}
+    dual = alexander_dual(c)
+    read = _reader(c, dual)
+    uses: dict[tuple[tuple[int, ...], int, bool, int], int] = {}
     for w, size in _orbit_walk(_lcm_lattice(dual), c, dual):
-        facets, link = _side(c.facets, dual.facets, n, w)
-        core = _squeezed_core(facets)
-        if core is not None:
-            use = (core, w.bit_count(), link)
+        r = read(w)
+        if r is not None:
+            use = (*r, w.bit_count())
             uses[use] = uses.get(use, 0) + size
     return uses
 
@@ -457,15 +516,17 @@ def _hochster_sum(c: SimplicialComplex, field: Field) -> GradedBettiTable:
 
     The sum runs over the LCM lattice of the minimal nonfaces (the
     complements of the facets of the memoized Alexander dual) and reads each
-    subset from the smaller of its restriction and the dual's link. The
-    field-independent half, the subsets grouped by the core they read, is
-    planned once per complex and memoized, so further fields of c reuse it;
-    each core's homology comes from _core_dims, shared with every other
-    complex and with Reisner's sweep (GF(2) profiles serve Q and GF(2) alike).
+    subset W, or its fold W' (_hochster_plan), from the smaller of its
+    restriction and the dual's link. The degrees d of H~_d found for W' are
+    those of W, and go to beta_{|W|-d-1, |W|}. The field-independent half,
+    the subsets grouped by the core they read, is planned once per complex
+    and memoized, so further fields of c reuse it; each core's homology
+    comes from _core_dims, shared with every other complex and with
+    Reisner's sweep (GF(2) profiles serve Q and GF(2) alike).
     """
     entries: dict[tuple[int, int], int] = {}
-    for (core, j, link), mult in _hochster_plan(c).items():
-        for d, val in _read(_core_dims(core, field), j, link):
+    for (core, i, link, j), mult in _hochster_plan(c).items():
+        for d, val in _read(_core_dims(core, field), i, link):
             ij = (j - d - 1, j)
             entries[ij] = entries.get(ij, 0) + mult * val
     assert entries.get((0, 0)) == 1, "table must start with beta_{0,0} = 1"
@@ -598,11 +659,15 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
     reports that face and the homological degree. _side with
     (c^dual, c) picks whether each link is read from the link itself or
     from c^dual restricted to U = [n] minus sigma, using
-    H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U).
+    H~_i(lk sigma) = H~_{|U|-i-3}(c^dual restricted to U). When c is a
+    recorded cover of (G, k), U's fold U' (_fold) is read in place of U:
+    c^dual restricted to U' has the same reduced homology, and the degrees
+    are still shifted by |U|.
     """
     dual = alexander_dual(c)
     if dual.is_void:  # the full simplex: every link is a simplex
         return ReisnerVerdict(True, field)
+    read = _reader(dual, c)
     full = (1 << c.n) - 1
 
     def faces():
@@ -613,12 +678,11 @@ def _reisner_sweep(c: SimplicialComplex, field: Field) -> ReisnerVerdict:
 
     for sigma in faces():
         u = full ^ sigma
-        facets, link = _side(dual.facets, c.facets, c.n, u)
-        core = _squeezed_core(facets)
-        if core is None:
+        r = read(u)
+        if r is None:
             continue
-        read = _read(_core_dims(core, field), u.bit_count(), link)
-        degrees = [u.bit_count() - d - 3 for d, _ in read]  # H~_d(dual|u) is H~_{|u|-d-3}(lk sigma)
+        core, j, link = r  # H~_d(dual|u) is H~_{|u|-d-3}(lk sigma)
+        degrees = [u.bit_count() - d - 3 for d, _ in _read(_core_dims(core, field), j, link)]
         if degrees:
             top = max(f.bit_count() for f in c.facets if f & sigma == sigma)
             low = [i for i in degrees if i < top - sigma.bit_count() - 1]  # below dim lk sigma

@@ -3,14 +3,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_graph_sample, relabelled, symmetry_corpus
+from conftest import family_graphs, random_graph_sample, relabelled, symmetry_corpus
 from oracles import (
     automorphisms,
     betti_direct,
     betti_dual_links,
     betti_from_linear_hilbert,
+    homology_all_ranks,
     hochster_sums_full,
     lcm_closure,
+    maximal_bruteforce,
     minimal_nonfaces_bruteforce,
     orbit_walk_per_bit,
     reisner_sweep_full,
@@ -162,7 +164,7 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
     resolution._hochster_plan.cache_clear()
     resolution._CORE_DIMS.clear()
     sizes = []
-    for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3), alexander_dual(cover_complex(path(9), 3))):
+    for c in (C4, cover_complex(cycle_square(6), 2), cover_complex(path(9), 3)):
         oracle = [betti_dual_links(c, f) for f in (RATIONALS, GF2)]
         read.clear()
         assert [resolution._hochster_sum(c, f).entries for f in (RATIONALS, GF2)] == oracle, c
@@ -174,6 +176,14 @@ def test_auto_route_reads_only_unions_of_minimal_nonfaces(monkeypatch):
         assert all(min(o, key=lambda w: ((full ^ w).bit_count(), vertices_of(full ^ w))) in read for o in orbits), c
         sizes.append((len(orbits), len(expect)))
     assert sizes[0][0] == sizes[0][1] and sizes[1][0] < sizes[1][1]  # C4 has no graph; C2_6 is the octahedron
+    # a cover's dual reads the fold of each member it reads, each fold once for both fields
+    c = alexander_dual(cover_complex(path(9), 3))
+    oracle = [betti_dual_links(c, f) for f in (RATIONALS, GF2)]
+    read.clear()
+    assert [resolution._hochster_sum(c, f).entries for f in (RATIONALS, GF2)] == oracle
+    expect = _unions_of_minimal_nonfaces(c)
+    folds = {resolution._fold(path(9), w) for w in expect}
+    assert set(read) <= folds and len(read) == len(set(read)) and not set(read) <= expect
     read.clear()
     assert betti_hochster(simplex_complex(23), override=True).entries == {(0, 0): 1}  # a void dual: the sum
     assert read == [0]
@@ -210,11 +220,23 @@ def test_q_then_gf2_enumerates_each_core_once(monkeypatch):
     resolution._CORE_DIMS.clear()
     c = alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))
     betti_hochster(c, RATIONALS)
-    cores = {core for core, _, _ in resolution._hochster_plan(c)}
-    assert len(cores) == 252 and set(calls) == cores and set(calls.values()) == {1}
+    cores = {core for core, _, _, _ in resolution._hochster_plan(c)}
+    assert len(cores) == 39 and set(calls) == cores and set(calls.values()) == {1}
     betti_hochster(c, GF2)
     assert sum(calls.values()) == len(cores)
     assert all(set(profiles) == {RATIONALS, GF2} for profiles in resolution._CORE_DIMS.values())
+
+
+def test_folded_plan_reads_fewer_members(monkeypatch):
+    # the Grid 4x3 k3 dual's plan reads one fold per class of members: 167
+    # _side reads and 39 cores, against 890 and 252 unfolded
+    read = []
+    real = resolution._side
+    monkeypatch.setattr(resolution, "_side", lambda *a: read.append(a[3]) or real(*a))
+    resolution._hochster_plan.cache_clear()
+    c = alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))
+    cores = {core for core, _, _, _ in resolution._hochster_plan(c)}
+    assert (len(read), len(cores)) == (167, 39)
 
 
 def test_field_order_with_torsion_matches_direct_sum():
@@ -452,25 +474,57 @@ def test_field_specific_tables():
 def test_orbit_route_matches_the_full_walk():
     # the plan and the sweep read one lattice member per Aut(G) orbit; the full
     # walk reads every member. Relabelled copies make the search find the
-    # symmetry apart from the builders' labelling.
+    # symmetry apart from the builders' labelling. The clique complex, the dual
+    # of the degree-2 cover, comes first from its own builder.
     seen, witnesses = set(), []
-    for name, g in symmetry_corpus(11):
+    for name, g in symmetry_corpus(11) + random_graph_sample(20, 10, seed=3102):
+        inputs = [(0, clique_complex(g))]
         for k in range(1, g.n + 1):
             c = cover_complex(g, k)
             if c.is_void:
                 break
-            for x in (c, alexander_dual(c)):
-                if x in seen or x.is_void:
-                    continue
-                seen.add(x)
-                tables = [resolution._hochster_sum(x, f) for f in (RATIONALS, GF2)]
-                assert [t.entries for t in tables] == hochster_sums_full(x, (RATIONALS, GF2)), (name, k, x)
-                # a CM verdict agrees with the table (Auslander-Buchsbaum); any other takes the full sweep
-                verdict = resolution._reisner_sweep(x, RATIONALS)
-                if not verdict.cm or not is_cm_ab(x, tables[0]):
-                    assert verdict == reisner_sweep_full(x, RATIONALS), (name, k, x)
-                    witnesses.append(verdict.witness)
+            inputs += [(k, c), (k, alexander_dual(c))]
+        for k, x in inputs:
+            if x in seen or x.is_void:
+                continue
+            seen.add(x)
+            tables = [resolution._hochster_sum(x, f) for f in (RATIONALS, GF2)]
+            assert [t.entries for t in tables] == hochster_sums_full(x, (RATIONALS, GF2)), (name, k, x)
+            # a CM verdict agrees with the table (Auslander-Buchsbaum); any other takes the full sweep
+            verdict = resolution._reisner_sweep(x, RATIONALS)
+            if not verdict.cm or not is_cm_ab(x, tables[0]):
+                assert verdict == reisner_sweep_full(x, RATIONALS), (name, k, x)
+                witnesses.append(verdict.witness)
     assert len(witnesses) > 200 and any(w[0] for w in witnesses)  # witnesses above the empty face too
+
+
+def test_fold_keeps_the_homology_of_every_lattice_member():
+    # a cover's dual restricted to a member W of its plan's lattice, and to
+    # W's fold, have the same reduced homology, by plain ranks of every
+    # boundary map
+    def profile(facets, w, field):
+        dims = list(homology_all_ranks(maximal_bruteforce(f & w for f in facets), field))
+        while dims and not dims[-1]:
+            dims.pop()
+        return dims
+
+    folded = 0
+    for name, g in family_graphs(10) + random_graph_sample(30, 10, seed=3101):
+        for k in range(1, g.n + 1):
+            c = cover_complex(g, k)
+            if c.is_void:
+                break
+            dual, folds = alexander_dual(c), {}
+            for w in lcm_closure(c.facets, g.n):
+                v = resolution._fold(g, w)
+                if v == w:
+                    continue
+                folded += 1
+                for field in (RATIONALS, GF2):
+                    if (v, field) not in folds:
+                        folds[v, field] = profile(dual.facets, v, field)
+                    assert profile(dual.facets, w, field) == folds[v, field], (name, k, vertices_of(w), field)
+    assert folded > 10000
 
 
 def _matching_complement(n: int):
