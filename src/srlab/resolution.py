@@ -74,7 +74,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, NamedTuple
 
-from .bitsets import iter_vertices, maximal_masks, shelling_restrictions, vertices_of
+from .bitsets import maximal_masks, shelling_restrictions, vertices_of
 from .complexes import _COVERS, DEFAULT_GROUND_GUARD, SimplicialComplex, alexander_dual, is_pure
 from .errors import VoidComplexError, check_guard
 from .graphs import Graph, automorphism_generators
@@ -311,16 +311,28 @@ def _fold(g: Graph, w: int) -> int:
     Delta_k(g)^dual restricted to w strong-collapses onto its restriction to
     the result (Barmak-Minian 2012; the lemma is in the module docstring),
     so the two have the same reduced homology.
+
+    The vertices still to check are kept in a mask, lowest first. Deleting
+    v shrinks only the closed neighbourhoods in w of v's neighbours, so
+    only they can become dominated, and they are checked again; every
+    vertex off the mask is not dominated, so the lowest dominated vertex is
+    the first one found.
     """
-    adj = g.adj
-    while True:
-        for v in iter_vertices(w):
-            nv = adj[v - 1] & w
-            if any(not nv & ~(adj[u - 1] | 1 << (u - 1)) for u in iter_vertices(nv)):
-                w ^= 1 << (v - 1)
-                break
-        else:
-            return w
+    adj, check = g.adj, w
+    while check:
+        b = check & -check
+        check ^= b
+        nv = adj[b.bit_length() - 1] & w
+        x = nv
+        while x:
+            u = x & -x
+            if not nv & ~(adj[u.bit_length() - 1] | u):
+                break  # u dominates v
+            x ^= u
+        if x:
+            w ^= b
+            check |= nv
+    return w
 
 
 def _reader(a: SimplicialComplex, b: SimplicialComplex):
