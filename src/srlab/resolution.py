@@ -55,16 +55,17 @@ of S and the sweep of S^dual still read the same members.
 When B = Delta_k(G) is a recorded cover, A = B^dual restricted to W holds
 the S in W with alpha(G[S]) < k, and both walks read W's fold W' in place
 of W (_fold, through _reader). If u != v in W and N[v] & W lies in N[u]
-(closed neighbourhoods), every face of A restricted to W through v stays a
-face when u is added: an independent set of G[S + u] through u misses v,
+(closed neighbourhoods), every face S of A restricted to W through v stays
+a face when u is added: an independent set of G[S + u] through u misses v,
 and swapping u for v keeps it independent inside S. So u dominates v, the
 restriction strong-collapses onto its restriction to W - v, and reduced
 homology agrees in every degree. The fold deletes dominated vertices one
 at a time until none is left, and each distinct W' is read once per plan
 or sweep. A W' that is no union of independent k-sets reads as a cone on
-both sides, so no lattice test is needed. A CM verdict
-tries a certificate before the sweep: a pure S whose stored facet order is
-a shelling (stored_order_shells) is CM over every field.
+both sides, so no lattice test is needed.
+
+A CM verdict tries a certificate before the sweep: a pure S whose stored
+facet order is a shelling (stored_order_shells) is CM over every field.
 """
 
 from __future__ import annotations

@@ -240,7 +240,7 @@ def test_folded_plan_reads_fewer_members(monkeypatch):
 
 
 def test_field_order_with_torsion_matches_direct_sum():
-    # RP^2's tables differ over Q and GF(2); 27 of the 252 cores of Grid 4x3 k3's
+    # RP^2's tables differ over Q and GF(2); 15 of the 39 cores of Grid 4x3 k3's
     # dual have GF(2) profiles with several nonzero degrees, which Q settles by exact ranks
     for c in (RP2, alexander_dual(cover_complex(build_family(FamilySpec("Grid", n=4, m=3)), 3))):
         want = {f: betti_direct(c, f) for f in (RATIONALS, GF2, Field(3))}
